@@ -21,7 +21,7 @@ from .equivalence import (
     persistence_equivalent,
 )
 from .errors import ParseError, TreemorseError
-from .merge_tree import MergeNode, MergeTree, format_value, induce_merge_tree, merge_equivalent
+from .merge_tree import MergeTree, format_value, induce_merge_tree, merge_equivalent
 from .morse import MorseFunction
 from .oracle import DEFAULT_SIMPLEX_BUDGET, check_invariants, count_merge_classes
 from .stars import lr_sequence, realize_on_star, thin_from_lr
@@ -46,15 +46,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _render_text(tree: MergeTree) -> str:
     lines: list[str] = []
-
-    def walk(node: MergeNode, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         label = "?" if node.value is None else format_value(node.value)
         lines.append("  " * depth + f"{label} {node.direction}")
         if node.left is not None:
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
     return "\n".join(lines)
 
 

@@ -35,11 +35,6 @@ def is_edge(simplex: Simplex) -> bool:
     return isinstance(simplex, tuple)
 
 
-def simplex_vertices(simplex: Simplex) -> tuple[str, ...]:
-    """Endpoints of an edge, or the vertex itself as a 1-tuple."""
-    return simplex if isinstance(simplex, tuple) else (simplex,)
-
-
 def simplex_sort_key(simplex: Simplex) -> tuple[int, tuple[str, ...]]:
     """Vertices before edges, each alphabetically."""
     return (1, simplex) if isinstance(simplex, tuple) else (0, (simplex,))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .complexes import is_edge
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, MorseValidationError
 from .merge_tree import format_value
 from .morse import MorseFunction
 from .union_find import UnionFind
@@ -91,7 +91,10 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
             birth_v = birth[uf.find(v)]
             kept, absorbed = uf.union(u, v)
             if f.is_critical(simplex):
-                assert birth_u != birth_v  # distinct vertex values, no elder ties
+                if birth_u == birth_v:  # distinct vertex values, no elder ties
+                    raise MorseValidationError(
+                        f"critical edge {simplex!r} joins two components born at {birth_u}"
+                    )
                 pairs.append((max(birth_u, birth_v), value))
             birth[kept] = min(birth_u, birth_v)
             birth.pop(absorbed, None)

@@ -45,6 +45,10 @@ class MoreThanTwoShareValueError(MorseValidationError):
     """Three or more simplices share a value."""
 
 
+class NotFiniteRealError(MorseValidationError):
+    """A value is a boolean, NaN or an infinity rather than a finite real."""
+
+
 class DomainMismatchError(TreemorseError):
     """A comparison that needs a common tree got two different ones."""
 

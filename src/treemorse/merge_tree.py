@@ -14,11 +14,10 @@ stored on the left. Equal shape therefore means equal tags as well.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .complexes import is_edge
+from .errors import MorseValidationError
 from .morse import MorseFunction
 
 LEAF_GLYPH = "•"
@@ -106,32 +105,41 @@ class MergeTree:
         Equal codes mean the trees agree as shapes with directions.
         """
 
-        def code(node: MergeNode) -> str:
-            if node.is_leaf:
-                return LEAF_GLYPH
-            return "(" + code(node.left) + code(node.right) + ")"
-
-        return code(self.root)
+        out = []
+        stack: list = [self.root]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            elif item.left is None:
+                out.append(LEAF_GLYPH)
+            else:
+                out.append("(")
+                stack.extend((")", item.right, item.left))
+        return "".join(out)
 
     def to_dot(self) -> str:
         """Graphviz rendering; the left child edge precedes the right one."""
-        counter = itertools.count()
         node_lines: list[str] = []
         edge_lines: list[str] = []
-
-        def walk(node: MergeNode) -> str:
-            name = f"n{next(counter)}"
+        # nodes are numbered in preorder; the edge into a node follows every
+        # edge of the node's subtree, so it waits on the stack beneath the
+        # node's children
+        stack: list = [(self.root, None)]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                edge_lines.append(item)
+                continue
+            node, parent = item
+            name = f"n{len(node_lines)}"
             label = "" if node.value is None else format_value(node.value)
             node_lines.append(f'  {name} [label="{label}"];')
+            if parent is not None:
+                stack.append(f'  {parent} -> {name} [label="{node.direction}"];')
             if node.left is not None:
-                for child in (node.left, node.right):
-                    child_name = walk(child)
-                    edge_lines.append(
-                        f'  {name} -> {child_name} [label="{child.direction}"];'
-                    )
-            return name
-
-        walk(self.root)
+                stack.append((node.right, name))
+                stack.append((node.left, name))
         lines = ["digraph merge_tree {", "  node [shape=circle];"]
         lines.extend(node_lines)
         lines.extend(edge_lines)
@@ -221,13 +229,19 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
             min_v, crit_v = state[root_v]
             if not paired[i]:
                 # both components already contain a critical vertex
-                assert crit_u is not None and crit_v is not None
+                if crit_u is None or crit_v is None:
+                    raise MorseValidationError(
+                        f"critical edge {simplex!r} reaches a component with no critical vertex"
+                    )
                 joins[value] = ((crit_u, min_u), (crit_v, min_v))
                 new_crit = value
             else:
                 # a paired edge attaches its fresh paired vertex to an older
                 # component; nothing merges and no new label appears
-                assert (crit_u is None) != (crit_v is None)
+                if (crit_u is None) == (crit_v is None):
+                    raise MorseValidationError(
+                        f"paired edge {simplex!r} does not attach exactly one paired vertex"
+                    )
                 new_crit = crit_u if crit_v is None else crit_v
             if len(members[root_u]) < len(members[root_v]):
                 root_u, root_v = root_v, root_u
@@ -241,24 +255,42 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     # the largest critical value always sits on an edge once one exists
     for j in range(total - 1, -1, -1):
         if not paired[j]:
-            assert decorated[j][0] == edge_values[-1]
+            if decorated[j][0] != edge_values[-1]:
+                raise MorseValidationError(
+                    f"the largest critical value {decorated[j][0]} is not on an edge"
+                )
             break
 
-    def build(value: float, direction: str) -> MergeNode:
+    # top down: each node's value and direction, with its children as
+    # (left label, right label); then bottom up, children before parents
+    preorder = []
+    stack = [(edge_values[-1], "L")]
+    while stack:
+        value, direction = stack.pop()
         children = joins.get(value)
         if children is None:
-            return MergeNode(value, direction)
+            preorder.append((value, direction, None))
+            continue
         (label_a, min_a), (label_b, min_b) = children
-        assert min_a != min_b  # distinct vertex values keep the rule unambiguous
+        if min_a == min_b:  # distinct vertex values keep the rule unambiguous
+            raise MorseValidationError(f"the components joined at {value} share their minimum")
         if min_a < min_b:
             inherits, other = label_a, label_b
         else:
             inherits, other = label_b, label_a
         flipped = "R" if direction == "L" else "L"
-        inheriting_child = build(inherits, direction)
-        other_child = build(other, flipped)
         if direction == "L":
-            return MergeNode(value, direction, inheriting_child, other_child)
-        return MergeNode(value, direction, other_child, inheriting_child)
+            preorder.append((value, direction, (inherits, other)))
+        else:
+            preorder.append((value, direction, (other, inherits)))
+        stack.append((other, flipped))
+        stack.append((inherits, direction))
 
-    return MergeTree(build(edge_values[-1], "L"))
+    built: dict = {}
+    for value, direction, children in reversed(preorder):
+        if children is None:
+            built[value] = MergeNode(value, direction)
+        else:
+            left, right = children
+            built[value] = MergeNode(value, direction, built.pop(left), built.pop(right))
+    return MergeTree(built[edge_values[-1]])

@@ -9,6 +9,7 @@ vector field; every unpaired simplex is critical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -25,6 +26,7 @@ from .complexes import (
 from .errors import (
     MissingValueError,
     MoreThanTwoShareValueError,
+    NotFiniteRealError,
     NotWeaklyIncreasingError,
     ValueSharedByNonIncidentError,
 )
@@ -144,6 +146,7 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
             names a simplex the tree does not have.
+        NotFiniteRealError: a value is a boolean, NaN or an infinity.
         NotWeaklyIncreasingError: an edge value is below an endpoint value.
         MoreThanTwoShareValueError: a value is taken three or more times.
         ValueSharedByNonIncidentError: a value is shared by two simplices
@@ -153,9 +156,11 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     for simplex in tree.simplices():
         if simplex not in values:
             raise MissingValueError(f"no value for simplex {simplex!r}")
-    for simplex in values:
+    for simplex, value in values.items():
         if simplex not in declared:
             raise MissingValueError(f"value given for unknown simplex {simplex!r}")
+        if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+            raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
     for e in sorted(tree.edges):
         for endpoint in e:
             if values[endpoint] > values[e]:

@@ -13,6 +13,12 @@ sweep therefore runs inside the enumeration: a union-find with rollback
 the merge tree one placement at a time, and every complete labeling arrives
 with its merge tree already swept.
 
+Counting merge classes needs no labeling at all: what the rest of a
+labeling can still do to its merge tree depends only on which simplices are
+placed, how the components rank by their minima and each component's
+shapes. count_merge_classes searches those states layer by layer, so equal
+states reached by different labelings are expanded once.
+
 This module is the verification backbone for the structural claims about
 induced merge trees; check_invariants runs them over every labeling.
 """
@@ -32,52 +38,50 @@ DEFAULT_SIMPLEX_BUDGET = 11
 WITNESS_CAP = 5
 
 
-class LabelingSweep:
-    """Every injective labeling of a tree, each with its merge tree swept.
+def _check_budget(tree: SimplicialTree, budget: int) -> None:
+    n = tree.simplex_count
+    if n > budget:
+        raise BudgetExceededError(f"{n} simplices exceed the budget of {budget}")
 
-    Iterating yields once per complete labeling, in the order of
-    enumerate_critical_dmfs, a tuple (shape, components, vertices, overlaps):
 
-    - shape: interned id of the merge tree with its root tagged L; equal ids
-      mean equal shape codes (see shape_code and node_count);
-    - components: union-find roots left once every simplex is placed;
-    - vertices: vertex placements, each a new leaf (the rest are joins);
-    - overlaps: vertices shared between two impasse edges.
+class ShapeTable:
+    """Hash-consed merge-tree shapes and the join rule that grows them.
 
-    Until the next labeling is requested, `values()` is the labeling and
-    `impasse_edges` lists its impasse edges in sweep order. Like a
-    generator, a sweep makes one pass.
-
-    Each union-find root stores its component's smallest label and two
-    shape ids: the shape of its subtree when the component's top node is
-    tagged L, and when it is tagged R. An edge joins the components of its
-    endpoints. The one holding the smaller label inherits its parent's
-    direction, so the join's shapes are L = (L(inheritor), R(other)) and
-    R = (L(other), R(inheritor)). An edge is an impasse exactly when both
-    components are single vertices: both children of its node are leaves.
+    Id 0 is the leaf; every other id stands for one join of a (left, right)
+    pair of ids, so equal ids mean equal shape codes. A component of the
+    sweep is described by a pair of ids (L, R): its shape with its top node
+    tagged L, and tagged R. When an edge joins two components, the heir,
+    the one holding the smaller label, inherits its parent's direction, so
+    the joined pair is L = (L(heir), R(other)) and R = (L(other), R(heir)).
     """
 
-    def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
-        n = tree.simplex_count
-        if n > budget:
-            raise BudgetExceededError(f"{n} simplices exceed the budget of {budget}")
-        vertices = sorted(tree.vertices)
-        # simplex ids: vertices first, then edges, each in sorted order
-        self._simplices: list[Simplex] = [*vertices, *sorted(tree.edges)]
-        self._order: list[int] = []  # simplex id per label handed out so far
-        self.impasse_edges: list[Edge] = []
-        # shape id -> (left id, right id); id 0 is the leaf
+    LEAF = (0, 0)
+
+    def __init__(self) -> None:
         self._children: list[tuple[int, int]] = [(0, 0)]
         self._node_counts = [1]
-        self._labelings = self._sweep(len(vertices))
+        self._ids: dict[tuple[int, int], int] = {}
+        # every join so far, (heir pair, other pair) -> joined pair; the
+        # labeling sweep looks here first to spare a call per edge
+        self.joined: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, int]] = {}
 
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return self._labelings
+    def _intern(self, key: tuple[int, int]) -> int:
+        shape = self._ids.get(key)
+        if shape is None:
+            shape = self._ids[key] = len(self._children)
+            self._children.append(key)
+            self._node_counts.append(self._node_counts[key[0]] + self._node_counts[key[1]] + 1)
+        return shape
 
-    def values(self) -> dict[Simplex, int]:
-        """The current labeling, simplices in label order."""
-        simplices = self._simplices
-        return {simplices[s]: label for label, s in enumerate(self._order)}
+    def join(self, heir: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
+        """The (L, R) pair of the component joined from heir and other."""
+        joined = self.joined.get((heir, other))
+        if joined is None:
+            joined = self.joined[heir, other] = (
+                self._intern((heir[0], other[1])),
+                self._intern((other[0], heir[1])),
+            )
+        return joined
 
     def node_count(self, shape: int) -> int:
         return self._node_counts[shape]
@@ -97,6 +101,47 @@ class LabelingSweep:
                 out.append("(")
                 stack.extend((")", right, left))
         return "".join(out)
+
+
+class LabelingSweep:
+    """Every injective labeling of a tree, each with its merge tree swept.
+
+    Iterating yields once per complete labeling, in the order of
+    enumerate_critical_dmfs, a tuple (shape, components, vertices, overlaps):
+
+    - shape: id of the merge tree with its root tagged L in the sweep's
+      ShapeTable, `shapes`;
+    - components: union-find roots left once every simplex is placed;
+    - vertices: vertex placements, each a new leaf (the rest are joins);
+    - overlaps: vertices shared between two impasse edges.
+
+    Until the next labeling is requested, `values()` is the labeling and
+    `impasse_edges` lists its impasse edges in sweep order. Like a
+    generator, a sweep makes one pass.
+
+    Each union-find root stores its component's smallest label and its
+    (L, R) pair of shape ids; an edge joins the components of its endpoints
+    by ShapeTable.join. An edge is an impasse exactly when both components
+    are single vertices: both children of its node are leaves.
+    """
+
+    def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
+        _check_budget(tree, budget)
+        vertices = sorted(tree.vertices)
+        # simplex ids: vertices first, then edges, each in sorted order
+        self._simplices: list[Simplex] = [*vertices, *sorted(tree.edges)]
+        self._order: list[int] = []  # simplex id per label handed out so far
+        self.impasse_edges: list[Edge] = []
+        self.shapes = ShapeTable()
+        self._labelings = self._sweep(len(vertices))
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        return self._labelings
+
+    def values(self) -> dict[Simplex, int]:
+        """The current labeling, simplices in label order."""
+        simplices = self._simplices
+        return {simplices[s]: label for label, s in enumerate(self._order)}
 
     def _sweep(self, n_vertices: int) -> Iterator[tuple[int, int, int, int]]:
         simplices = self._simplices
@@ -120,19 +165,10 @@ class LabelingSweep:
         parent = list(range(n_vertices))
         size = [1] * n_vertices
         low = [0] * n_vertices  # smallest label in the component
-        shape_l = [0] * n_vertices  # component's shape with its top tagged L
-        shape_r = [0] * n_vertices  # ... and tagged R
+        shape = [ShapeTable.LEAF] * n_vertices  # component's (L, R) shape ids
+        join = self.shapes.join
+        joined_pairs = self.shapes.joined
         on_impasse = [0] * n_vertices  # impasse edges at each vertex
-        interned: dict[tuple[int, int], int] = {}
-        children = self._children
-        node_counts = self._node_counts
-
-        def intern(key: tuple[int, int]) -> int:
-            shape = interned[key] = len(children)
-            children.append(key)
-            node_counts.append(node_counts[key[0]] + node_counts[key[1]] + 1)
-            return shape
-
         placed_vertices = components = overlaps = 0
         links = []  # (kept root, absorbed root, kept root's old data, impasse) per placed edge
         # one frame per label handed out: its sorted choices and the next one to try;
@@ -153,7 +189,7 @@ class LabelingSweep:
                         unplaced_ends[e] += 1
                 else:
                     keep, gone, saved, impasse = links.pop()
-                    size[keep], low[keep], shape_l[keep], shape_r[keep] = saved
+                    size[keep], low[keep], shape[keep] = saved
                     parent[gone] = gone
                     components += keep != gone
                     if impasse:
@@ -188,24 +224,17 @@ class LabelingSweep:
                     other = parent[other]
                 if low[other] < low[heir]:
                     heir, other = other, heir
-                key = (shape_l[heir], shape_r[other])
-                joined_l = interned.get(key)
-                if joined_l is None:
-                    joined_l = intern(key)
-                key = (shape_l[other], shape_r[heir])
-                joined_r = interned.get(key)
-                if joined_r is None:
-                    joined_r = intern(key)
+                key = shape[heir], shape[other]
+                joined = joined_pairs.get(key) or join(*key)
                 impasse = size[heir] == 1 and size[other] == 1
                 joined_low = low[heir]
                 keep, gone = (heir, other) if size[heir] >= size[other] else (other, heir)
-                saved = size[keep], low[keep], shape_l[keep], shape_r[keep]
+                saved = size[keep], low[keep], shape[keep]
                 links.append((keep, gone, saved, impasse))
                 parent[gone] = keep
                 size[keep] += size[gone]
                 low[keep] = joined_low
-                shape_l[keep] = joined_l
-                shape_r[keep] = joined_r
+                shape[keep] = joined
                 components -= keep != gone
                 if impasse:
                     impasse_edges.append(simplices[s])
@@ -218,7 +247,7 @@ class LabelingSweep:
             root = 0
             while parent[root] != root:
                 root = parent[root]
-            yield shape_l[root], components, placed_vertices, overlaps
+            yield shape[root][0], components, placed_vertices, overlaps
 
 
 def enumerate_critical_dmfs(
@@ -234,8 +263,54 @@ def enumerate_critical_dmfs(
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
-    """Distinct merge-tree shapes over every enumerated labeling."""
-    return len({shape for shape, *_ in LabelingSweep(tree, budget=budget)})
+    """Distinct merge-tree shapes over every enumerated labeling.
+
+    A breadth-first search over enumeration states, one label per layer,
+    keeping only the current layer. A state is the bitmask of placed
+    simplices, each vertex's component rank among the components' minima
+    (-1 while the vertex is unplaced), and each rank's (L, R) shape pair.
+    What the remaining labels can still make of the merge tree depends on
+    the labels so far only through that state, so labelings that reach an
+    equal state are followed once.
+
+    Placing a vertex adds a last-ranked leaf component. Placing an edge
+    joins its endpoints' components by ShapeTable.join, the lower rank as
+    heir, then drops the other rank and shifts the ranks above it down by
+    one. Once every simplex is placed, one component is left and its L id
+    is the labeling's merge-tree shape.
+    """
+    _check_budget(tree, budget)
+    vertices = sorted(tree.vertices)
+    n_vertices = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    # edge bits follow the vertex bits, edges in sorted order
+    edges = [
+        (1 << (n_vertices + i), index[a], index[b])
+        for i, (a, b) in enumerate(sorted(tree.edges))
+    ]
+    join = ShapeTable().join
+    leaf = (ShapeTable.LEAF,)
+    layer = {(0, (-1,) * n_vertices, ())}
+    for _ in range(tree.simplex_count):
+        following = set()
+        for placed, ranks, shapes in layer:
+            for v in range(n_vertices):
+                if ranks[v] < 0:
+                    grown = list(ranks)
+                    grown[v] = len(shapes)
+                    following.add((placed | 1 << v, tuple(grown), shapes + leaf))
+            for bit, a, b in edges:
+                if placed & bit or ranks[a] < 0 or ranks[b] < 0:
+                    continue
+                heir, other = sorted((ranks[a], ranks[b]))
+                joined = join(shapes[heir], shapes[other])
+                following.add((
+                    placed | bit,
+                    tuple(heir if r == other else r - (r > other) for r in ranks),
+                    shapes[:heir] + (joined,) + shapes[heir + 1:other] + shapes[other + 1:],
+                ))
+        layer = following
+    return len({shapes[0][0] for _, _, shapes in layer})
 
 
 def _describe(f: MorseFunction) -> str:
@@ -355,7 +430,7 @@ def check_invariants(
     n = tree.simplex_count
     nu = tree.matching_number()
     impasse_edges = sweep.impasse_edges
-    node_count = sweep.node_count
+    node_count = sweep.shapes.node_count
     total = passed = 0
     seen_impasse_counts = [False] * (n + 1)
     for shape, components, vertices, overlaps in sweep:

@@ -105,6 +105,28 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), True], ids=repr
+)
+def test_non_finite_and_boolean_values_are_rejected(tmp_path, capsys, value):
+    # JSON's NaN, Infinity and true parse as numbers; validate refuses them
+    bad = write_doc(tmp_path, "bad.json", {"a": 0, "b": value}, [["a", "b", 2]])
+    assert main(["validate", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("NotFiniteRealError:")
+    good = left_path_doc(tmp_path)
+    for argv in (
+        ["merge-tree", bad],
+        ["invariants", bad],
+        ["compare", good, bad, "--relation", "merge"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NotFiniteRealError:")
+
+
 def test_missing_value_is_a_usage_error(tmp_path, capsys):
     # a null where validate needs a number is a document problem, not a
     # semantic verdict, so it exits 2 rather than 1
@@ -146,6 +168,45 @@ def test_merge_tree_dot_output(tmp_path, capsys):
     assert out.startswith("digraph merge_tree {\n")
     assert '  n0 [label="6"];' in out
     assert out.rstrip().endswith("}")
+
+
+def test_merge_tree_of_a_deep_path(tmp_path, capsys):
+    # each edge joins the growing component to one more vertex, so the
+    # merge tree is a 2,999-level chain; every renderer must walk it
+    n = 3000
+    path = write_doc(
+        tmp_path,
+        "path.json",
+        {f"v{i}": i for i in range(n)},
+        [[f"v{i}", f"v{i + 1}", n + i] for i in range(n - 1)],
+    )
+    assert main(["merge-tree", path, "--format", "shape"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "(" * (n - 1) + "•" + "•)" * (n - 1) + "\n"
+    assert main(["merge-tree", path, "--format", "text"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 * n - 1
+    assert lines[:3] == [f"{2 * n - 2} L", f"  {2 * n - 3} L", f"    {2 * n - 4} L"]
+    # the deepest join is v0-v1; after it, preorder climbs the right leaves
+    deepest = "  " * (n - 1)
+    assert lines[n - 1:n + 2] == [deepest + "0 L", deepest + "1 R", deepest[2:] + "2 R"]
+    assert lines[-1] == f"  {n - 1} R"
+    assert main(["merge-tree", path, "--format", "dot"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 + (2 * n - 1) + (2 * n - 2)
+    assert lines[2] == f'  n0 [label="{2 * n - 2}"];'
+    # the root's left edge follows its subtree's edges; its right child,
+    # vertex v2999, is numbered last
+    assert lines[-3:] == [
+        '  n0 -> n1 [label="L"];',
+        f'  n0 -> n{2 * n - 2} [label="R"];',
+        "}",
+    ]
 
 
 # --- invariants -------------------------------------------------------------

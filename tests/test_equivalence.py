@@ -16,7 +16,8 @@ from treemorse import (
     persistence_equivalent,
     validate,
 )
-from treemorse.errors import DomainMismatchError
+from treemorse import MorseFunction
+from treemorse.errors import DomainMismatchError, MorseValidationError
 
 INF = math.inf
 
@@ -137,6 +138,17 @@ def test_paired_edges_leave_no_finite_pair():
     assert persistence_diagram(upper_pair_function()).pairs == (
         (0, INF), (2, 5),
     )
+
+
+def test_diagram_refuses_an_elder_tie():
+    # two vertices born at once: MorseFunction trusts its input, and the
+    # elder rule's own check refuses it
+    f = MorseFunction(
+        helpers.path3_tree(),
+        {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 0},
+    )
+    with pytest.raises(MorseValidationError):
+        persistence_diagram(f)
 
 
 def test_diagram_text():

@@ -6,6 +6,7 @@ import helpers
 from treemorse import (
     MergeNode,
     MergeTree,
+    MorseFunction,
     build_tree,
     enumerate_critical_dmfs,
     induce_merge_tree,
@@ -13,6 +14,7 @@ from treemorse import (
     parse_shape_code,
     validate,
 )
+from treemorse.errors import MorseValidationError
 
 
 def expect(node: MergeNode, value, direction: str) -> MergeNode:
@@ -117,6 +119,35 @@ def test_fully_paired_path_collapses_to_a_point():
     merge = induce_merge_tree(f)
     assert merge.node_count == 1
     assert merge.root.value == 0
+
+
+@pytest.mark.parametrize(
+    "edges, values",
+    [
+        # a critical edge onto a vertex that lost its value to a tie
+        (
+            [("a", "b"), ("b", "c")],
+            {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 2},
+        ),
+        # an edge tied with a vertex it does not touch
+        (
+            [("a", "b"), ("b", "c")],
+            {"a": 0, "b": 0, "c": 0, ("a", "b"): 0, ("b", "c"): 1},
+        ),
+        # two components whose minima tie
+        (
+            [("v0", "v2"), ("v0", "v1"), ("v1", "v3")],
+            {"v0": 1, "v1": 5, "v2": 2, "v3": 1,
+             ("v0", "v1"): 7, ("v0", "v2"): 6, ("v1", "v3"): 6},
+        ),
+    ],
+)
+def test_unvalidated_non_morse_function_raises(edges, values):
+    # MorseFunction trusts its input; the sweep's own checks still refuse,
+    # and they are not asserts, which python -O would strip
+    tree = build_tree(sorted({v for e in edges for v in e}), edges)
+    with pytest.raises(MorseValidationError):
+        induce_merge_tree(MorseFunction(tree, values))
 
 
 def test_node_count_equals_critical_count():

@@ -7,6 +7,7 @@ from treemorse import MorseFunction, build_tree, is_edge, validate
 from treemorse.errors import (
     MissingValueError,
     MoreThanTwoShareValueError,
+    NotFiniteRealError,
     NotWeaklyIncreasingError,
     ValueSharedByNonIncidentError,
 )
@@ -26,6 +27,17 @@ def test_value_on_unknown_simplex_rejected():
         validate(
             single_edge(), {"u": 0, "v": 1, ("u", "v"): 2, ("u", "w"): 3}
         )
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), True, False], ids=repr
+)
+def test_non_finite_and_boolean_values_rejected(value):
+    # NaN compares false both ways and would pass every order check
+    for simplex in ("u", ("u", "v")):
+        values = {"u": 0, "v": 1, ("u", "v"): 2, simplex: value}
+        with pytest.raises(NotFiniteRealError):
+            validate(single_edge(), values)
 
 
 def test_decreasing_along_face_rejected():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -74,8 +75,8 @@ def test_sweep_matches_both_merge_tree_builders():
             for shape, _, _, _ in sweep:
                 f = validate(tree, sweep.values())
                 swept = (
-                    sweep.shape_code(shape),
-                    sweep.node_count(shape),
+                    sweep.shapes.shape_code(shape),
+                    sweep.shapes.node_count(shape),
                     len(sweep.impasse_edges),
                     sorted(sweep.impasse_edges),
                 )
@@ -108,6 +109,16 @@ def test_budget_is_enforced_eagerly():
         check_invariants(path7)
 
 
+def test_state_search_matches_the_sweep():
+    # count_merge_classes merges equal enumeration states; the sweep visits
+    # every labeling, so it is the oracle for the count
+    for n in range(1, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            swept = len({shape for shape, *_ in LabelingSweep(tree)})
+            assert count_merge_classes(tree) == swept, edges
+
+
 def test_merge_class_counts():
     assert count_merge_classes(single_edge()) == 1
     assert count_merge_classes(helpers.path3_tree()) == 2
@@ -115,6 +126,24 @@ def test_merge_class_counts():
     assert count_merge_classes(path4) == 5
     star3 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
     assert count_merge_classes(star3) == 4
+    # the six trees with six vertices; `python3 bench/checks.py
+    # --recount-classes` recounts them without treemorse
+    six_vertex_trees = {
+        "star5": ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], 16),
+        "broom4": ([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], 36),
+        "double_star": ([(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)], 32),
+        "spider113": ([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)], 40),
+        "spider122": ([(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)], 38),
+        "path6": ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 42),
+    }
+    for name, (edges, classes) in six_vertex_trees.items():
+        tree = helpers.tree_from_edges(6, [(f"v{a}", f"v{b}") for a, b in edges])
+        assert count_merge_classes(tree) == classes, name
+    # a path realizes every full binary tree with n leaves: Catalan(n - 1)
+    for n in range(2, 8):
+        path = helpers.tree_from_edges(n, [(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+        catalan = math.comb(2 * (n - 1), n - 1) // n
+        assert count_merge_classes(path, budget=2 * n - 1) == catalan, n
 
 
 def test_property_check_records_witnesses():
