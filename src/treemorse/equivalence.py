@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import is_edge
-from .errors import DomainMismatchError, MorseValidationError
+from .errors import DomainMismatchError
 from .merge_tree import format_value
 from .morse import MorseFunction
-from .union_find import UnionFind
 
 
 def forman_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
@@ -70,36 +68,23 @@ class PersistenceDiagram:
 
 
 def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
-    """Elder rule over the sublevel sweep.
+    """Elder rule over the sublevel sweep cached on f.
 
-    Every vertex births a component at its value. A critical edge joins two
-    components and the one born later dies at the edge value; a paired edge
-    only attaches its own fresh vertex, which never lived alone at any
-    threshold, so no pair is recorded. The last component standing is
-    (global minimum, infinity).
+    Read off the same joins (:attr:`MorseFunction.sweep`) that
+    :func:`induce_merge_tree` assembles. Every vertex births a component at
+    its value. A critical edge joins two components and the one born later,
+    with the larger minimum, dies at the edge value; a paired edge only
+    attaches its own fresh vertex, which never lived alone at any threshold,
+    so it joins nothing. The last component standing is (global minimum,
+    infinity).
+
+    Raises:
+        MorseValidationError: f was built without :func:`validate` and the
+            sweep cannot make sense of it.
     """
-    uf = UnionFind()
-    birth: dict = {}
-    pairs: list[tuple[float, float]] = []
-    for simplex, value in f.sweep_order():
-        if not is_edge(simplex):
-            uf.add(simplex)
-            birth[simplex] = value
-        else:
-            u, v = simplex
-            birth_u = birth[uf.find(u)]
-            birth_v = birth[uf.find(v)]
-            kept, absorbed = uf.union(u, v)
-            if f.is_critical(simplex):
-                if birth_u == birth_v:  # distinct vertex values, no elder ties
-                    raise MorseValidationError(
-                        f"critical edge {simplex!r} joins two components born at {birth_u}"
-                    )
-                pairs.append((max(birth_u, birth_v), value))
-            birth[kept] = min(birth_u, birth_v)
-            birth.pop(absorbed, None)
-    survivor = uf.find(next(iter(sorted(f.domain.vertices))))
-    pairs.append((birth[survivor], math.inf))
+    joins, global_min = f.sweep
+    pairs = [(max(min_a, min_b), value) for value, ((_, min_a), (_, min_b)) in joins.items()]
+    pairs.append((global_min, math.inf))
     return PersistenceDiagram(tuple(sorted(pairs)))
 
 

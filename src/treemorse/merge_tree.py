@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import MorseValidationError
 from .morse import MorseFunction
 
 LEAF_GLYPH = "•"
@@ -154,117 +153,60 @@ def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
 
 def parse_shape_code(code: str) -> MergeTree:
     """Inverse of shape_code, producing a value-free tree."""
-
-    def parse(i: int, direction: str) -> tuple[MergeNode, int]:
+    # open joins, each as [its direction, its left child once parsed]; an
+    # explicit stack, so depth is bounded by memory, not the recursion limit
+    open_joins: list[list] = []
+    direction, i = "L", 0
+    while True:
         if i >= len(code):
             raise ValueError("truncated shape code")
-        if code[i] == LEAF_GLYPH:
-            return MergeNode(None, direction), i + 1
-        if code[i] != "(":
+        if code[i] == "(":
+            open_joins.append([direction, None])
+            direction, i = "L", i + 1
+            continue
+        if code[i] != LEAF_GLYPH:
             raise ValueError(f"unexpected character {code[i]!r} at position {i}")
-        left, j = parse(i + 1, "L")
-        right, k = parse(j, "R")
-        if k >= len(code) or code[k] != ")":
-            raise ValueError(f"unbalanced parentheses at position {k}")
-        return MergeNode(None, direction, left, right), k + 1
-
-    root, end = parse(0, "L")
-    if end != len(code):
-        raise ValueError(f"trailing characters after position {end}")
-    return MergeTree(root)
+        node, i = MergeNode(None, direction), i + 1
+        # a finished right child closes its join, which may finish another
+        while open_joins and open_joins[-1][1] is not None:
+            if i >= len(code) or code[i] != ")":
+                raise ValueError(f"unbalanced parentheses at position {i}")
+            join_direction, left = open_joins.pop()
+            node, i = MergeNode(None, join_direction, left, node), i + 1
+        if not open_joins:
+            break
+        open_joins[-1][1] = node
+        direction = "R"
+    if i != len(code):
+        raise ValueError(f"trailing characters after position {i}")
+    return MergeTree(node)
 
 
 def induce_merge_tree(f: MorseFunction) -> MergeTree:
     """The merge tree of the sublevel filtration of f.
 
-    One increasing sweep tracks, for every component of the growing complex,
-    its minimum value and the largest critical value it has reached. Each
-    critical edge then records the labels of its two child components and
-    which of them keeps the parent's direction; the tree is assembled from
-    the top once the sweep is done.
+    Assembled from the joins of the sweep cached on f
+    (:attr:`MorseFunction.sweep`), which :func:`persistence_diagram` reads
+    too: each critical edge is a node whose children are the labels of the
+    two components it joins, the one with the smaller minimum keeping the
+    parent's direction. The tree is built top down from the last join.
 
     With no critical edge at all (exactly one critical vertex), the merge
     tree is the single node carrying that vertex value.
+
+    Raises:
+        MorseValidationError: f was built without :func:`validate` and the
+            sweep cannot make sense of it.
     """
-    # same ordering as sweep_order, kept in decorated form: criticality
-    # drops out of the sort itself (a shared value shows up as two
-    # consecutive entries); is_edge is inlined as the tuple test on this
-    # hottest line
-    decorated = sorted(
-        [
-            (value, 1 if type(simplex) is tuple else 0, simplex)
-            for simplex, value in f.values.items()
-        ]
-    )
-    total = len(decorated)
-    paired = [False] * total
-    for i in range(total - 1):
-        if decorated[i][0] == decorated[i + 1][0]:
-            paired[i] = paired[i + 1] = True
-
-    edge_values = [
-        entry[0] for entry, p in zip(decorated, paired) if not p and entry[1]
-    ]
-    if not edge_values:
-        (only,) = (entry[0] for entry, p in zip(decorated, paired) if not p)
-        return MergeTree(MergeNode(only, "L"))
-
-    # components tracked by a leader vertex, smaller side relabeled on a
-    # join; at these sizes plain dicts beat a general union-find
-    leader: dict = {}
-    members: dict = {}
-    # leader -> (component minimum, largest critical value so far)
-    state: dict = {}
-    # critical edge value -> ((child label, component min), (child label, component min))
-    joins: dict = {}
-    for i, (value, dim, simplex) in enumerate(decorated):
-        if not dim:
-            leader[simplex] = simplex
-            members[simplex] = [simplex]
-            state[simplex] = (value, None if paired[i] else value)
-        else:
-            root_u = leader[simplex[0]]
-            root_v = leader[simplex[1]]
-            min_u, crit_u = state[root_u]
-            min_v, crit_v = state[root_v]
-            if not paired[i]:
-                # both components already contain a critical vertex
-                if crit_u is None or crit_v is None:
-                    raise MorseValidationError(
-                        f"critical edge {simplex!r} reaches a component with no critical vertex"
-                    )
-                joins[value] = ((crit_u, min_u), (crit_v, min_v))
-                new_crit = value
-            else:
-                # a paired edge attaches its fresh paired vertex to an older
-                # component; nothing merges and no new label appears
-                if (crit_u is None) == (crit_v is None):
-                    raise MorseValidationError(
-                        f"paired edge {simplex!r} does not attach exactly one paired vertex"
-                    )
-                new_crit = crit_u if crit_v is None else crit_v
-            if len(members[root_u]) < len(members[root_v]):
-                root_u, root_v = root_v, root_u
-            for w in members[root_v]:
-                leader[w] = root_u
-            members[root_u].extend(members[root_v])
-            del members[root_v]
-            state[root_u] = (min(min_u, min_v), new_crit)
-            del state[root_v]
-
-    # the largest critical value always sits on an edge once one exists
-    for j in range(total - 1, -1, -1):
-        if not paired[j]:
-            if decorated[j][0] != edge_values[-1]:
-                raise MorseValidationError(
-                    f"the largest critical value {decorated[j][0]} is not on an edge"
-                )
-            break
+    joins, global_min = f.sweep
+    if not joins:
+        return MergeTree(MergeNode(global_min, "L"))
+    top = next(reversed(joins))
 
     # top down: each node's value and direction, with its children as
     # (left label, right label); then bottom up, children before parents
     preorder = []
-    stack = [(edge_values[-1], "L")]
+    stack = [(top, "L")]
     while stack:
         value, direction = stack.pop()
         children = joins.get(value)
@@ -272,8 +214,6 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
             preorder.append((value, direction, None))
             continue
         (label_a, min_a), (label_b, min_b) = children
-        if min_a == min_b:  # distinct vertex values keep the rule unambiguous
-            raise MorseValidationError(f"the components joined at {value} share their minimum")
         if min_a < min_b:
             inherits, other = label_a, label_b
         else:
@@ -293,4 +233,4 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
         else:
             left, right = children
             built[value] = MergeNode(value, direction, built.pop(left), built.pop(right))
-    return MergeTree(built[edge_values[-1]])
+    return MergeTree(built[top])

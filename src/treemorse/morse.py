@@ -5,6 +5,10 @@ that values weakly increase from a vertex into each incident edge, no value
 is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
+
+One increasing sweep of the sublevel sets, cached on the function as
+:attr:`MorseFunction.sweep`, records every join of two components; the merge
+tree and the persistence diagram are both read off that one record.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .complexes import (
     Edge,
@@ -25,6 +29,7 @@ from .complexes import (
 )
 from .errors import (
     MissingValueError,
+    MorseValidationError,
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
@@ -56,6 +61,20 @@ class LevelSubcomplex:
     forest: Forest
 
 
+class Sweep(NamedTuple):
+    """What one increasing sublevel sweep records.
+
+    ``joins`` maps each critical edge value, in increasing order, to the two
+    components that edge joins, each as (label, minimum): the label is the
+    largest critical value the component held just below the join, the
+    minimum its smallest vertex value. ``global_min`` is the smallest vertex
+    value of the whole tree.
+    """
+
+    joins: dict[float, tuple[tuple[float, float], tuple[float, float]]]
+    global_min: float
+
+
 @dataclass(frozen=True)
 class MorseFunction:
     """A discrete Morse function on a tree.
@@ -70,16 +89,89 @@ class MorseFunction:
     def __call__(self, simplex: Simplex) -> float:
         return self.values[simplex]
 
-    def sweep_order(self) -> list[tuple[Simplex, float]]:
-        """Simplices by increasing value, a vertex before its paired edge."""
-        # decorate with (value, dimension); for a valid function that pair is
-        # unique, so the trailing simplex never gets compared
-        decorated = [
-            (value, 1 if is_edge(simplex) else 0, simplex)
-            for simplex, value in self.values.items()
-        ]
-        decorated.sort()
-        return [(simplex, value) for value, _, simplex in decorated]
+    @cached_property
+    def sweep(self) -> Sweep:
+        """The joins of one increasing sublevel sweep; see :class:`Sweep`.
+
+        The sweep tracks, for every component of the growing complex, its
+        minimum value and the largest critical value it has reached (its
+        label). The constructor trusts its input, so the sweep checks what
+        it relies on, also when no edge is critical, and raises
+        :class:`MorseValidationError` on an edge placed before one of its
+        endpoints, a critical edge reaching an unlabeled component or
+        joining two with equal minima, a paired edge that does not attach
+        one unlabeled vertex to a labeled component, and a simplex left
+        without a value. A function with no critical simplex always trips
+        one of these.
+        """
+        # criticality drops out of the sort itself (a shared value shows up
+        # as two consecutive entries); is_edge is inlined as the tuple test
+        # on this hottest line
+        decorated = sorted(
+            [
+                (value, 1 if type(simplex) is tuple else 0, simplex)
+                for simplex, value in self.values.items()
+            ]
+        )
+        total = len(decorated)
+        paired = [False] * total
+        for i in range(total - 1):
+            if decorated[i][0] == decorated[i + 1][0]:
+                paired[i] = paired[i + 1] = True
+
+        # components tracked by a leader vertex, smaller side relabeled on a
+        # join; at these sizes plain dicts beat a general union-find
+        leader: dict = {}
+        members: dict = {}
+        # leader -> (component minimum, label or None before any critical value)
+        state: dict = {}
+        joins: dict = {}
+        for i, (value, dim, simplex) in enumerate(decorated):
+            if not dim:
+                leader[simplex] = simplex
+                members[simplex] = [simplex]
+                state[simplex] = (value, None if paired[i] else value)
+                continue
+            root_u = leader.get(simplex[0])
+            root_v = leader.get(simplex[1])
+            if root_u is None or root_v is None:
+                raise MorseValidationError(f"edge {simplex!r} comes before one of its endpoints")
+            min_u, crit_u = state[root_u]
+            min_v, crit_v = state[root_v]
+            if not paired[i]:
+                # both components already contain a critical vertex
+                if crit_u is None or crit_v is None:
+                    raise MorseValidationError(
+                        f"critical edge {simplex!r} reaches a component with no critical vertex"
+                    )
+                if min_u == min_v:  # distinct vertex values keep the elder rule unambiguous
+                    raise MorseValidationError(
+                        f"the components joined at {value} share their minimum"
+                    )
+                joins[value] = ((crit_u, min_u), (crit_v, min_v))
+                new_crit = value
+            else:
+                # a paired edge attaches its fresh paired vertex to an older
+                # component; nothing merges and no new label appears
+                if (crit_u is None) == (crit_v is None):
+                    raise MorseValidationError(
+                        f"paired edge {simplex!r} does not attach exactly one paired vertex"
+                    )
+                new_crit = crit_u if crit_v is None else crit_v
+            if len(members[root_u]) < len(members[root_v]):
+                root_u, root_v = root_v, root_u
+            for w in members[root_v]:
+                leader[w] = root_u
+            members[root_u].extend(members[root_v])
+            del members[root_v]
+            state[root_u] = (min(min_u, min_v), new_crit)
+            del state[root_v]
+        # the domain is connected, so only an edge without a value leaves
+        # more than one component
+        if len(state) != 1:
+            raise MorseValidationError(f"the sweep ends with {len(state)} components")
+        ((global_min, _),) = state.values()
+        return Sweep(joins, global_min)
 
     @cached_property
     def _partition(self) -> tuple[dict[float, Simplex], frozenset]:
@@ -130,10 +222,6 @@ class MorseFunction:
     def level_subcomplex(self, threshold: float) -> LevelSubcomplex:
         """The subcomplex of simplices valued at or below the threshold."""
         return LevelSubcomplex(threshold, self._restrict(lambda x: x <= threshold))
-
-    def sublevel_before(self, value: float) -> Forest:
-        """Simplices valued strictly below `value`: the complex just before it."""
-        return self._restrict(lambda x: x < value)
 
     def filtration(self) -> list[tuple[float, LevelSubcomplex]]:
         """One level subcomplex per critical value, in increasing order."""

@@ -72,14 +72,16 @@ def thin_from_lr(seq: str) -> MergeTree:
     if bad:
         raise MalformedSequenceError(f"sequence may only contain L and R, got {sorted(bad)}")
 
-    def node(i: int, direction: str) -> MergeNode:
-        if i == len(seq):  # the impasse: two leaves
-            return MergeNode(None, direction, MergeNode(None, "L"), MergeNode(None, "R"))
+    # built from the impasse up; entry i of steps is internal node i's
+    # direction, node 0 being the root
+    steps = "L" + seq
+    node = MergeNode(None, steps[-1], MergeNode(None, "L"), MergeNode(None, "R"))
+    for i in range(len(seq) - 1, -1, -1):
         if seq[i] == "L":
-            return MergeNode(None, direction, node(i + 1, "L"), MergeNode(None, "R"))
-        return MergeNode(None, direction, MergeNode(None, "L"), node(i + 1, "R"))
-
-    return MergeTree(node(0, "L"))
+            node = MergeNode(None, steps[i], node, MergeNode(None, "R"))
+        else:
+            node = MergeNode(None, steps[i], MergeNode(None, "L"), node)
+    return MergeTree(node)
 
 
 def enumerate_thin(n: int) -> list[MergeTree]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from collections import defaultdict
 
 from treemorse import (
@@ -114,6 +115,25 @@ def brute_extension_count(tree: SimplicialTree) -> int:
     return count
 
 
+def strict_sublevel_component(f: MorseFunction, value: float, start: str) -> set:
+    """Simplices valued below `value` that connect to vertex `start`.
+
+    A plain search over the tree's edge list, recomputed on every call.
+    """
+    component = {start}
+    frontier = [start]
+    while frontier:
+        vertex = frontier.pop()
+        for e in f.domain.edges:
+            if vertex in e and e not in component and f(e) < value:
+                component.add(e)
+                for w in e:
+                    if w not in component:
+                        component.add(w)
+                        frontier.append(w)
+    return component
+
+
 def reference_merge_tree(f: MorseFunction) -> MergeTree:
     """Literal reconstruction: strict sublevel forest recomputed per edge.
 
@@ -128,7 +148,7 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
         return MergeTree(MergeNode(critical_values[0], "L"))
 
     def component_data(value: float, endpoint: str) -> tuple[float, float]:
-        component = f.sublevel_before(value).component_of(endpoint)
+        component = strict_sublevel_component(f, value, endpoint)
         return (
             max(f(s) for s in component if f.is_critical(s)),
             min(f(s) for s in component),
@@ -153,6 +173,25 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
         return MergeNode(value, direction, second, first)
 
     return MergeTree(build(edge_values[-1], "L"))
+
+
+def reference_persistence_diagram(f: MorseFunction) -> tuple:
+    """Literal elder rule: for each critical edge, the younger of the two
+    strict sublevel components it joins dies there.
+
+    Each component is found by its own search; its birth is its minimum.
+    The whole tree's minimum never dies.
+    """
+    pairs = [(min(f(v) for v in f.domain.vertices), math.inf)]
+    for simplex in f.critical_simplices:
+        if is_edge(simplex):
+            value = f(simplex)
+            births = [
+                min(f(s) for s in strict_sublevel_component(f, value, endpoint))
+                for endpoint in simplex
+            ]
+            pairs.append((max(births), value))
+    return tuple(sorted(pairs))
 
 
 def values_preorder(tree: MergeTree) -> list:

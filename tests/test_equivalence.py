@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from treemorse import (
     build_tree,
+    enumerate_critical_dmfs,
     forman_equivalent,
     homological_sequence,
     homologically_equivalent,
@@ -138,6 +140,10 @@ def test_paired_edges_leave_no_finite_pair():
     assert persistence_diagram(upper_pair_function()).pairs == (
         (0, INF), (2, 5),
     )
+    single_edge = validate(
+        build_tree(["u", "v"], [("u", "v")]), {"u": 0, "v": 1, ("u", "v"): 1}
+    )
+    assert persistence_diagram(single_edge).pairs == ((0, INF),)
 
 
 def test_diagram_refuses_an_elder_tie():
@@ -149,6 +155,21 @@ def test_diagram_refuses_an_elder_tie():
     )
     with pytest.raises(MorseValidationError):
         persistence_diagram(f)
+
+
+def test_diagram_matches_the_literal_elder_rule():
+    # every labeling of every tree with up to 5 vertices, each again with
+    # some vertex-edge pairs collapsed
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            for f in enumerate_critical_dmfs(helpers.tree_from_edges(n, edges)):
+                g = helpers.collapse_pairs(f, rng.randrange)
+                for function in (f, g):
+                    assert (
+                        persistence_diagram(function).pairs
+                        == helpers.reference_persistence_diagram(function)
+                    )
 
 
 def test_diagram_text():

@@ -12,6 +12,7 @@ from treemorse import (
     induce_merge_tree,
     merge_equivalent,
     parse_shape_code,
+    persistence_diagram,
     validate,
 )
 from treemorse.errors import MorseValidationError
@@ -112,13 +113,18 @@ def test_single_vertex_merge_tree():
 
 
 def test_fully_paired_path_collapses_to_a_point():
-    tree = build_tree(["u", "v", "w"], [("u", "v"), ("v", "w")])
-    f = validate(
-        tree, {"v": 0, "u": 1, "w": 2, ("u", "v"): 1, ("v", "w"): 2}
+    path = validate(
+        build_tree(["u", "v", "w"], [("u", "v"), ("v", "w")]),
+        {"v": 0, "u": 1, "w": 2, ("u", "v"): 1, ("v", "w"): 2},
     )
-    merge = induce_merge_tree(f)
-    assert merge.node_count == 1
-    assert merge.root.value == 0
+    # the sweep places the vertex before its equal-valued edge
+    single_edge = validate(
+        build_tree(["u", "v"], [("u", "v")]), {"u": 0, "v": 1, ("u", "v"): 1}
+    )
+    for f in (path, single_edge):
+        merge = induce_merge_tree(f)
+        assert merge.node_count == 1
+        assert merge.root.value == 0
 
 
 @pytest.mark.parametrize(
@@ -140,14 +146,23 @@ def test_fully_paired_path_collapses_to_a_point():
             {"v0": 1, "v1": 5, "v2": 2, "v3": 1,
              ("v0", "v1"): 7, ("v0", "v2"): 6, ("v1", "v3"): 6},
         ),
+        # an edge placed before one of its endpoints, no critical edge
+        ([("a", "b")], {"a": 1, "b": 0, ("a", "b"): 0}),
+        # no critical simplex at all
+        ([("a", "b")], {"a": 0, "b": 0, ("a", "b"): 0}),
+        # an edge with no value: two components are left
+        ([("a", "b")], {"a": 0, "b": 1}),
     ],
 )
 def test_unvalidated_non_morse_function_raises(edges, values):
     # MorseFunction trusts its input; the sweep's own checks still refuse,
     # and they are not asserts, which python -O would strip
     tree = build_tree(sorted({v for e in edges for v in e}), edges)
+    f = MorseFunction(tree, values)
     with pytest.raises(MorseValidationError):
-        induce_merge_tree(MorseFunction(tree, values))
+        induce_merge_tree(f)
+    with pytest.raises(MorseValidationError):
+        persistence_diagram(f)
 
 
 def test_node_count_equals_critical_count():
@@ -185,6 +200,14 @@ def test_shape_code_round_trip():
             assert tree.shape_code() == code
             assert len(tree.leaves()) == leaves
             assert len(tree.internal_nodes()) == leaves - 1
+
+
+def test_parse_shape_code_of_a_deep_tree():
+    # one join per level, 3,000 levels: deeper than the recursion limit
+    for code in ("(" * 3000 + "•" + "•)" * 3000, "(•" * 3000 + "•" + ")" * 3000):
+        tree = parse_shape_code(code)
+        assert tree.shape_code() == code
+        assert len(tree.leaves()) == 3001
 
 
 def test_parse_shape_code_rejects_malformed():

@@ -110,9 +110,10 @@ def test_mixed_function_critical_partition():
 
 def test_sublevel_component_around_branch_vertex():
     f = helpers.deep_function()
-    component = f.sublevel_before(10).component_of("e")
-    assert component == {"e", "f", ("e", "f")}
-    assert f.sublevel_before(10).component_of("d") == {
+    # integer values: at or below 9 is strictly below the join at 10
+    below = f.level_subcomplex(9).forest
+    assert below.component_of("e") == {"e", "f", ("e", "f")}
+    assert below.component_of("d") == {
         "a", "b", "c", "d",
         ("a", "b"), ("a", "d"), ("c", "d"),
     }
@@ -122,7 +123,7 @@ def test_level_subcomplex_thresholds():
     f = helpers.left_path_function()
     at = f.level_subcomplex(3).forest
     assert set(at.simplices()) == {"a", "b", "c", ("a", "b")}
-    below = f.sublevel_before(3)
+    below = f.level_subcomplex(2).forest
     assert set(below.simplices()) == {"a", "b", "c"}
     assert f.level_subcomplex(-1).forest.simplex_count == 0
 
@@ -130,7 +131,7 @@ def test_level_subcomplex_thresholds():
 def test_paired_simplices_enter_together():
     tree = single_edge()
     f = validate(tree, {"u": 0, "v": 1, ("u", "v"): 1})
-    below = f.sublevel_before(1)
+    below = f.level_subcomplex(0).forest
     assert set(below.simplices()) == {"u"}
     at = f.level_subcomplex(1).forest
     assert set(at.simplices()) == {"u", "v", ("u", "v")}
@@ -152,12 +153,6 @@ def test_filtration_collapses_paired_steps():
     steps = f.filtration()
     assert [value for value, _ in steps] == [0]
     assert steps[0][1].forest.simplex_count == 1
-
-
-def test_sweep_order_puts_vertex_before_its_edge():
-    tree = single_edge()
-    f = validate(tree, {"u": 0, "v": 1, ("u", "v"): 1})
-    assert f.sweep_order() == [("u", 0), ("v", 1), (("u", "v"), 1)]
 
 
 @settings(max_examples=60, deadline=None)

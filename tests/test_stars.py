@@ -68,6 +68,14 @@ def test_thin_from_lr_smallest_cases():
     assert right.shape_code() == "(•(••))"
 
 
+def test_thin_from_lr_of_a_deep_sequence():
+    # 3,001 internal nodes: deeper than the recursion limit
+    tree = thin_from_lr("L" * 3000)
+    assert tree.impasse_count() == 1
+    assert len(tree.internal_nodes()) == 3001
+    assert lr_sequence(tree) == "L" * 3000
+
+
 def test_lr_round_trip_on_all_short_sequences():
     for length in range(8):
         for steps in itertools.product("LR", repeat=length):
