@@ -6,9 +6,11 @@ is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
 
-One increasing sweep of the sublevel sets, cached on the function as
-:attr:`MorseFunction.sweep`, records every join of two components; the merge
-tree and the persistence diagram are both read off that one record.
+One sort of the values, cached on the function, decides both sharing rules
+and which simplices are critical; :func:`validate` forces it. The increasing
+sweep of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that
+sorted order and adds only the joins of two components; the merge tree and
+the persistence diagram are both read off that one record.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
-from .complexes import (
-    Edge,
-    Forest,
-    Simplex,
-    SimplicialTree,
-    Vertex,
-    is_edge,
-    simplex_sort_key,
-)
+from .complexes import Edge, Forest, Simplex, SimplicialTree, Vertex
 from .errors import (
     MissingValueError,
     MorseValidationError,
@@ -90,35 +84,76 @@ class MorseFunction:
         return self.values[simplex]
 
     @cached_property
-    def sweep(self) -> Sweep:
-        """The joins of one increasing sublevel sweep; see :class:`Sweep`.
+    def _partition(self) -> tuple[list, dict[float, Simplex], frozenset]:
+        """The one sorted pass that decides sharing and criticality.
 
-        The sweep tracks, for every component of the growing complex, its
-        minimum value and the largest critical value it has reached (its
-        label). The constructor trusts its input, so the sweep checks what
-        it relies on, also when no edge is critical, and raises
-        :class:`MorseValidationError` on an edge placed before one of its
-        endpoints, a critical edge reaching an unlabeled component or
-        joining two with equal minima, a paired edge that does not attach
-        one unlabeled vertex to a labeled component, and a simplex left
-        without a value. A function with no critical simplex always trips
-        one of these.
+        Returns the ``(value, dimension, simplex)`` entries in increasing
+        order (a vertex before an edge of equal value), the critical simplex
+        by value in that same order, and the gradient pairs. Walking the
+        runs of equal values, it checks the two sharing rules in increasing
+        value order: a value is taken at most twice, and twice only by a
+        vertex and an edge containing it. Every other value is critical.
+
+        Raises:
+            MoreThanTwoShareValueError: a value is taken three or more times.
+            ValueSharedByNonIncidentError: a value is shared by two
+                simplices that are not an incident vertex-edge pair.
         """
-        # criticality drops out of the sort itself (a shared value shows up
-        # as two consecutive entries); is_edge is inlined as the tuple test
-        # on this hottest line
-        decorated = sorted(
+        # the tuple test is is_edge inlined on this hot line
+        entries = sorted(
             [
                 (value, 1 if type(simplex) is tuple else 0, simplex)
                 for simplex, value in self.values.items()
             ]
         )
-        total = len(decorated)
-        paired = [False] * total
-        for i in range(total - 1):
-            if decorated[i][0] == decorated[i + 1][0]:
-                paired[i] = paired[i + 1] = True
+        critical: dict[float, Simplex] = {}
+        pairs = set()
+        total = len(entries)
+        i = 0
+        while i < total:
+            value, _, simplex = entries[i]
+            end = i + 1
+            while end < total and entries[end][0] == value:
+                end += 1
+            if end - i == 1:
+                critical[value] = simplex
+            elif end - i > 2:
+                raise MoreThanTwoShareValueError(
+                    f"value {value} is taken by {end - i} simplices"
+                )
+            else:
+                (_, dim_a, a), (_, dim_b, b) = entries[i], entries[i + 1]
+                if dim_a or not dim_b or a not in b:
+                    raise ValueSharedByNonIncidentError(
+                        f"value {value} shared by non-incident simplices {a!r} and {b!r}"
+                    )
+                pairs.add((a, b))
+            i = end
+        return entries, critical, frozenset(pairs)
 
+    @cached_property
+    def sweep(self) -> Sweep:
+        """The joins of one increasing sublevel sweep; see :class:`Sweep`.
+
+        The sweep walks :attr:`_partition`'s sorted entries, so sharing and
+        criticality are already decided; it adds only the joins. It tracks,
+        for every component of the growing complex, its minimum value and
+        the largest critical value it has reached (its label). A paired
+        vertex comes right before its edge, which attaches it to an older,
+        labeled component; a critical edge joins two labeled components,
+        whose minima differ because no two vertices share a value.
+
+        The constructor trusts its input, so besides the sharing rules the
+        sweep refuses an edge placed before one of its endpoints and a
+        simplex left without a value.
+
+        Raises:
+            MorseValidationError: the values break a sharing rule (see
+                :attr:`_partition`), or some simplex has no value.
+            NotWeaklyIncreasingError: an edge value is below an endpoint
+                value.
+        """
+        entries, critical, _ = self._partition
         # components tracked by a leader vertex, smaller side relabeled on a
         # join; at these sizes plain dicts beat a general union-find
         leader: dict = {}
@@ -126,37 +161,28 @@ class MorseFunction:
         # leader -> (component minimum, label or None before any critical value)
         state: dict = {}
         joins: dict = {}
-        for i, (value, dim, simplex) in enumerate(decorated):
+        for value, dim, simplex in entries:
             if not dim:
                 leader[simplex] = simplex
                 members[simplex] = [simplex]
-                state[simplex] = (value, None if paired[i] else value)
+                state[simplex] = (value, value if value in critical else None)
                 continue
             root_u = leader.get(simplex[0])
             root_v = leader.get(simplex[1])
             if root_u is None or root_v is None:
-                raise MorseValidationError(f"edge {simplex!r} comes before one of its endpoints")
+                endpoint = simplex[0] if root_u is None else simplex[1]
+                if endpoint not in self.values:
+                    raise MissingValueError(f"no value for simplex {endpoint!r}")
+                raise NotWeaklyIncreasingError(
+                    f"f({endpoint!r}) = {self.values[endpoint]} exceeds f({simplex!r}) = {value}"
+                )
             min_u, crit_u = state[root_u]
             min_v, crit_v = state[root_v]
-            if not paired[i]:
-                # both components already contain a critical vertex
-                if crit_u is None or crit_v is None:
-                    raise MorseValidationError(
-                        f"critical edge {simplex!r} reaches a component with no critical vertex"
-                    )
-                if min_u == min_v:  # distinct vertex values keep the elder rule unambiguous
-                    raise MorseValidationError(
-                        f"the components joined at {value} share their minimum"
-                    )
+            if value in critical:
                 joins[value] = ((crit_u, min_u), (crit_v, min_v))
                 new_crit = value
             else:
-                # a paired edge attaches its fresh paired vertex to an older
-                # component; nothing merges and no new label appears
-                if (crit_u is None) == (crit_v is None):
-                    raise MorseValidationError(
-                        f"paired edge {simplex!r} does not attach exactly one paired vertex"
-                    )
+                # the paired vertex just placed is the unlabeled side
                 new_crit = crit_u if crit_v is None else crit_v
             if len(members[root_u]) < len(members[root_v]):
                 root_u, root_v = root_v, root_u
@@ -174,42 +200,21 @@ class MorseFunction:
         return Sweep(joins, global_min)
 
     @cached_property
-    def _partition(self) -> tuple[dict[float, Simplex], frozenset]:
-        """(critical simplex by value, gradient pairs) in one pass.
-
-        Everything downstream (critical sets, values, the field) unpacks
-        this, so it stays a single iteration.
-        """
-        lone: dict[float, Simplex] = {}
-        pairs = set()
-        for simplex, value in self.values.items():
-            other = lone.pop(value, None)
-            if other is None:
-                lone[value] = simplex
-            else:
-                vertex, e = sorted((other, simplex), key=simplex_sort_key)
-                pairs.add((vertex, e))
-        return lone, frozenset(pairs)
-
-    @cached_property
     def critical_simplices(self) -> frozenset[Simplex]:
         """Simplices whose value is shared with no other simplex."""
-        return frozenset(self._partition[0].values())
+        return frozenset(self._partition[1].values())
 
     @cached_property
     def critical_values(self) -> tuple[float, ...]:
-        return tuple(sorted(self._partition[0]))
-
-    def is_critical(self, simplex: Simplex) -> bool:
-        return simplex in self.critical_simplices
+        return tuple(self._partition[1])
 
     def critical_simplex_at(self, value: float) -> Simplex:
         """The unique critical simplex carrying this value."""
-        return self._partition[0][value]
+        return self._partition[1][value]
 
     @cached_property
     def gradient_vector_field(self) -> GradientVectorField:
-        return GradientVectorField(self._partition[1])
+        return GradientVectorField(self._partition[2])
 
     def _restrict(self, keep: Callable[[float], bool]) -> Forest:
         # A sublevel set of a valid function is closed under faces and acyclic,
@@ -230,6 +235,11 @@ class MorseFunction:
 
 def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:
     """Check the discrete Morse conditions and wrap the assignment.
+
+    The checks on the input itself (every simplex valued, every value a
+    finite real) come first, then weak increase edge by edge in sorted edge
+    order. The sharing rules are left to the function's one sorted pass,
+    which this forces; the sweep itself is not run.
 
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
@@ -255,19 +265,6 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
                 raise NotWeaklyIncreasingError(
                     f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}"
                 )
-    by_value: dict[float, list[Simplex]] = {}
-    for simplex, value in values.items():
-        by_value.setdefault(value, []).append(simplex)
-    for value in sorted(by_value):
-        group = sorted(by_value[value], key=simplex_sort_key)
-        if len(group) > 2:
-            raise MoreThanTwoShareValueError(
-                f"value {value} is taken by {len(group)} simplices"
-            )
-        if len(group) == 2:
-            a, b = group
-            if is_edge(a) or not is_edge(b) or a not in b:
-                raise ValueSharedByNonIncidentError(
-                    f"value {value} shared by non-incident simplices {a!r} and {b!r}"
-                )
-    return MorseFunction(tree, dict(values))
+    f = MorseFunction(tree, dict(values))
+    f._partition  # the sorted pass raises on a broken sharing rule
+    return f

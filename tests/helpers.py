@@ -6,7 +6,7 @@ import functools
 import heapq
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from treemorse import (
     MergeNode,
@@ -134,28 +134,36 @@ def strict_sublevel_component(f: MorseFunction, value: float, start: str) -> set
     return component
 
 
+def literal_critical(f: MorseFunction) -> dict:
+    """Critical simplex by value: each value taken by exactly one simplex.
+
+    Counted straight from the assignment, without the library's sorted pass.
+    """
+    counts = Counter(f.values.values())
+    return {value: s for s, value in f.values.items() if counts[value] == 1}
+
+
 def reference_merge_tree(f: MorseFunction) -> MergeTree:
     """Literal reconstruction: strict sublevel forest recomputed per edge.
 
     Independent of the production sweep; shares only the direction rule,
     which the worked examples pin down exactly.
     """
-    critical_values = f.critical_values
-    edge_values = [
-        v for v in critical_values if is_edge(f.critical_simplex_at(v))
-    ]
+    critical = literal_critical(f)
+    critical_values = sorted(critical)
+    edge_values = [v for v in critical_values if is_edge(critical[v])]
     if not edge_values:
         return MergeTree(MergeNode(critical_values[0], "L"))
 
     def component_data(value: float, endpoint: str) -> tuple[float, float]:
         component = strict_sublevel_component(f, value, endpoint)
         return (
-            max(f(s) for s in component if f.is_critical(s)),
+            max(f(s) for s in component if f(s) in critical),
             min(f(s) for s in component),
         )
 
     def build(value: float, direction: str) -> MergeNode:
-        simplex = f.critical_simplex_at(value)
+        simplex = critical[value]
         if not is_edge(simplex):
             return MergeNode(value, direction)
         u, v = simplex
@@ -183,9 +191,8 @@ def reference_persistence_diagram(f: MorseFunction) -> tuple:
     The whole tree's minimum never dies.
     """
     pairs = [(min(f(v) for v in f.domain.vertices), math.inf)]
-    for simplex in f.critical_simplices:
+    for value, simplex in literal_critical(f).items():
         if is_edge(simplex):
-            value = f(simplex)
             births = [
                 min(f(s) for s in strict_sublevel_component(f, value, endpoint))
                 for endpoint in simplex

@@ -93,11 +93,29 @@ def test_validate_rejects_a_decreasing_function(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NotWeaklyIncreasingError:")
 
 
+def test_validate_reports_the_decreasing_edge_first(tmp_path, capsys):
+    # c shares 3 with the edge ab it does not touch, a lower fault by value
+    path = write_doc(
+        tmp_path, "two_faults.json", {"a": 0, "b": 5, "c": 3}, [["a", "b", 3], ["b", "c", 6]]
+    )
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "NotWeaklyIncreasingError: f('b') = 5 exceeds f(('a', 'b')) = 3\n"
+
+
 def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("ParseError:")
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"vertices": {"a": 0}, "edges": [' + "[" * 100_000 + "]" * 100_000 + "]}")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: invalid JSON:")
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

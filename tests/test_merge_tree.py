@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,13 @@ from treemorse import (
     persistence_diagram,
     validate,
 )
-from treemorse.errors import MorseValidationError
+from treemorse.errors import (
+    MissingValueError,
+    MorseValidationError,
+    MoreThanTwoShareValueError,
+    NotWeaklyIncreasingError,
+    ValueSharedByNonIncidentError,
+)
 
 
 def expect(node: MergeNode, value, direction: str) -> MergeNode:
@@ -127,42 +135,84 @@ def test_fully_paired_path_collapses_to_a_point():
         assert merge.root.value == 0
 
 
+UNVALIDATED_CASES = [
+    # a critical edge onto a vertex that lost its value to a tie
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 2},
+        MoreThanTwoShareValueError,
+    ),
+    # an edge tied with a vertex it does not touch
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": 0, "b": 0, "c": 0, ("a", "b"): 0, ("b", "c"): 1},
+        MoreThanTwoShareValueError,
+    ),
+    # two components whose minima tie
+    (
+        [("v0", "v2"), ("v0", "v1"), ("v1", "v3")],
+        {"v0": 1, "v1": 5, "v2": 2, "v3": 1,
+         ("v0", "v1"): 7, ("v0", "v2"): 6, ("v1", "v3"): 6},
+        ValueSharedByNonIncidentError,
+    ),
+    # an edge placed before one of its endpoints, no critical edge
+    ([("a", "b")], {"a": 1, "b": 0, ("a", "b"): 0}, NotWeaklyIncreasingError),
+    # no critical simplex at all
+    ([("a", "b")], {"a": 0, "b": 0, ("a", "b"): 0}, MoreThanTwoShareValueError),
+    # an edge with no value: two components are left
+    ([("a", "b")], {"a": 0, "b": 1}, MorseValidationError),
+    # two vertices tied, and two edges tied: each edge attaches one tied
+    # vertex, just as a gradient pair would
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": 0, "b": 1, "c": 0, ("a", "b"): 2, ("b", "c"): 2},
+        ValueSharedByNonIncidentError,
+    ),
+    # an edge placed before an endpoint that has no value
+    ([("a", "b")], {"b": 0, ("a", "b"): 1}, MissingValueError),
+]
+
+
 @pytest.mark.parametrize(
-    "edges, values",
-    [
-        # a critical edge onto a vertex that lost its value to a tie
-        (
-            [("a", "b"), ("b", "c")],
-            {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 2},
-        ),
-        # an edge tied with a vertex it does not touch
-        (
-            [("a", "b"), ("b", "c")],
-            {"a": 0, "b": 0, "c": 0, ("a", "b"): 0, ("b", "c"): 1},
-        ),
-        # two components whose minima tie
-        (
-            [("v0", "v2"), ("v0", "v1"), ("v1", "v3")],
-            {"v0": 1, "v1": 5, "v2": 2, "v3": 1,
-             ("v0", "v1"): 7, ("v0", "v2"): 6, ("v1", "v3"): 6},
-        ),
-        # an edge placed before one of its endpoints, no critical edge
-        ([("a", "b")], {"a": 1, "b": 0, ("a", "b"): 0}),
-        # no critical simplex at all
-        ([("a", "b")], {"a": 0, "b": 0, ("a", "b"): 0}),
-        # an edge with no value: two components are left
-        ([("a", "b")], {"a": 0, "b": 1}),
-    ],
+    "edges, values, error",
+    UNVALIDATED_CASES,
+    # name each case by its position alone, not by its error class
+    ids=[f"edges{i}-values{i}" for i in range(len(UNVALIDATED_CASES))],
 )
-def test_unvalidated_non_morse_function_raises(edges, values):
-    # MorseFunction trusts its input; the sweep's own checks still refuse,
-    # and they are not asserts, which python -O would strip
+def test_unvalidated_non_morse_function_raises(edges, values, error):
+    # MorseFunction trusts its input; the sorted pass and the sweep still
+    # refuse, and their checks are not asserts, which python -O would strip
     tree = build_tree(sorted({v for e in edges for v in e}), edges)
     f = MorseFunction(tree, values)
-    with pytest.raises(MorseValidationError):
+    with pytest.raises(error):
         induce_merge_tree(f)
-    with pytest.raises(MorseValidationError):
+    with pytest.raises(error):
         persistence_diagram(f)
+
+
+def test_unvalidated_functions_raise_exactly_when_validate_does():
+    # random integers below 2n on the 11 trees with 4 to 6 vertices: most
+    # break a Morse condition, and a few break only a sharing rule
+    rng = random.Random(9)
+    for n in (4, 5, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            simplices = list(tree.simplices())
+            for _ in range(1000):
+                values = {s: rng.randrange(2 * n) for s in simplices}
+                f = MorseFunction(tree, values)
+                try:
+                    g = validate(tree, values)
+                except MorseValidationError:
+                    with pytest.raises(MorseValidationError):
+                        induce_merge_tree(f)
+                    with pytest.raises(MorseValidationError):
+                        persistence_diagram(f)
+                    continue
+                merge, validated = induce_merge_tree(f), induce_merge_tree(g)
+                assert merge.shape_code() == validated.shape_code()
+                assert helpers.tagged_preorder(merge) == helpers.tagged_preorder(validated)
+                assert persistence_diagram(f) == persistence_diagram(g)
 
 
 def test_node_count_equals_critical_count():

@@ -71,6 +71,15 @@ def test_nonincident_vertex_edge_sharing_rejected():
         )
 
 
+def test_decreasing_edge_is_reported_before_a_lower_shared_value():
+    # two faults: ab falls below b, and c shares 3 with the edge ab it does
+    # not touch; weak increase is checked first
+    values = {"a": 0, "b": 5, "c": 3, ("a", "b"): 3, ("b", "c"): 6}
+    with pytest.raises(NotWeaklyIncreasingError) as excinfo:
+        validate(helpers.path3_tree(), values)
+    assert str(excinfo.value) == "f('b') = 5 exceeds f(('a', 'b')) = 3"
+
+
 def test_incident_pair_may_share():
     f = validate(single_edge(), {"u": 0, "v": 1, ("u", "v"): 1})
     assert set(f.critical_simplices) == {"u"}
