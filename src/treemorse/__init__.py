@@ -29,7 +29,7 @@ from .merge_tree import (
     merge_equivalent,
     parse_shape_code,
 )
-from .morse import GradientVectorField, LevelSubcomplex, MorseFunction, validate
+from .morse import GradientVectorField, MorseFunction, validate
 from .oracle import (
     DEFAULT_SIMPLEX_BUDGET,
     InvariantReport,
@@ -55,7 +55,6 @@ __all__ = [
     "GradientVectorField",
     "HomologicalSequence",
     "InvariantReport",
-    "LevelSubcomplex",
     "MergeNode",
     "MergeTree",
     "MorseFunction",

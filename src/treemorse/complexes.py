@@ -35,17 +35,11 @@ def is_edge(simplex: Simplex) -> bool:
     return isinstance(simplex, tuple)
 
 
-def simplex_sort_key(simplex: Simplex) -> tuple[int, tuple[str, ...]]:
-    """Vertices before edges, each alphabetically."""
-    return (1, simplex) if isinstance(simplex, tuple) else (0, (simplex,))
-
-
 @dataclass(frozen=True)
 class Forest:
     """A finite graph whose every component is a tree. Immutable.
 
-    Construct through :func:`build_forest` unless the edge set is already
-    known to be acyclic (level subcomplexes, for instance, always are).
+    Construct through :func:`build_forest`, which refuses a cycle.
     """
 
     vertices: frozenset[str]

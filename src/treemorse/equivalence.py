@@ -2,15 +2,18 @@
 
 Merge equivalence lives with the merge tree itself; this module provides the
 other three relations: equal gradient fields (Forman), equal Betti-number
-sequences along the filtration, and equal sublevel persistence diagrams.
-None of the three implies another, and none coincides with merge
-equivalence; the test suite pins down witnesses for each separation.
+sequences along the sublevel filtration, and equal sublevel persistence
+diagrams. The last two, like the merge tree, are read off the one sweep
+cached on the function. None of the three implies another, and none
+coincides with merge equivalence; the test suite pins down witnesses for
+each separation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DomainMismatchError
 from .merge_tree import format_value
@@ -26,22 +29,34 @@ def forman_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
 
 @dataclass(frozen=True)
 class HomologicalSequence:
-    """Betti numbers (b0, b1) of each level subcomplex, by critical value."""
+    """b0 of the sublevel set at each critical value, in increasing order.
 
-    entries: tuple[tuple[int, int], ...]
+    On a forest b1 is always 0, so b0 is the whole Betti sequence.
+    """
+
+    entries: tuple[int, ...]
 
     @property
     def b0_values(self) -> tuple[int, ...]:
-        return tuple(b0 for b0, _ in self.entries)
+        return self.entries
 
 
 def homological_sequence(f: MorseFunction) -> HomologicalSequence:
-    entries = []
-    for _, level in f.filtration():
-        b0 = level.forest.component_count
-        b1 = len(level.forest.edges) - len(level.forest.vertices) + b0
-        entries.append((b0, b1))  # b1 is zero on forests; kept for the record
-    return HomologicalSequence(tuple(entries))
+    """Running b0 over the sublevel sweep cached on f.
+
+    On a forest b0 is #vertices - #edges, so walking the critical values in
+    order, a critical vertex adds a component and a critical edge, exactly a
+    join of :attr:`MorseFunction.sweep`, removes one. A gradient pair enters
+    at one value and leaves b0 as it was.
+
+    Raises:
+        MorseValidationError: f was built without :func:`validate` and the
+            sweep cannot make sense of it.
+    """
+    joins = f.sweep.joins
+    return HomologicalSequence(
+        tuple(accumulate(-1 if value in joins else 1 for value in f.critical_values))
+    )
 
 
 def homologically_equivalent(f: MorseFunction, g: MorseFunction) -> bool:

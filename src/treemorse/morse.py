@@ -1,4 +1,4 @@
-"""Discrete Morse functions on trees and their sublevel structure.
+"""Discrete Morse functions on trees and their sublevel sweep.
 
 A discrete Morse function here assigns one real value to every simplex so
 that values weakly increase from a vertex into each incident edge, no value
@@ -9,8 +9,8 @@ vector field; every unpaired simplex is critical.
 One sort of the values, cached on the function, decides both sharing rules
 and which simplices are critical; :func:`validate` forces it. The increasing
 sweep of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that
-sorted order and adds only the joins of two components; the merge tree and
-the persistence diagram are both read off that one record.
+sorted order and adds only the joins of two components; the merge tree, the
+persistence diagram and the Betti sequence are all read off that one record.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .complexes import Edge, Forest, Simplex, SimplicialTree, Vertex
+from .complexes import Edge, Simplex, SimplicialTree, Vertex
 from .errors import (
     MissingValueError,
     MorseValidationError,
@@ -45,14 +45,6 @@ class GradientVectorField:
 
     def __contains__(self, pair: tuple[Vertex, Edge]) -> bool:
         return pair in self.pairs
-
-
-@dataclass(frozen=True)
-class LevelSubcomplex:
-    """All simplices valued at or below a threshold; on a tree, a forest."""
-
-    threshold: float
-    forest: Forest
 
 
 class Sweep(NamedTuple):
@@ -215,22 +207,6 @@ class MorseFunction:
     @cached_property
     def gradient_vector_field(self) -> GradientVectorField:
         return GradientVectorField(self._partition[2])
-
-    def _restrict(self, keep: Callable[[float], bool]) -> Forest:
-        # A sublevel set of a valid function is closed under faces and acyclic,
-        # so the plain constructor is safe here.
-        return Forest(
-            frozenset(v for v in self.domain.vertices if keep(self.values[v])),
-            frozenset(e for e in self.domain.edges if keep(self.values[e])),
-        )
-
-    def level_subcomplex(self, threshold: float) -> LevelSubcomplex:
-        """The subcomplex of simplices valued at or below the threshold."""
-        return LevelSubcomplex(threshold, self._restrict(lambda x: x <= threshold))
-
-    def filtration(self) -> list[tuple[float, LevelSubcomplex]]:
-        """One level subcomplex per critical value, in increasing order."""
-        return [(c, self.level_subcomplex(c)) for c in self.critical_values]
 
 
 def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:

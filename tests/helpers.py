@@ -201,6 +201,35 @@ def reference_persistence_diagram(f: MorseFunction) -> tuple:
     return tuple(sorted(pairs))
 
 
+def reference_b0_sequence(f: MorseFunction) -> tuple:
+    """Components of the closed sublevel set at each literal critical value.
+
+    Each count is its own search over the simplices valued at or below the
+    threshold, recomputed per value.
+    """
+    counts = []
+    for threshold in sorted(literal_critical(f)):
+        edges = [e for e in f.domain.edges if f(e) <= threshold]
+        seen: set = set()
+        components = 0
+        for start in f.domain.vertices:
+            if start in seen or f(start) > threshold:
+                continue
+            components += 1
+            seen.add(start)
+            frontier = [start]
+            while frontier:
+                vertex = frontier.pop()
+                for e in edges:
+                    if vertex in e:
+                        for w in e:
+                            if w not in seen:
+                                seen.add(w)
+                                frontier.append(w)
+        counts.append(components)
+    return tuple(counts)
+
+
 def values_preorder(tree: MergeTree) -> list:
     return [node.value for node in tree.nodes()]
 

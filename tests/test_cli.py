@@ -259,6 +259,42 @@ def test_invariants_report_on_a_wide_function(tmp_path, capsys):
     )
 
 
+def test_invariants_and_homological_compare_on_a_long_path(tmp_path, capsys):
+    # 99,999 simplices, all critical: vertex i at 2i, edge (i, i+1) at 2i+3,
+    # so b0 alternates 1,2,1,2,...,1 and each edge kills the vertex before it
+    n = 50_000
+    path = write_doc(
+        tmp_path,
+        "long.json",
+        {f"v{i}": 2 * i for i in range(n)},
+        [[f"v{i}", f"v{i + 1}", 2 * i + 3] for i in range(n - 1)],
+    )
+    b0_line = "homological sequence: " + ",".join(
+        "2" if k % 2 else "1" for k in range(2 * n - 1)
+    )
+    assert main(["invariants", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:3] == ["impasses: 1", f"matching: {n // 2}", "thin: true"]
+    assert lines[3].startswith("lr: ")
+    assert lines[4] == b0_line
+    assert lines[5:8] == ["persistence diagram:", "0 inf", "2 3"]
+    assert lines[-1] == f"{2 * n - 2} {2 * n - 1}"
+    assert len(lines) == 6 + n
+    assert main(["compare", path, path, "--relation", "homological"]) == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+    # every vertex before any edge: b0 climbs to n and falls back to 1
+    climbing = write_doc(
+        tmp_path,
+        "climbing.json",
+        {f"v{i}": i for i in range(n)},
+        [[f"v{i}", f"v{i + 1}", n + i] for i in range(n - 1)],
+    )
+    assert main(["compare", path, climbing, "--relation", "homological"]) == 1
+    assert capsys.readouterr() == ("not-equivalent\n", "")
+
+
 # --- compare ----------------------------------------------------------------
 
 

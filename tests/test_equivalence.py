@@ -72,11 +72,17 @@ def test_sequences_of_examples():
         (helpers.gapped_path_function(), (1, 2, 1, 2, 1)),
         (helpers.narrow_function(), (1, 2, 3, 4, 3, 2, 1)),
         (helpers.deep_function(), (1, 2, 3, 2, 3, 2, 3, 4, 3, 2, 1)),
+        # a paired vertex and edge enter together and leave b0 as it was
+        (
+            validate(
+                build_tree(["u", "v"], [("u", "v")]),
+                {"u": 0, "v": 1, ("u", "v"): 1},
+            ),
+            (1,),
+        ),
     ]
     for f, expected in cases:
-        seq = homological_sequence(f)
-        assert seq.b0_values == expected
-        assert all(b1 == 0 for _, b1 in seq.entries)
+        assert homological_sequence(f).b0_values == expected
 
 
 def test_sequence_skips_paired_steps():
@@ -107,7 +113,22 @@ def test_homological_verdicts():
 
 def test_single_vertex_sequence():
     f = validate(build_tree(["a"], []), {"a": 0})
-    assert homological_sequence(f).entries == ((1, 0),)
+    assert homological_sequence(f).entries == (1,)
+
+
+def test_sequence_matches_the_literal_component_count():
+    # every labeling of every tree with up to 5 vertices, each again with
+    # some vertex-edge pairs collapsed
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            for f in enumerate_critical_dmfs(helpers.tree_from_edges(n, edges)):
+                g = helpers.collapse_pairs(f, rng.randrange)
+                for function in (f, g):
+                    assert (
+                        homological_sequence(function).b0_values
+                        == helpers.reference_b0_sequence(function)
+                    )
 
 
 # ------------------------------------------------------------ persistence
@@ -231,9 +252,11 @@ def assert_diagram_consistent(f):
     }
     assert {d for _, d in finite} == critical_edge_values
     assert all(b < d for b, d in finite)
-    # alive pairs at each critical value reproduce the Betti sequence
-    seq = homological_sequence(f)
-    for value, (b0, _) in zip(f.critical_values, seq.entries):
+    # alive pairs at each critical value reproduce the Betti sequence, which
+    # the sweep and a literal component count agree on
+    b0_values = homological_sequence(f).b0_values
+    assert b0_values == helpers.reference_b0_sequence(f)
+    for value, b0 in zip(f.critical_values, b0_values):
         alive = sum(1 for b, d in diagram.pairs if b <= value < d)
         assert alive == b0
 

@@ -11,6 +11,7 @@ from treemorse import (
     MorseFunction,
     build_tree,
     enumerate_critical_dmfs,
+    homological_sequence,
     induce_merge_tree,
     merge_equivalent,
     parse_shape_code,
@@ -188,6 +189,8 @@ def test_unvalidated_non_morse_function_raises(edges, values, error):
         induce_merge_tree(f)
     with pytest.raises(error):
         persistence_diagram(f)
+    with pytest.raises(error):
+        homological_sequence(f)
 
 
 def test_unvalidated_functions_raise_exactly_when_validate_does():
@@ -208,11 +211,14 @@ def test_unvalidated_functions_raise_exactly_when_validate_does():
                         induce_merge_tree(f)
                     with pytest.raises(MorseValidationError):
                         persistence_diagram(f)
+                    with pytest.raises(MorseValidationError):
+                        homological_sequence(f)
                     continue
                 merge, validated = induce_merge_tree(f), induce_merge_tree(g)
                 assert merge.shape_code() == validated.shape_code()
                 assert helpers.tagged_preorder(merge) == helpers.tagged_preorder(validated)
                 assert persistence_diagram(f) == persistence_diagram(g)
+                assert homological_sequence(f) == homological_sequence(g)
 
 
 def test_node_count_equals_critical_count():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treemorse import MorseFunction, build_tree, is_edge, validate
+from treemorse import build_tree, homological_sequence, is_edge, validate
 from treemorse.errors import (
     MissingValueError,
     MoreThanTwoShareValueError,
@@ -119,49 +119,30 @@ def test_mixed_function_critical_partition():
 
 def test_sublevel_component_around_branch_vertex():
     f = helpers.deep_function()
-    # integer values: at or below 9 is strictly below the join at 10
-    below = f.level_subcomplex(9).forest
-    assert below.component_of("e") == {"e", "f", ("e", "f")}
-    assert below.component_of("d") == {
-        "a", "b", "c", "d",
-        ("a", "b"), ("a", "d"), ("c", "d"),
-    }
-
-
-def test_level_subcomplex_thresholds():
-    f = helpers.left_path_function()
-    at = f.level_subcomplex(3).forest
-    assert set(at.simplices()) == {"a", "b", "c", ("a", "b")}
-    below = f.level_subcomplex(2).forest
-    assert set(below.simplices()) == {"a", "b", "c"}
-    assert f.level_subcomplex(-1).forest.simplex_count == 0
+    # just below the join at 10, d's component {a, b, c, d, ab, ad, cd} has
+    # reached 9 from its minimum 0, and e's {e, f, ef} has reached 3 from 1
+    assert f.sweep.joins[10] == ((9, 0), (3, 1))
 
 
 def test_paired_simplices_enter_together():
-    tree = single_edge()
-    f = validate(tree, {"u": 0, "v": 1, ("u", "v"): 1})
-    below = f.level_subcomplex(0).forest
-    assert set(below.simplices()) == {"u"}
-    at = f.level_subcomplex(1).forest
-    assert set(at.simplices()) == {"u", "v", ("u", "v")}
+    f = validate(single_edge(), {"u": 0, "v": 1, ("u", "v"): 1})
+    # v and uv enter at 1 together: v never lives alone, so nothing joins
+    assert f.sweep.joins == {}
+    assert f.sweep.global_min == 0
 
 
 def test_filtration_steps_through_critical_values():
     f = helpers.left_path_function()
-    steps = f.filtration()
-    assert [value for value, _ in steps] == [0, 1, 2, 3, 4]
-    assert [level.forest.simplex_count for _, level in steps] == [1, 2, 3, 4, 5]
-    assert [level.forest.component_count for _, level in steps] == [
-        1, 2, 3, 2, 1,
-    ]
+    assert f.critical_values == (0, 1, 2, 3, 4)
+    # ab joins a and b at 3; bc joins that component to c at 4
+    assert f.sweep.joins == {3: ((0, 0), (1, 1)), 4: ((3, 0), (2, 2))}
+    assert homological_sequence(f).b0_values == (1, 2, 3, 2, 1)
 
 
 def test_filtration_collapses_paired_steps():
-    tree = single_edge()
-    f = validate(tree, {"u": 0, "v": 1, ("u", "v"): 1})
-    steps = f.filtration()
-    assert [value for value, _ in steps] == [0]
-    assert steps[0][1].forest.simplex_count == 1
+    f = validate(single_edge(), {"u": 0, "v": 1, ("u", "v"): 1})
+    assert f.critical_values == (0,)
+    assert homological_sequence(f).b0_values == (1,)
 
 
 @settings(max_examples=60, deadline=None)
