@@ -3,11 +3,9 @@
 from . import errors
 from .complexes import (
     Edge,
-    Forest,
     Simplex,
     SimplicialTree,
     Vertex,
-    build_forest,
     build_tree,
     edge,
     is_edge,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Edge",
-    "Forest",
     "GradientVectorField",
     "HomologicalSequence",
     "InvariantReport",
@@ -64,7 +61,6 @@ __all__ = [
     "StarGraph",
     "Vertex",
     "DEFAULT_SIMPLEX_BUDGET",
-    "build_forest",
     "build_tree",
     "check_invariants",
     "count_merge_classes",

@@ -1,4 +1,4 @@
-"""Trees and forests as one-dimensional simplicial complexes.
+"""Trees as one-dimensional simplicial complexes.
 
 Vertices are named by strings. An edge is stored as the sorted pair of its
 endpoints, so two edges are equal exactly when their endpoint sets are. A
@@ -36,22 +36,24 @@ def is_edge(simplex: Simplex) -> bool:
 
 
 @dataclass(frozen=True)
-class Forest:
-    """A finite graph whose every component is a tree. Immutable.
+class SimplicialTree:
+    """A finite tree, the domain of a discrete Morse function. Immutable.
 
-    Construct through :func:`build_forest`, which refuses a cycle.
+    Construct through :func:`build_tree`, which refuses anything that is not
+    a connected, acyclic graph with at least one vertex.
     """
 
     vertices: frozenset[str]
     edges: frozenset[Edge]
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
+    def adjacency(self) -> dict[str, list[str]]:
+        """Neighbours of every vertex, in no particular order."""
         nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        return nbrs
 
     @property
     def simplex_count(self) -> int:
@@ -67,84 +69,31 @@ class Forest:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return len(self.adjacency[v])
 
-    def component_vertices(self, v: str) -> set[str]:
-        """Vertices reachable from v."""
-        if v not in self.vertices:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def component_of(self, v: str) -> set[Simplex]:
-        """Every simplex of the connected component containing v."""
-        verts = self.component_vertices(v)
-        comp: set[Simplex] = set(verts)
-        comp.update(e for e in self.edges if e[0] in verts)
-        return comp
-
-    def components(self) -> list[set[Simplex]]:
-        """Connected components, ordered by their smallest vertex."""
-        out: list[set[Simplex]] = []
-        seen: set[str] = set()
-        for v in sorted(self.vertices):
-            if v not in seen:
-                comp = self.component_of(v)
-                seen.update(s for s in comp if isinstance(s, str))
-                out.append(comp)
-        return out
-
-    @cached_property
-    def component_count(self) -> int:
-        seen: set[str] = set()
-        count = 0
-        for v in self.vertices:
-            if v not in seen:
-                count += 1
-                seen.update(self.component_vertices(v))
-        return count
-
     def matching_number(self) -> int:
         """Size of a maximum set of pairwise vertex-disjoint edges.
 
-        Greedy from the leaves inward, exact on forests: walk each component
-        in breadth-first order from an arbitrary root and, in reverse order,
+        Greedy from the leaves inward, exact on trees: walk the tree in
+        breadth-first order from an arbitrary root and, in reverse order,
         match a vertex to its parent whenever both are still free.
         """
+        adjacency = self.adjacency
+        root = next(iter(self.vertices))
+        order = [root]
+        parent: dict[str, str | None] = {root: None}
+        for v in order:  # order grows while it is walked
+            for w in adjacency[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
         matched: set[str] = set()
-        seen: set[str] = set()
         count = 0
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            order = [start]
-            parent: dict[str, str | None] = {start: None}
-            seen.add(start)
-            i = 0
-            while i < len(order):
-                v = order[i]
-                i += 1
-                for w in self.adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = v
-                        order.append(w)
-            for v in reversed(order):
-                p = parent[v]
-                if p is not None and v not in matched and p not in matched:
-                    matched.add(v)
-                    matched.add(p)
-                    count += 1
+        for v in reversed(order):
+            p = parent[v]
+            if p is not None and v not in matched and p not in matched:
+                matched.add(v)
+                matched.add(p)
+                count += 1
         return count
-
-
-@dataclass(frozen=True)
-class SimplicialTree(Forest):
-    """A connected forest; the domain of a discrete Morse function."""
 
 
 def _checked_edges(vertices: frozenset[str], pairs: Iterable[tuple[str, str]]) -> frozenset[Edge]:
@@ -160,15 +109,6 @@ def _checked_edges(vertices: frozenset[str], pairs: Iterable[tuple[str, str]]) -
     return frozenset(out)
 
 
-def build_forest(vertices: Iterable[str], edge_pairs: Iterable[tuple[str, str]]) -> Forest:
-    """Validated forest from vertex names and endpoint pairs."""
-    vs = frozenset(vertices)
-    forest = Forest(vs, _checked_edges(vs, edge_pairs))
-    if len(forest.vertices) != len(forest.edges) + forest.component_count:
-        raise CycleDetectedError("edge set contains a cycle")
-    return forest
-
-
 def build_tree(vertices: Iterable[str], edge_pairs: Iterable[tuple[str, str]]) -> SimplicialTree:
     """Validated tree: connected, acyclic, at least one vertex."""
     vs = frozenset(vertices)
@@ -178,6 +118,24 @@ def build_tree(vertices: Iterable[str], edge_pairs: Iterable[tuple[str, str]]) -
     if len(es) >= len(vs):
         raise CycleDetectedError(f"{len(es)} edges on {len(vs)} vertices cannot be acyclic")
     tree = SimplicialTree(vs, es)
-    if tree.component_count != 1:
-        raise NotConnectedError(f"graph has {tree.component_count} components")
+    # one search settles connectivity; the remaining components are counted
+    # only for the error message
+    adjacency = tree.adjacency
+    seen: set[str] = set()
+    components = 0
+    for start in vs:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(vs):
+            break
+    if components != 1:
+        raise NotConnectedError(f"graph has {components} components")
     return tree

@@ -46,7 +46,7 @@ class MoreThanTwoShareValueError(MorseValidationError):
 
 
 class NotFiniteRealError(MorseValidationError):
-    """A value is a boolean, NaN or an infinity rather than a finite real."""
+    """A value is a boolean, a non-number, NaN or an infinity rather than a finite real."""
 
 
 class DomainMismatchError(TreemorseError):
@@ -59,6 +59,14 @@ class NotThinError(TreemorseError):
 
 class MalformedSequenceError(TreemorseError):
     """An LR string contains characters other than L and R."""
+
+
+class MalformedMergeTreeError(TreemorseError, ValueError):
+    """A merge tree or shape code is not a full binary tree tagged L and R."""
+
+
+class NonPositiveSizeError(TreemorseError, ValueError):
+    """A count that must be at least one, such as a star's edge count, is not."""
 
 
 class BudgetExceededError(TreemorseError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .errors import MalformedMergeTreeError
 from .morse import MorseFunction
 
 LEAF_GLYPH = "•"
@@ -56,16 +57,16 @@ class MergeTree:
 
     def __post_init__(self) -> None:
         if self.root.direction != "L":
-            raise ValueError("root direction must be L")
+            raise MalformedMergeTreeError("root direction must be L")
         stack = [self.root]
         while stack:  # plain loop: this runs on every construction
             node = stack.pop()
             left, right = node.left, node.right
             if (left is None) != (right is None):
-                raise ValueError("every node needs zero or two children")
+                raise MalformedMergeTreeError("every node needs zero or two children")
             if left is not None:
                 if left.direction != "L" or right.direction != "R":
-                    raise ValueError("left children are tagged L, right children R")
+                    raise MalformedMergeTreeError("left children are tagged L, right children R")
                 stack.append(right)
                 stack.append(left)
 
@@ -81,9 +82,6 @@ class MergeTree:
 
     def leaves(self) -> list[MergeNode]:
         return [n for n in self.nodes() if n.is_leaf]
-
-    def internal_nodes(self) -> list[MergeNode]:
-        return [n for n in self.nodes() if not n.is_leaf]
 
     @property
     def node_count(self) -> int:
@@ -159,18 +157,18 @@ def parse_shape_code(code: str) -> MergeTree:
     direction, i = "L", 0
     while True:
         if i >= len(code):
-            raise ValueError("truncated shape code")
+            raise MalformedMergeTreeError("truncated shape code")
         if code[i] == "(":
             open_joins.append([direction, None])
             direction, i = "L", i + 1
             continue
         if code[i] != LEAF_GLYPH:
-            raise ValueError(f"unexpected character {code[i]!r} at position {i}")
+            raise MalformedMergeTreeError(f"unexpected character {code[i]!r} at position {i}")
         node, i = MergeNode(None, direction), i + 1
         # a finished right child closes its join, which may finish another
         while open_joins and open_joins[-1][1] is not None:
             if i >= len(code) or code[i] != ")":
-                raise ValueError(f"unbalanced parentheses at position {i}")
+                raise MalformedMergeTreeError(f"unbalanced parentheses at position {i}")
             join_direction, left = open_joins.pop()
             node, i = MergeNode(None, join_direction, left, node), i + 1
         if not open_joins:
@@ -178,7 +176,7 @@ def parse_shape_code(code: str) -> MergeTree:
         open_joins[-1][1] = node
         direction = "R"
     if i != len(code):
-        raise ValueError(f"trailing characters after position {i}")
+        raise MalformedMergeTreeError(f"trailing characters after position {i}")
     return MergeTree(node)
 
 

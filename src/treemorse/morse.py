@@ -16,6 +16,7 @@ persistence diagram and the Betti sequence are all read off that one record.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
@@ -200,10 +201,6 @@ class MorseFunction:
     def critical_values(self) -> tuple[float, ...]:
         return tuple(self._partition[1])
 
-    def critical_simplex_at(self, value: float) -> Simplex:
-        """The unique critical simplex carrying this value."""
-        return self._partition[1][value]
-
     @cached_property
     def gradient_vector_field(self) -> GradientVectorField:
         return GradientVectorField(self._partition[2])
@@ -220,7 +217,8 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
             names a simplex the tree does not have.
-        NotFiniteRealError: a value is a boolean, NaN or an infinity.
+        NotFiniteRealError: a value is a boolean, not a real number at all,
+            NaN or an infinity.
         NotWeaklyIncreasingError: an edge value is below an endpoint value.
         MoreThanTwoShareValueError: a value is taken three or more times.
         ValueSharedByNonIncidentError: a value is shared by two simplices
@@ -233,7 +231,11 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     for simplex, value in values.items():
         if simplex not in declared:
             raise MissingValueError(f"value given for unknown simplex {simplex!r}")
-        if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        kind = type(value)
+        # exact int and finite float first: validate runs on every document
+        if kind is not int and not (kind is float and math.isfinite(value)) and (
+            kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
+        ):
             raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
     for e in sorted(tree.edges):
         for endpoint in e:

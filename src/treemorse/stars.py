@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialTree, Vertex, build_tree, edge
-from .errors import MalformedSequenceError, NotThinError
+from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
 from .merge_tree import MergeNode, MergeTree, induce_merge_tree
 from .morse import MorseFunction, validate
 
@@ -34,7 +34,7 @@ class StarGraph:
 def star_graph(k: int) -> StarGraph:
     """The star with k edges: center "c" joined to leaves "l1".."lk"."""
     if k < 1:
-        raise ValueError("a star needs at least one edge")
+        raise NonPositiveSizeError("a star needs at least one edge")
     leaves = [f"l{i}" for i in range(1, k + 1)]
     return StarGraph(build_tree(["c", *leaves], [("c", leaf) for leaf in leaves]), "c")
 
@@ -87,7 +87,7 @@ def thin_from_lr(seq: str) -> MergeTree:
 def enumerate_thin(n: int) -> list[MergeTree]:
     """All 2^(n-1) thin merge trees with n internal nodes, in LR order."""
     if n < 1:
-        raise ValueError("need at least one internal node")
+        raise NonPositiveSizeError("need at least one internal node")
     return [
         thin_from_lr("".join(steps))
         for steps in itertools.product("LR", repeat=n - 1)
@@ -149,5 +149,5 @@ def count_realizable_on_star(k: int) -> int:
     """Merge-equivalence classes induced by injective functions on the
     k-edge star: one per thin tree with k internal nodes, 2^(k-1) in all."""
     if k < 1:
-        raise ValueError("a star needs at least one edge")
+        raise NonPositiveSizeError("a star needs at least one edge")
     return 2 ** (k - 1)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treemorse import build_forest, build_tree, edge, is_edge
+from treemorse import build_tree, edge, is_edge
 from treemorse.errors import (
     CycleDetectedError,
     LoopEdgeError,
@@ -53,15 +53,7 @@ def test_empty_tree_rejected():
 def test_single_vertex_tree():
     tree = build_tree(["a"], [])
     assert tree.simplex_count == 1
-    assert tree.component_count == 1
     assert tree.matching_number() == 0
-
-
-def test_forest_allows_components_but_not_cycles():
-    forest = build_forest(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert forest.component_count == 2
-    with pytest.raises(CycleDetectedError):
-        build_forest(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def test_simplices_lists_vertices_before_edges():
@@ -69,29 +61,6 @@ def test_simplices_lists_vertices_before_edges():
     simplices = list(tree.simplices())
     assert simplices == ["a", "b", "c", ("a", "b"), ("b", "c")]
     assert [is_edge(s) for s in simplices] == [False, False, False, True, True]
-
-
-def test_component_of_collects_incident_edges():
-    forest = build_forest(
-        ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("d", "e")]
-    )
-    assert forest.component_of("a") == {"a", "b", "c", ("a", "b"), ("b", "c")}
-    assert forest.component_of("e") == {"d", "e", ("d", "e")}
-    with pytest.raises(UnknownVertexError):
-        forest.component_of("z")
-
-
-def test_components_partition_everything():
-    forest = build_forest(
-        ["a", "b", "c", "d", "e"], [("a", "b"), ("d", "e")]
-    )
-    parts = forest.components()
-    assert len(parts) == 3
-    seen = set()
-    for part in parts:
-        assert not (part & seen)
-        seen |= part
-    assert seen == set(forest.simplices())
 
 
 def test_degree():
@@ -123,3 +92,20 @@ def test_tree_census_counts():
     assert [len(helpers.trees_up_to_iso(n)) for n in range(1, 7)] == [
         1, 1, 1, 2, 3, 6,
     ]
+
+
+def test_build_tree_at_a_hundred_thousand_simplices():
+    # a 50,000-vertex path and star: 99,999 simplices each, so the
+    # connectivity search must not recurse
+    n = 50_000
+    names = [f"v{i}" for i in range(n)]
+    path = [(names[i], names[i + 1]) for i in range(n - 1)]
+    star = [(names[0], names[i]) for i in range(1, n)]
+    for edges, matching in ((path, n // 2), (star, 1)):
+        tree = build_tree(names, edges)
+        assert tree.simplex_count == 2 * n - 1
+        assert tree.matching_number() == matching
+        dropped = edges[: n // 2] + edges[n // 2 + 1 :]
+        with pytest.raises(NotConnectedError) as excinfo:
+            build_tree(names, dropped)
+        assert str(excinfo.value) == "graph has 2 components"

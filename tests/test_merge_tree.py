@@ -255,7 +255,7 @@ def test_shape_code_round_trip():
             tree = parse_shape_code(code)
             assert tree.shape_code() == code
             assert len(tree.leaves()) == leaves
-            assert len(tree.internal_nodes()) == leaves - 1
+            assert tree.node_count - len(tree.leaves()) == leaves - 1
 
 
 def test_parse_shape_code_of_a_deep_tree():

@@ -30,7 +30,9 @@ def test_value_on_unknown_simplex_rejected():
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), float("-inf"), True, False], ids=repr
+    "value",
+    [float("nan"), float("inf"), float("-inf"), True, False, None, "2", 2j],
+    ids=repr,
 )
 def test_non_finite_and_boolean_values_rejected(value):
     # NaN compares false both ways and would pass every order check
@@ -91,14 +93,6 @@ def test_everything_critical_when_injective():
     assert len(f.gradient_vector_field) == 0
     assert set(f.critical_simplices) == set(f.domain.simplices())
     assert f.critical_values == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-
-
-def test_critical_simplex_lookup():
-    f = helpers.deep_function()
-    assert f.critical_simplex_at(6) == "d"
-    assert f.critical_simplex_at(10) == ("d", "e")
-    with pytest.raises(KeyError):
-        f.critical_simplex_at(11)
 
 
 def test_mixed_function_critical_partition():

@@ -72,7 +72,7 @@ def test_thin_from_lr_of_a_deep_sequence():
     # 3,001 internal nodes: deeper than the recursion limit
     tree = thin_from_lr("L" * 3000)
     assert tree.impasse_count() == 1
-    assert len(tree.internal_nodes()) == 3001
+    assert tree.node_count - len(tree.leaves()) == 3001
     assert lr_sequence(tree) == "L" * 3000
 
 
@@ -82,7 +82,7 @@ def test_lr_round_trip_on_all_short_sequences():
             seq = "".join(steps)
             tree = thin_from_lr(seq)
             assert tree.is_thin()
-            assert len(tree.internal_nodes()) == length + 1
+            assert tree.node_count - len(tree.leaves()) == length + 1
             assert len(tree.leaves()) == length + 2
             assert lr_sequence(tree) == seq
 
@@ -104,7 +104,7 @@ def test_enumerate_thin():
         codes = {t.shape_code() for t in trees}
         assert len(codes) == len(trees)
         assert all(t.is_thin() for t in trees)
-        assert all(len(t.internal_nodes()) == n for t in trees)
+        assert all(t.node_count - len(t.leaves()) == n for t in trees)
     with pytest.raises(ValueError):
         enumerate_thin(0)
 
