@@ -1,26 +1,24 @@
-"""Exhaustive enumeration of injective discrete Morse functions.
+"""Exhaustive enumeration of injective discrete Morse functions, and the
+state search that counts them without listing them.
 
 An injective function on a tree with N simplices is, up to order-preserving
 relabeling, a bijection onto 0..N-1 that respects the face order: every
 vertex below each of its edges. Those are exactly the linear extensions of
-the face poset, generated here by backtracking over the minimal available
-elements. The counts are small but grow quickly, hence the simplex budget.
+the face poset. LabelingSweep generates them one by one, backtracking over
+the minimal available elements; their number grows factorially, so
+enumerate_critical_dmfs takes a simplex budget.
 
-Labels are handed out in increasing order along each backtracking path, so
-the path already is the sublevel sweep of the labeling it ends in. The
-sweep therefore runs inside the enumeration: a union-find with rollback
-(union by size, no path compression, every link undone on backtrack) grows
-the merge tree one placement at a time, and every complete labeling arrives
-with its merge tree already swept.
-
-Counting merge classes needs no labeling at all: what the rest of a
-labeling can still do to its merge tree depends only on which simplices are
-placed, how the components rank by their minima and each component's
-shapes. count_merge_classes searches those states layer by layer, so equal
-states reached by different labelings are expanded once.
-
-This module is the verification backbone for the structural claims about
-induced merge trees; check_invariants runs them over every labeling.
+Labels are handed out in increasing order, so a labeling's prefix already
+is the sublevel sweep of its first labels. What the rest of a labeling can
+still do to its merge tree and impasses depends only on a small state:
+which simplices are placed, how the components rank by their minima, each
+component's shapes, and the impasse facts so far. final_states searches
+those states layer by layer, each carrying the number of labelings that
+reach it, so equal states reached by different labelings are expanded once.
+check_invariants and count_merge_classes share that one search: the first
+reads the merge-tree invariants off its final states, weighted by their
+counts, the second their distinct shapes. Both still refuse a tree over the
+budget, but only the enumeration's time grows factorially with it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .complexes import Edge, Simplex, SimplicialTree, is_edge
+from .complexes import Simplex, SimplicialTree, is_edge
 from .errors import BudgetExceededError
 from .merge_tree import LEAF_GLYPH, format_value
 from .morse import MorseFunction
@@ -61,9 +59,6 @@ class ShapeTable:
         self._children: list[tuple[int, int]] = [(0, 0)]
         self._node_counts = [1]
         self._ids: dict[tuple[int, int], int] = {}
-        # every join so far, (heir pair, other pair) -> joined pair; the
-        # labeling sweep looks here first to spare a call per edge
-        self.joined: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, int]] = {}
 
     def _intern(self, key: tuple[int, int]) -> int:
         shape = self._ids.get(key)
@@ -75,13 +70,7 @@ class ShapeTable:
 
     def join(self, heir: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
         """The (L, R) pair of the component joined from heir and other."""
-        joined = self.joined.get((heir, other))
-        if joined is None:
-            joined = self.joined[heir, other] = (
-                self._intern((heir[0], other[1])),
-                self._intern((other[0], heir[1])),
-            )
-        return joined
+        return self._intern((heir[0], other[1])), self._intern((other[0], heir[1]))
 
     def node_count(self, shape: int) -> int:
         return self._node_counts[shape]
@@ -104,75 +93,33 @@ class ShapeTable:
 
 
 class LabelingSweep:
-    """Every injective labeling of a tree, each with its merge tree swept.
+    """Every injective labeling of a tree by 0..N-1, one per iteration.
 
-    Iterating yields once per complete labeling, in the order of
-    enumerate_critical_dmfs, a tuple (shape, components, vertices, overlaps):
-
-    - shape: id of the merge tree with its root tagged L in the sweep's
-      ShapeTable, `shapes`;
-    - components: union-find roots left once every simplex is placed;
-    - vertices: vertex placements, each a new leaf (the rest are joins);
-    - overlaps: vertices shared between two impasse edges.
-
-    Until the next labeling is requested, `values()` is the labeling and
-    `impasse_edges` lists its impasse edges in sweep order. Like a
-    generator, a sweep makes one pass.
-
-    Each union-find root stores its component's smallest label and its
-    (L, R) pair of shape ids; an edge joins the components of its endpoints
-    by ShapeTable.join. An edge is an impasse exactly when both components
-    are single vertices: both children of its node are leaves.
+    Each labeling is a dict from simplex to label, simplices in label
+    order. At each step the free vertices are tried in sorted order, then
+    the edges whose endpoints are both placed, in sorted order.
     """
 
     def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
         _check_budget(tree, budget)
-        vertices = sorted(tree.vertices)
+        self._vertices = sorted(tree.vertices)
+        self._edges = sorted(tree.edges)
+
+    def __iter__(self) -> Iterator[dict[Simplex, int]]:
         # simplex ids: vertices first, then edges, each in sorted order
-        self._simplices: list[Simplex] = [*vertices, *sorted(tree.edges)]
-        self._order: list[int] = []  # simplex id per label handed out so far
-        self.impasse_edges: list[Edge] = []
-        self.shapes = ShapeTable()
-        self._labelings = self._sweep(len(vertices))
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        return self._labelings
-
-    def values(self) -> dict[Simplex, int]:
-        """The current labeling, simplices in label order."""
-        simplices = self._simplices
-        return {simplices[s]: label for label, s in enumerate(self._order)}
-
-    def _sweep(self, n_vertices: int) -> Iterator[tuple[int, int, int, int]]:
-        simplices = self._simplices
-        n = len(simplices)
-        index = {v: i for i, v in enumerate(simplices[:n_vertices])}
-        ends: list = [None] * n_vertices  # vertex ids of each edge id
+        n_vertices = len(self._vertices)
+        simplices: list[Simplex] = [*self._vertices, *self._edges]
+        index = {v: i for i, v in enumerate(self._vertices)}
         incident: list[list[int]] = [[] for _ in range(n_vertices)]
-        for s in range(n_vertices, n):
-            a, b = index[simplices[s][0]], index[simplices[s][1]]
-            ends.append((a, b))
-            incident[a].append(s)
-            incident[b].append(s)
-        unplaced_ends = [2] * n
+        for s, (a, b) in enumerate(self._edges, n_vertices):
+            incident[index[a]].append(s)
+            incident[index[b]].append(s)
+        unplaced_ends = [2] * len(simplices)
         # simplices that may take the next label: free vertices, and edges
-        # whose endpoints are both placed; sorted ids put vertices first
+        # whose endpoints are both placed
         available = set(range(n_vertices))
-        order = self._order
-        impasse_edges = self.impasse_edges
-
-        # union-find over vertex ids; an unplaced vertex is its own root
-        parent = list(range(n_vertices))
-        size = [1] * n_vertices
-        low = [0] * n_vertices  # smallest label in the component
-        shape = [ShapeTable.LEAF] * n_vertices  # component's (L, R) shape ids
-        join = self.shapes.join
-        joined_pairs = self.shapes.joined
-        on_impasse = [0] * n_vertices  # impasse edges at each vertex
-        placed_vertices = components = overlaps = 0
-        links = []  # (kept root, absorbed root, kept root's old data, impasse) per placed edge
-        # one frame per label handed out: its sorted choices and the next one to try;
-        # the loop is flat so that a labeling reaches the caller in one yield
+        order: list[int] = []  # simplex id per label handed out so far
+        # one frame per label handed out: its sorted choices and the next one to try
         frames = [[sorted(available), 0]]
         while frames:
             frame = frames[-1]
@@ -181,73 +128,26 @@ class LabelingSweep:
                 s = order.pop()
                 available.add(s)
                 if s < n_vertices:
-                    placed_vertices -= 1
-                    components -= 1
                     for e in incident[s]:
                         if not unplaced_ends[e]:
                             available.discard(e)
                         unplaced_ends[e] += 1
-                else:
-                    keep, gone, saved, impasse = links.pop()
-                    size[keep], low[keep], shape[keep] = saved
-                    parent[gone] = gone
-                    components += keep != gone
-                    if impasse:
-                        a, b = ends[s]
-                        overlaps -= (on_impasse[a] > 1) + (on_impasse[b] > 1)
-                        on_impasse[a] -= 1
-                        on_impasse[b] -= 1
-                        impasse_edges.pop()
             if i == len(choices):
                 frames.pop()
                 continue
             frame[1] = i + 1
             s = choices[i]
-            label = len(order)
             order.append(s)
             available.remove(s)
-            if s < n_vertices:  # a new component: a single leaf
-                placed_vertices += 1
-                components += 1
-                low[s] = label
+            if s < n_vertices:
                 for e in incident[s]:
                     unplaced_ends[e] -= 1
                     if not unplaced_ends[e]:
                         available.add(e)
-            else:  # a join of the components at the two endpoints
-                a, b = ends[s]
-                heir = a
-                while parent[heir] != heir:
-                    heir = parent[heir]
-                other = b
-                while parent[other] != other:
-                    other = parent[other]
-                if low[other] < low[heir]:
-                    heir, other = other, heir
-                key = shape[heir], shape[other]
-                joined = joined_pairs.get(key) or join(*key)
-                impasse = size[heir] == 1 and size[other] == 1
-                joined_low = low[heir]
-                keep, gone = (heir, other) if size[heir] >= size[other] else (other, heir)
-                saved = size[keep], low[keep], shape[keep]
-                links.append((keep, gone, saved, impasse))
-                parent[gone] = keep
-                size[keep] += size[gone]
-                low[keep] = joined_low
-                shape[keep] = joined
-                components -= keep != gone
-                if impasse:
-                    impasse_edges.append(simplices[s])
-                    on_impasse[a] += 1
-                    on_impasse[b] += 1
-                    overlaps += (on_impasse[a] > 1) + (on_impasse[b] > 1)
-            if label + 1 < n:
+            if len(order) < len(simplices):
                 frames.append([sorted(available), 0])
-                continue
-            root = 0
-            while parent[root] != root:
-                root = parent[root]
-            yield shape[root][0], components, placed_vertices, overlaps
+            else:
+                yield {simplices[s]: label for label, s in enumerate(order)}
 
 
 def enumerate_critical_dmfs(
@@ -258,59 +158,113 @@ def enumerate_critical_dmfs(
     Deterministic: at each step the free vertices are tried in sorted order,
     then the edges whose endpoints are both placed.
     """
-    sweep = LabelingSweep(tree, budget=budget)
-    return (MorseFunction(tree, sweep.values()) for _ in sweep)
+    return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
+
+
+def final_states(
+    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET
+) -> tuple[dict[tuple, list], list[Simplex], ShapeTable]:
+    """The enumeration's final states, each with the labelings that reach it.
+
+    A breadth-first search over enumeration states, one label per layer,
+    keeping only the current layer's states; earlier layers live on only as
+    the parent links of its entries. Simplex ids put the vertices first, then
+    the edges, each in sorted order. A state is the tuple
+
+    - placed: bitmask of placed simplex ids;
+    - ranks: each vertex's component rank among the components' minima,
+      -1 while the vertex is unplaced;
+    - shapes: each rank's (L, R) pair of ShapeTable ids;
+    - on_impasse: bitmask of vertex ids on impasse edges;
+    - impasses: the number of impasse edges;
+    - overlaps: impasse-edge endpoints already on an impasse edge.
+
+    Placing a vertex adds a last-ranked leaf component. Placing an edge
+    joins its endpoints' components by ShapeTable.join, the lower rank as
+    heir, then drops the other rank and shifts the ranks above it down by
+    one. The edge is an impasse exactly when both joined pairs are
+    ShapeTable.LEAF. What the remaining labels can do depends on the labels
+    so far only through the state, so labelings that reach an equal state
+    are followed once.
+
+    Each state maps to [count, parent, simplex id]: the number of labelings
+    that reach it, then the entry it first arrived from and the simplex
+    placed on that arrival. States are expanded in first-arrival order and
+    candidates in id order, the order LabelingSweep tries them, so each
+    layer's dict order is the enumeration order of the earliest labeling
+    reaching each state, and following parents spells that labeling
+    backwards.
+
+    Returns the final layer, the simplices by id, and the ShapeTable the
+    shape ids refer to.
+    """
+    _check_budget(tree, budget)
+    vertices = sorted(tree.vertices)
+    edges = sorted(tree.edges)
+    n_vertices = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    ends = [(s, index[a], index[b]) for s, (a, b) in enumerate(edges, n_vertices)]
+    table = ShapeTable()
+    leaf = ShapeTable.LEAF
+    layer: dict[tuple, list] = {(0, (-1,) * n_vertices, (), 0, 0, 0): [1, None, None]}
+    for _ in range(tree.simplex_count):
+        following: dict[tuple, list] = {}
+        for state, entry in layer.items():
+            placed, ranks, shapes, on_impasse, impasses, overlaps = state
+            successors = []
+            for v in range(n_vertices):
+                if ranks[v] < 0:
+                    grown = list(ranks)
+                    grown[v] = len(shapes)
+                    successors.append((v, (
+                        placed | 1 << v, tuple(grown), shapes + (leaf,),
+                        on_impasse, impasses, overlaps,
+                    )))
+            for s, a, b in ends:
+                if placed >> s & 1 or ranks[a] < 0 or ranks[b] < 0:
+                    continue
+                heir, other = sorted((ranks[a], ranks[b]))
+                if shapes[heir] == shapes[other] == leaf:
+                    pair = 1 << a | 1 << b
+                    facts = on_impasse | pair, impasses + 1, overlaps + (on_impasse & pair).bit_count()
+                else:
+                    facts = on_impasse, impasses, overlaps
+                successors.append((s, (
+                    placed | 1 << s,
+                    tuple([heir if r == other else r - (r > other) for r in ranks]),
+                    shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
+                    + shapes[heir + 1:other] + shapes[other + 1:],
+                    *facts,
+                )))
+            count = entry[0]
+            for s, successor in successors:
+                reached = following.get(successor)
+                if reached is None:
+                    following[successor] = [count, entry, s]
+                else:
+                    reached[0] += count
+        layer = following
+    return layer, [*vertices, *edges], table
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
     """Distinct merge-tree shapes over every enumerated labeling.
 
-    A breadth-first search over enumeration states, one label per layer,
-    keeping only the current layer. A state is the bitmask of placed
-    simplices, each vertex's component rank among the components' minima
-    (-1 while the vertex is unplaced), and each rank's (L, R) shape pair.
-    What the remaining labels can still make of the merge tree depends on
-    the labels so far only through that state, so labelings that reach an
-    equal state are followed once.
-
-    Placing a vertex adds a last-ranked leaf component. Placing an edge
-    joins its endpoints' components by ShapeTable.join, the lower rank as
-    heir, then drops the other rank and shifts the ranks above it down by
-    one. Once every simplex is placed, one component is left and its L id
-    is the labeling's merge-tree shape.
+    Read off final_states: once every simplex is placed one component is
+    left, and its L id is the shape of the merge tree of every labeling
+    that reaches the state.
     """
-    _check_budget(tree, budget)
-    vertices = sorted(tree.vertices)
-    n_vertices = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    # edge bits follow the vertex bits, edges in sorted order
-    edges = [
-        (1 << (n_vertices + i), index[a], index[b])
-        for i, (a, b) in enumerate(sorted(tree.edges))
-    ]
-    join = ShapeTable().join
-    leaf = (ShapeTable.LEAF,)
-    layer = {(0, (-1,) * n_vertices, ())}
-    for _ in range(tree.simplex_count):
-        following = set()
-        for placed, ranks, shapes in layer:
-            for v in range(n_vertices):
-                if ranks[v] < 0:
-                    grown = list(ranks)
-                    grown[v] = len(shapes)
-                    following.add((placed | 1 << v, tuple(grown), shapes + leaf))
-            for bit, a, b in edges:
-                if placed & bit or ranks[a] < 0 or ranks[b] < 0:
-                    continue
-                heir, other = sorted((ranks[a], ranks[b]))
-                joined = join(shapes[heir], shapes[other])
-                following.add((
-                    placed | bit,
-                    tuple(heir if r == other else r - (r > other) for r in ranks),
-                    shapes[:heir] + (joined,) + shapes[heir + 1:other] + shapes[other + 1:],
-                ))
-        layer = following
-    return len({shapes[0][0] for _, _, shapes in layer})
+    final, _, _ = final_states(tree, budget=budget)
+    return len({shapes[0][0] for _, _, shapes, *_ in final})
+
+
+def _earliest_labeling(tree: SimplicialTree, simplices: list[Simplex], entry: list) -> MorseFunction:
+    """The first labeling in enumeration order that reaches a final_states entry."""
+    order = []
+    while entry[1] is not None:
+        order.append(entry[2])
+        entry = entry[1]
+    return MorseFunction(tree, {simplices[s]: label for label, s in enumerate(reversed(order))})
 
 
 def _describe(f: MorseFunction) -> str:
@@ -330,10 +284,11 @@ class PropertyCheck:
     failed: int = 0
     witnesses: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, f: MorseFunction) -> None:
-        self.checked += 1
+    def record(self, ok: bool, f: MorseFunction, count: int = 1) -> None:
+        """Tally count labelings with one verdict; f witnesses a failure."""
+        self.checked += count
         if not ok:
-            self.failed += 1
+            self.failed += count
             if len(self.witnesses) < WITNESS_CAP:
                 self.witnesses.append(_describe(f))
 
@@ -394,10 +349,9 @@ def check_invariants(
 ) -> InvariantReport:
     """Check the merge-tree invariants over every enumerated labeling.
 
-    Each labeling's merge tree is swept inside the enumeration (see
-    LabelingSweep), and the six checks read that sweep's data as the
-    labeling completes. All N labels are distinct, so all N simplices are
-    critical.
+    The checks are read once per final state of final_states and tallied
+    with the number of labelings that reach it, which all share the state's
+    verdicts. All N labels are distinct, so all N simplices are critical.
 
     - full binary: exactly one component is left, so every join linked two
       distinct subtrees and the joins built a single tree;
@@ -411,8 +365,11 @@ def check_invariants(
     - critical vertices = edges + 1: vertex placements outnumber the edge
       placements, N minus them, by one.
 
-    A check's witnesses are the first labelings at which it failed, at most
-    WITNESS_CAP of them.
+    A check's witnesses are at most WITNESS_CAP labelings, one per final
+    state that fails it: the earliest labeling in enumeration order that
+    reaches the state, taken for the states in the order of those
+    labelings. So witnesses come in enumeration order, and two labelings
+    that end in the same state give one witness.
     """
     checks = [
         PropertyCheck(name)
@@ -426,20 +383,20 @@ def check_invariants(
         )
     ]
 
-    sweep = LabelingSweep(tree, budget=budget)
-    n = tree.simplex_count
+    final, simplices, table = final_states(tree, budget=budget)
+    n = len(simplices)
     nu = tree.matching_number()
-    impasse_edges = sweep.impasse_edges
-    node_count = sweep.shapes.node_count
+    vertex_bits = (1 << len(tree.vertices)) - 1
     total = passed = 0
-    seen_impasse_counts = [False] * (n + 1)
-    for shape, components, vertices, overlaps in sweep:
-        total += 1
-        k = len(impasse_edges)
-        seen_impasse_counts[k] = True
-        nodes = node_count(shape)
+    impasse_counts = set()
+    for (placed, _, shapes, _, k, overlaps), entry in final.items():
+        count = entry[0]
+        total += count
+        impasse_counts.add(k)
+        nodes = table.node_count(shapes[0][0])
+        vertices = (placed & vertex_bits).bit_count()
         verdicts = (
-            components == 1,
+            len(shapes) == 1,
             nodes == n,
             nodes == 1 or k >= 1,
             k <= nu,
@@ -447,14 +404,13 @@ def check_invariants(
             vertices == (n - vertices) + 1,
         )
         if all(verdicts):
-            passed += 1
+            passed += count
             continue
-        f = MorseFunction(tree, sweep.values())
+        f = _earliest_labeling(tree, simplices, entry)
         for check, ok in zip(checks, verdicts):
-            check.record(ok, f)
-    # labelings that passed everything are tallied once, not per check
+            check.record(ok, f, count)
+    # states that passed everything are tallied once, not per check
     for check in checks:
         check.checked += passed
 
-    observed = [k for k, seen in enumerate(seen_impasse_counts) if seen]
-    return InvariantReport(total, checks, observed[0], observed[-1], nu)
+    return InvariantReport(total, checks, min(impasse_counts), max(impasse_counts), nu)

@@ -115,6 +115,26 @@ def brute_extension_count(tree: SimplicialTree) -> int:
     return count
 
 
+def extension_count(tree: SimplicialTree) -> int:
+    """Count face-respecting orders by a DP over down-sets of the face poset.
+
+    ways[mask] is the number of orders of the simplices in mask, a down-set,
+    that respect the face order; a simplex may follow once its faces are in.
+    """
+    simplices = list(tree.simplices())
+    bit = {s: 1 << i for i, s in enumerate(simplices)}
+    faces = [bit[s[0]] | bit[s[1]] if is_edge(s) else 0 for s in simplices]
+    ways = {0: 1}
+    for _ in simplices:
+        grown: dict[int, int] = defaultdict(int)
+        for mask, count in ways.items():
+            for i, below in enumerate(faces):
+                if not mask >> i & 1 and below & mask == below:
+                    grown[mask | 1 << i] += count
+        ways = grown
+    return ways[(1 << len(simplices)) - 1]
+
+
 def strict_sublevel_component(f: MorseFunction, value: float, start: str) -> set:
     """Simplices valued below `value` that connect to vertex `start`.
 

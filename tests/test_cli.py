@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import helpers
 from treemorse.cli import main
 
 
@@ -386,6 +387,19 @@ def test_enumerate_check_json(tmp_path, capsys):
     assert report["impasse_count_max"] == 1
     assert report["matching_number"] == 1
     assert all(check["failed"] == 0 for check in report["checks"])
+
+
+def test_enumerate_checks_a_seven_vertex_path_under_a_raised_budget(tmp_path, capsys):
+    vertices = {f"v{i}": None for i in range(7)}
+    edges = [[f"v{i}", f"v{i + 1}"] for i in range(6)]
+    path = write_doc(tmp_path, "path7.json", vertices, edges)
+    code = main(["enumerate", path, "--check", "--json", "--budget", "13"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    tree = helpers.tree_from_edges(7, [tuple(e) for e in edges])
+    assert report["functions"] == helpers.extension_count(tree)
+    assert (report["impasse_count_min"], report["impasse_count_max"]) == (1, 3)
+    assert report["ok"] is True
 
 
 def test_enumerate_refuses_a_too_small_budget(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from treemorse import (
     validate,
 )
 from treemorse.errors import BudgetExceededError
-from treemorse.oracle import WITNESS_CAP, LabelingSweep, PropertyCheck
+from treemorse.complexes import SimplicialTree
+from treemorse.oracle import WITNESS_CAP, PropertyCheck, _describe, final_states
 
 
 def single_edge():
@@ -63,34 +65,34 @@ def test_every_enumerated_function_is_a_critical_dmf():
         assert len(f.critical_simplices) == n
 
 
-def test_sweep_matches_both_merge_tree_builders():
-    # the invariant checks read the enumerator's own sweep; hold that sweep
-    # to the assembled merge tree and to the literal reference, labeling by
+def test_state_search_matches_both_merge_tree_builders():
+    # check_invariants and count_merge_classes read merged search states,
+    # never a labeling; hold the count-weighted final states to the
+    # assembled merge tree and to the literal reference, labeling by
     # labeling, so the invariants cannot become true by construction
     labelings = 0
     for n in range(1, 6):
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
-            sweep = LabelingSweep(tree)
-            for shape, _, _, _ in sweep:
-                f = validate(tree, sweep.values())
-                swept = (
-                    sweep.shapes.shape_code(shape),
-                    sweep.shapes.node_count(shape),
-                    len(sweep.impasse_edges),
-                    sorted(sweep.impasse_edges),
-                )
-                # critical labelings are injective, so values name simplices
-                simplex_at = {value: s for s, value in f.values.items()}
-                for merge in (induce_merge_tree(f), helpers.reference_merge_tree(f)):
-                    impasses = [simplex_at[m.value] for m in merge.impasses()]
-                    assert swept == (
-                        merge.shape_code(),
-                        merge.node_count,
-                        merge.impasse_count(),
-                        sorted(impasses),
-                    ), f.values
-                labelings += 1
+            final, simplices, table = final_states(tree)
+            searched = Counter()
+            for (_, _, shapes, on_impasse, k, _), (count, *_) in final.items():
+                shape = shapes[0][0]
+                on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
+                searched[table.shape_code(shape), table.node_count(shape), k, on] += count
+            for builder in (induce_merge_tree, helpers.reference_merge_tree):
+                built = Counter()
+                for f in enumerate_critical_dmfs(tree):
+                    merge = builder(f)
+                    # critical labelings are injective, so values name simplices
+                    simplex_at = {value: s for s, value in f.values.items()}
+                    on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
+                    built[merge.shape_code(), merge.node_count, merge.impasse_count(), on] += 1
+                assert searched == built, edges
+            # built holds the reference's merge trees, the last builder
+            classes = {code for code, *_ in built}
+            assert count_merge_classes(tree) == len(classes), edges
+            labelings += sum(built.values())
     assert labelings == 26_179
 
 
@@ -109,16 +111,6 @@ def test_budget_is_enforced_eagerly():
         count_merge_classes(path7)
     with pytest.raises(BudgetExceededError):
         check_invariants(path7)
-
-
-def test_state_search_matches_the_sweep():
-    # count_merge_classes merges equal enumeration states; the sweep visits
-    # every labeling, so it is the oracle for the count
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            swept = len({shape for shape, *_ in LabelingSweep(tree)})
-            assert count_merge_classes(tree) == swept, edges
 
 
 def test_merge_class_counts():
@@ -210,3 +202,46 @@ def test_report_text_and_dict():
         "impasse edges disjoint",
         "critical vertices = edges + 1",
     }
+
+
+def _impasse_witness_positions(tree):
+    """Failures and witness positions in the enumeration when nu reads 0."""
+    order = [_describe(f) for f in enumerate_critical_dmfs(tree)]
+    report = check_invariants(tree)
+    assert not report.ok
+    assert report.function_count == len(order)
+    for check in report.checks:
+        if check.name != "impasse count <= matching number":
+            assert check.failed == 0, check.name
+            continue
+        assert check.failed == report.function_count
+        positions = [order.index(w) for w in check.witnesses]
+        assert positions[0] == 0
+        assert positions == sorted(set(positions))
+        return len(order), len(positions)
+
+
+def test_witnesses_are_the_earliest_labeling_of_each_failing_state(monkeypatch):
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
+    # all 16 labelings of the 3-vertex path fail, and they end in 4 states:
+    # 2 shapes times 2 impasse edges
+    assert _impasse_witness_positions(helpers.path3_tree()) == (16, 4)
+    path4 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    assert _impasse_witness_positions(path4) == (272, WITNESS_CAP)
+
+
+def test_labeling_counts_match_the_down_set_count():
+    for n in range(1, 7):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            report = check_invariants(tree, budget=2 * n - 1)
+            assert report.function_count == helpers.extension_count(tree), edges
+    # on the 7-vertex path and star the impasses range over 1..matching number
+    path7 = helpers.tree_from_edges(7, [(f"v{i}", f"v{i + 1}") for i in range(6)])
+    star7 = helpers.tree_from_edges(7, [("v0", f"v{i}") for i in range(1, 7)])
+    for tree, nu in ((path7, 3), (star7, 1)):
+        report = check_invariants(tree, budget=13)
+        assert report.ok
+        assert report.function_count == helpers.extension_count(tree)
+        assert (report.min_impasse_count, report.max_impasse_count) == (1, nu)
+        assert report.matching_number == nu
