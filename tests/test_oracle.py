@@ -16,7 +16,13 @@ from treemorse import (
 )
 from treemorse.errors import BudgetExceededError
 from treemorse.complexes import SimplicialTree
-from treemorse.oracle import WITNESS_CAP, PropertyCheck, _describe, final_states
+from treemorse.oracle import (
+    WITNESS_CAP,
+    LabelingSweep,
+    PropertyCheck,
+    _describe,
+    final_states,
+)
 
 
 def single_edge():
@@ -65,11 +71,11 @@ def test_every_enumerated_function_is_a_critical_dmf():
         assert len(f.critical_simplices) == n
 
 
-def test_state_search_matches_both_merge_tree_builders():
-    # check_invariants and count_merge_classes read merged search states,
-    # never a labeling; hold the count-weighted final states to the
-    # assembled merge tree and to the literal reference, labeling by
-    # labeling, so the invariants cannot become true by construction
+def test_sweep_matches_both_merge_tree_builders():
+    # check_invariants reads merged search states, never a labeling; hold
+    # the count-weighted final states to the merge trees that both builders
+    # assemble from every labeling the sweep visits, so the invariants
+    # cannot become true by construction
     labelings = 0
     for n in range(1, 6):
         for edges in helpers.trees_up_to_iso(n):
@@ -82,16 +88,14 @@ def test_state_search_matches_both_merge_tree_builders():
                 searched[table.shape_code(shape), table.node_count(shape), k, on] += count
             for builder in (induce_merge_tree, helpers.reference_merge_tree):
                 built = Counter()
-                for f in enumerate_critical_dmfs(tree):
+                for values in LabelingSweep(tree):
+                    f = validate(tree, values)
                     merge = builder(f)
                     # critical labelings are injective, so values name simplices
                     simplex_at = {value: s for s, value in f.values.items()}
                     on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
                     built[merge.shape_code(), merge.node_count, merge.impasse_count(), on] += 1
                 assert searched == built, edges
-            # built holds the reference's merge trees, the last builder
-            classes = {code for code, *_ in built}
-            assert count_merge_classes(tree) == len(classes), edges
             labelings += sum(built.values())
     assert labelings == 26_179
 
@@ -111,6 +115,20 @@ def test_budget_is_enforced_eagerly():
         count_merge_classes(path7)
     with pytest.raises(BudgetExceededError):
         check_invariants(path7)
+
+
+def test_state_search_matches_the_sweep():
+    # count_merge_classes merges equal enumeration states; the sweep visits
+    # every labeling, so the reference shapes of its labelings are the
+    # oracle for the count
+    for n in range(1, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            swept = {
+                helpers.reference_merge_tree(validate(tree, values)).shape_code()
+                for values in LabelingSweep(tree)
+            }
+            assert count_merge_classes(tree) == len(swept), edges
 
 
 def test_merge_class_counts():
