@@ -88,17 +88,17 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
     Read off the same joins (:attr:`MorseFunction.sweep`) that
     :func:`induce_merge_tree` assembles. Every vertex births a component at
     its value. A critical edge joins two components and the one born later,
-    with the larger minimum, dies at the edge value; a paired edge only
-    attaches its own fresh vertex, which never lived alone at any threshold,
-    so it joins nothing. The last component standing is (global minimum,
-    infinity).
+    the one the sweep records beside the heir, pairs its minimum with the
+    edge value; a paired edge only attaches its own fresh vertex, which
+    never lived alone at any threshold, so it joins nothing. The last
+    component standing is (global minimum, infinity).
 
     Raises:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
     """
     joins, global_min = f.sweep
-    pairs = [(max(min_a, min_b), value) for value, ((_, min_a), (_, min_b)) in joins.items()]
+    pairs = [(born, value) for value, (_, _, born) in joins.items()]
     pairs.append((global_min, math.inf))
     return PersistenceDiagram(tuple(sorted(pairs)))
 

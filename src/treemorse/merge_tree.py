@@ -186,8 +186,9 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     Assembled from the joins of the sweep cached on f
     (:attr:`MorseFunction.sweep`), which :func:`persistence_diagram` reads
     too: each critical edge is a node whose children are the labels of the
-    two components it joins, the one with the smaller minimum keeping the
-    parent's direction. The tree is built top down from the last join.
+    two components it joins, the heir keeping the parent's direction. A
+    join's children are joins of smaller value or leaves, so tags go top
+    down in decreasing value and nodes bottom up in increasing value.
 
     With no critical edge at all (exactly one critical vertex), the merge
     tree is the single node carrying that vertex value.
@@ -200,35 +201,17 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     if not joins:
         return MergeTree(MergeNode(global_min, "L"))
     top = next(reversed(joins))
-
-    # top down: each node's value and direction, with its children as
-    # (left label, right label); then bottom up, children before parents
-    preorder = []
-    stack = [(top, "L")]
-    while stack:
-        value, direction = stack.pop()
-        children = joins.get(value)
-        if children is None:
-            preorder.append((value, direction, None))
-            continue
-        (label_a, min_a), (label_b, min_b) = children
-        if min_a < min_b:
-            inherits, other = label_a, label_b
-        else:
-            inherits, other = label_b, label_a
-        flipped = "R" if direction == "L" else "L"
-        if direction == "L":
-            preorder.append((value, direction, (inherits, other)))
-        else:
-            preorder.append((value, direction, (other, inherits)))
-        stack.append((other, flipped))
-        stack.append((inherits, direction))
-
+    tags = {top: "L"}
+    for value, (heir, other, _) in reversed(joins.items()):
+        tags[heir] = tags[value]
+        tags[other] = "R" if tags[value] == "L" else "L"
+    # a label that no join produced is a critical vertex: a leaf
     built: dict = {}
-    for value, direction, children in reversed(preorder):
-        if children is None:
-            built[value] = MergeNode(value, direction)
+    for value, (heir, other, _) in joins.items():
+        heir_node = built.pop(heir) if heir in joins else MergeNode(heir, tags[heir])
+        other_node = built.pop(other) if other in joins else MergeNode(other, tags[other])
+        if tags[value] == "L":
+            built[value] = MergeNode(value, "L", heir_node, other_node)
         else:
-            left, right = children
-            built[value] = MergeNode(value, direction, built.pop(left), built.pop(right))
+            built[value] = MergeNode(value, "R", other_node, heir_node)
     return MergeTree(built[top])

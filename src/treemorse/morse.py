@@ -52,13 +52,16 @@ class Sweep(NamedTuple):
     """What one increasing sublevel sweep records.
 
     ``joins`` maps each critical edge value, in increasing order, to the two
-    components that edge joins, each as (label, minimum): the label is the
-    largest critical value the component held just below the join, the
-    minimum its smallest vertex value. ``global_min`` is the smallest vertex
-    value of the whole tree.
+    components that edge joins, heir first, as (heir label, other label,
+    other minimum). A component's label is the largest critical value it
+    held just below the join, its minimum its smallest vertex value; the
+    heir is the component with the smaller minimum, which keeps its
+    parent's direction in the merge tree and outlives the other in the
+    persistence diagram. ``global_min`` is the smallest vertex value of the
+    whole tree.
     """
 
-    joins: dict[float, tuple[tuple[float, float], tuple[float, float]]]
+    joins: dict[float, tuple[float, float, float]]
     global_min: float
 
 
@@ -66,8 +69,9 @@ class Sweep(NamedTuple):
 class MorseFunction:
     """A discrete Morse function on a tree.
 
-    Build through :func:`validate`; the constructor itself trusts its input
-    (the enumeration oracle relies on that for speed).
+    Build through :func:`validate`; the constructor itself trusts its input.
+    Besides validate, only the oracle's enumerate_critical_dmfs and
+    _earliest_labeling call it, on labelings that respect the face order.
     """
 
     domain: SimplicialTree
@@ -172,7 +176,10 @@ class MorseFunction:
             min_u, crit_u = state[root_u]
             min_v, crit_v = state[root_v]
             if value in critical:
-                joins[value] = ((crit_u, min_u), (crit_v, min_v))
+                if min_u < min_v:
+                    joins[value] = (crit_u, crit_v, min_v)
+                else:
+                    joins[value] = (crit_v, crit_u, min_u)
                 new_crit = value
             else:
                 # the paired vertex just placed is the unlabeled side

@@ -4,9 +4,10 @@ state search that counts them without listing them.
 An injective function on a tree with N simplices is, up to order-preserving
 relabeling, a bijection onto 0..N-1 that respects the face order: every
 vertex below each of its edges. Those are exactly the linear extensions of
-the face poset. LabelingSweep generates them one by one, backtracking over
-the minimal available elements; their number grows factorially, so
-enumerate_critical_dmfs takes a simplex budget.
+the face poset. LabelingSweep generates them one by one, depth first over
+the candidates that one placement rule (_placement) offers for each label;
+their number grows factorially, so enumerate_critical_dmfs takes a simplex
+budget.
 
 Labels are handed out in increasing order, so a labeling's prefix already
 is the sublevel sweep of its first labels. What the rest of a labeling can
@@ -14,17 +15,18 @@ still do to its merge tree and impasses depends only on a small state:
 which simplices are placed, how the components rank by their minima, each
 component's shapes, and the impasse facts so far. final_states searches
 those states layer by layer, each carrying the number of labelings that
-reach it, so equal states reached by different labelings are expanded once.
-check_invariants and count_merge_classes share that one search: the first
-reads the merge-tree invariants off its final states, weighted by their
-counts, the second their distinct shapes. Both still refuse a tree over the
-budget, but only the enumeration's time grows factorially with it.
+reach it, so equal states reached by different labelings are expanded once;
+it follows the same placement rule. check_invariants and
+count_merge_classes share that one search: the first reads the merge-tree
+invariants off its final states, weighted by their counts, the second their
+distinct shapes. Both still refuse a tree over the budget, but only the
+enumeration's time grows factorially with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .complexes import Simplex, SimplicialTree, is_edge
 from .errors import BudgetExceededError
@@ -36,10 +38,34 @@ DEFAULT_SIMPLEX_BUDGET = 11
 WITNESS_CAP = 5
 
 
-def _check_budget(tree: SimplicialTree, budget: int) -> None:
-    n = tree.simplex_count
-    if n > budget:
-        raise BudgetExceededError(f"{n} simplices exceed the budget of {budget}")
+def _placement(
+    tree: SimplicialTree, budget: int
+) -> tuple[list[Simplex], dict[int, tuple[int, int]], Callable[[int], list[int]]]:
+    """The one placement rule both enumerations follow.
+
+    Simplex ids put the vertices first, then the edges, each in sorted
+    order. Returns the simplices by id, each edge id's endpoint ids, and
+    choices(placed): the simplices that may take the next label once the
+    ids in the bitmask placed hold labels, in the order they are tried. Those
+    are the unplaced vertices, then the unplaced edges whose endpoints are
+    both placed, each in id order.
+
+    Raises:
+        BudgetExceededError: the tree has more than budget simplices.
+    """
+    if tree.simplex_count > budget:
+        raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
+    vertices = sorted(tree.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    ends = {s: (index[a], index[b]) for s, (a, b) in enumerate(sorted(tree.edges), len(vertices))}
+    # (id, its bit, the bits of its faces) per simplex, in id order
+    faces = [(v, 1 << v, 0) for v in range(len(vertices))]
+    faces += [(s, 1 << s, 1 << a | 1 << b) for s, (a, b) in ends.items()]
+
+    def choices(placed: int) -> list[int]:
+        return [s for s, bit, below in faces if not placed & bit and placed & below == below]
+
+    return list(tree.simplices()), ends, choices
 
 
 class ShapeTable:
@@ -96,58 +122,25 @@ class LabelingSweep:
     """Every injective labeling of a tree by 0..N-1, one per iteration.
 
     Each labeling is a dict from simplex to label, simplices in label
-    order. At each step the free vertices are tried in sorted order, then
-    the edges whose endpoints are both placed, in sorted order.
+    order. The sweep goes depth first, trying each label's candidates in
+    the order of the placement rule (_placement).
     """
 
     def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
-        _check_budget(tree, budget)
-        self._vertices = sorted(tree.vertices)
-        self._edges = sorted(tree.edges)
+        self._simplices, _, self._choices = _placement(tree, budget)
 
     def __iter__(self) -> Iterator[dict[Simplex, int]]:
-        # simplex ids: vertices first, then edges, each in sorted order
-        n_vertices = len(self._vertices)
-        simplices: list[Simplex] = [*self._vertices, *self._edges]
-        index = {v: i for i, v in enumerate(self._vertices)}
-        incident: list[list[int]] = [[] for _ in range(n_vertices)]
-        for s, (a, b) in enumerate(self._edges, n_vertices):
-            incident[index[a]].append(s)
-            incident[index[b]].append(s)
-        unplaced_ends = [2] * len(simplices)
-        # simplices that may take the next label: free vertices, and edges
-        # whose endpoints are both placed
-        available = set(range(n_vertices))
-        order: list[int] = []  # simplex id per label handed out so far
-        # one frame per label handed out: its sorted choices and the next one to try
-        frames = [[sorted(available), 0]]
-        while frames:
-            frame = frames[-1]
-            choices, i = frame
-            if i:  # undo this label's previous choice
-                s = order.pop()
-                available.add(s)
-                if s < n_vertices:
-                    for e in incident[s]:
-                        if not unplaced_ends[e]:
-                            available.discard(e)
-                        unplaced_ends[e] += 1
-            if i == len(choices):
-                frames.pop()
-                continue
-            frame[1] = i + 1
-            s = choices[i]
-            order.append(s)
-            available.remove(s)
-            if s < n_vertices:
-                for e in incident[s]:
-                    unplaced_ends[e] -= 1
-                    if not unplaced_ends[e]:
-                        available.add(e)
-            if len(order) < len(simplices):
-                frames.append([sorted(available), 0])
-            else:
+        simplices, choices = self._simplices, self._choices
+        n = len(simplices)
+        # prefixes still to extend, as (placed bitmask, ids in label order)
+        stack = [(0, ())]
+        while stack:
+            placed, order = stack.pop()
+            if len(order) == n:
                 yield {simplices[s]: label for label, s in enumerate(order)}
+            else:
+                for s in reversed(choices(placed)):
+                    stack.append((placed | 1 << s, order + (s,)))
 
 
 def enumerate_critical_dmfs(
@@ -155,8 +148,8 @@ def enumerate_critical_dmfs(
 ) -> Iterator[MorseFunction]:
     """Yield every injective labeling of tree by 0..N-1, all simplices critical.
 
-    Deterministic: at each step the free vertices are tried in sorted order,
-    then the edges whose endpoints are both placed.
+    Deterministic: LabelingSweep's order, depth first over the candidates
+    of the placement rule (_placement).
     """
     return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
 
@@ -168,8 +161,8 @@ def final_states(
 
     A breadth-first search over enumeration states, one label per layer,
     keeping only the current layer's states; earlier layers live on only as
-    the parent links of its entries. Simplex ids put the vertices first, then
-    the edges, each in sorted order. A state is the tuple
+    the parent links of its entries. Simplex ids and the candidates for each
+    label are those of _placement. A state is the tuple
 
     - placed: bitmask of placed simplex ids;
     - ranks: each vertex's component rank among the components' minima,
@@ -190,7 +183,7 @@ def final_states(
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
     placed on that arrival. States are expanded in first-arrival order and
-    candidates in id order, the order LabelingSweep tries them, so each
+    candidates in placement order, as LabelingSweep tries them, so each
     layer's dict order is the enumeration order of the earliest labeling
     reaching each state, and following parents spells that labeling
     backwards.
@@ -198,53 +191,43 @@ def final_states(
     Returns the final layer, the simplices by id, and the ShapeTable the
     shape ids refer to.
     """
-    _check_budget(tree, budget)
-    vertices = sorted(tree.vertices)
-    edges = sorted(tree.edges)
-    n_vertices = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    ends = [(s, index[a], index[b]) for s, (a, b) in enumerate(edges, n_vertices)]
+    simplices, ends, choices = _placement(tree, budget)
     table = ShapeTable()
     leaf = ShapeTable.LEAF
-    layer: dict[tuple, list] = {(0, (-1,) * n_vertices, (), 0, 0, 0): [1, None, None]}
-    for _ in range(tree.simplex_count):
+    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0, 0, 0): [1, None, None]}
+    for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
             placed, ranks, shapes, on_impasse, impasses, overlaps = state
-            successors = []
-            for v in range(n_vertices):
-                if ranks[v] < 0:
-                    grown = list(ranks)
-                    grown[v] = len(shapes)
-                    successors.append((v, (
-                        placed | 1 << v, tuple(grown), shapes + (leaf,),
-                        on_impasse, impasses, overlaps,
-                    )))
-            for s, a, b in ends:
-                if placed >> s & 1 or ranks[a] < 0 or ranks[b] < 0:
-                    continue
-                heir, other = sorted((ranks[a], ranks[b]))
-                if shapes[heir] == shapes[other] == leaf:
-                    pair = 1 << a | 1 << b
-                    facts = on_impasse | pair, impasses + 1, overlaps + (on_impasse & pair).bit_count()
-                else:
-                    facts = on_impasse, impasses, overlaps
-                successors.append((s, (
-                    placed | 1 << s,
-                    tuple([heir if r == other else r - (r > other) for r in ranks]),
-                    shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
-                    + shapes[heir + 1:other] + shapes[other + 1:],
-                    *facts,
-                )))
             count = entry[0]
-            for s, successor in successors:
+            for s in choices(placed):
+                if s in ends:
+                    a, b = ends[s]
+                    heir, other = sorted((ranks[a], ranks[b]))
+                    if shapes[heir] == shapes[other] == leaf:
+                        pair = 1 << a | 1 << b
+                        facts = on_impasse | pair, impasses + 1, overlaps + (on_impasse & pair).bit_count()
+                    else:
+                        facts = on_impasse, impasses, overlaps
+                    successor = (
+                        placed | 1 << s,
+                        tuple([heir if r == other else r - (r > other) for r in ranks]),
+                        shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
+                        + shapes[heir + 1:other] + shapes[other + 1:],
+                        *facts,
+                    )
+                else:
+                    grown = list(ranks)
+                    grown[s] = len(shapes)
+                    successor = (placed | 1 << s, tuple(grown), shapes + (leaf,),
+                                 on_impasse, impasses, overlaps)
                 reached = following.get(successor)
                 if reached is None:
                     following[successor] = [count, entry, s]
                 else:
                     reached[0] += count
         layer = following
-    return layer, [*vertices, *edges], table
+    return layer, simplices, table
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:

@@ -39,8 +39,12 @@ def star_graph(k: int) -> StarGraph:
     return StarGraph(build_tree(["c", *leaves], [("c", leaf) for leaf in leaves]), "c")
 
 
-def _path_to_impasse(tree: MergeTree) -> list[MergeNode]:
-    """Internal nodes from the root to the unique impasse."""
+def _path_to_impasse(tree: MergeTree) -> tuple[list[MergeNode], str]:
+    """Internal nodes from the root to the unique impasse, and the itinerary.
+
+    Entry i of the itinerary is the direction of path node i: the root's L,
+    then L or R as the path continues left or right.
+    """
     count = tree.impasse_count()
     if count != 1:
         raise NotThinError(f"tree has {count} impasses, need exactly 1")
@@ -50,15 +54,13 @@ def _path_to_impasse(tree: MergeTree) -> list[MergeNode]:
         # one impasse means at most one child can head a subtree with one,
         # so exactly one child of every non-impasse internal node is internal
         path.append(node.left if not node.left.is_leaf else node.right)
-    return path
+    # a MergeTree tags every left child L and every right child R
+    return path, "".join(node.direction for node in path)
 
 
 def lr_sequence(tree: MergeTree) -> str:
     """The root-to-impasse itinerary, without the implicit leading L."""
-    path = _path_to_impasse(tree)
-    return "".join(
-        "L" if path[i] is path[i - 1].left else "R" for i in range(1, len(path))
-    )
+    return _path_to_impasse(tree)[1][1:]
 
 
 def thin_from_lr(seq: str) -> MergeTree:
@@ -106,12 +108,8 @@ def realize_on_star(tree: MergeTree) -> tuple[StarGraph, MorseFunction]:
     each internal node labels the star edge at the vertex of its own leaf
     child (for the impasse, its non-center leaf).
     """
-    path = _path_to_impasse(tree)
-    p = len(path)
-    steps = ["L"] + [
-        "L" if path[i] is path[i - 1].left else "R" for i in range(1, p)
-    ]
-    switch_nodes = [path[i - 1] for i in range(1, p) if steps[i] != steps[i - 1]]
+    path, steps = _path_to_impasse(tree)
+    switch_nodes = [path[i - 1] for i in range(1, len(path)) if steps[i] != steps[i - 1]]
 
     labels: dict[MergeNode, int] = {}
     counter = itertools.count()

@@ -101,18 +101,23 @@ def brute_matching_number(tree: SimplicialTree) -> int:
     return best
 
 
-def brute_extension_count(tree: SimplicialTree) -> int:
-    """Count face-respecting orders by filtering all permutations."""
-    simplices = list(tree.simplices())
-    count = 0
-    for order in itertools.permutations(simplices):
+def brute_extensions(tree: SimplicialTree) -> list[dict]:
+    """Face-respecting orders, found by filtering all permutations.
+
+    Each order is a dict from simplex to position, simplices in position
+    order, listed as itertools.permutations yields them from
+    tree.simplices(): lexicographically by simplex index. Their count is
+    the list's length.
+    """
+    extensions = []
+    for order in itertools.permutations(tree.simplices()):
         position = {s: i for i, s in enumerate(order)}
         if all(
             position[e] > position[e[0]] and position[e] > position[e[1]]
             for e in tree.edges
         ):
-            count += 1
-    return count
+            extensions.append(position)
+    return extensions
 
 
 def extension_count(tree: SimplicialTree) -> int:

@@ -18,8 +18,7 @@ from treemorse import (
     persistence_equivalent,
     validate,
 )
-from treemorse import MorseFunction
-from treemorse.errors import DomainMismatchError, MorseValidationError
+from treemorse.errors import DomainMismatchError
 
 INF = math.inf
 
@@ -165,17 +164,6 @@ def test_paired_edges_leave_no_finite_pair():
         build_tree(["u", "v"], [("u", "v")]), {"u": 0, "v": 1, ("u", "v"): 1}
     )
     assert persistence_diagram(single_edge).pairs == ((0, INF),)
-
-
-def test_diagram_refuses_an_elder_tie():
-    # two vertices born at once: MorseFunction trusts its input, and the
-    # elder rule's own check refuses it
-    f = MorseFunction(
-        helpers.path3_tree(),
-        {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 0},
-    )
-    with pytest.raises(MorseValidationError):
-        persistence_diagram(f)
 
 
 def test_diagram_matches_the_literal_elder_rule():

@@ -171,6 +171,12 @@ UNVALIDATED_CASES = [
     ),
     # an edge placed before an endpoint that has no value
     ([("a", "b")], {"b": 0, ("a", "b"): 1}, MissingValueError),
+    # three vertices born at once with an edge: four simplices share value 0
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 0},
+        MoreThanTwoShareValueError,
+    ),
 ]
 
 

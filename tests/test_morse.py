@@ -114,8 +114,9 @@ def test_mixed_function_critical_partition():
 def test_sublevel_component_around_branch_vertex():
     f = helpers.deep_function()
     # just below the join at 10, d's component {a, b, c, d, ab, ad, cd} has
-    # reached 9 from its minimum 0, and e's {e, f, ef} has reached 3 from 1
-    assert f.sweep.joins[10] == ((9, 0), (3, 1))
+    # reached 9 from its minimum 0, so it is the heir, and e's {e, f, ef}
+    # has reached 3 from 1
+    assert f.sweep.joins[10] == (9, 3, 1)
 
 
 def test_paired_simplices_enter_together():
@@ -128,8 +129,9 @@ def test_paired_simplices_enter_together():
 def test_filtration_steps_through_critical_values():
     f = helpers.left_path_function()
     assert f.critical_values == (0, 1, 2, 3, 4)
-    # ab joins a and b at 3; bc joins that component to c at 4
-    assert f.sweep.joins == {3: ((0, 0), (1, 1)), 4: ((3, 0), (2, 2))}
+    # ab joins a and b at 3, a the heir; bc joins that component, the heir,
+    # to c at 4
+    assert f.sweep.joins == {3: (0, 1, 1), 4: (3, 2, 2)}
     assert homological_sequence(f).b0_values == (1, 2, 3, 2, 1)
 
 

@@ -42,8 +42,11 @@ def test_counts_match_permutation_filter():
         build_tree(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
     ]
     for tree in shapes:
-        enumerated = len(list(enumerate_critical_dmfs(tree)))
-        assert enumerated == helpers.brute_extension_count(tree)
+        # the same labelings in the same order, each with its dict order
+        enumerated = [list(f.values.items()) for f in enumerate_critical_dmfs(tree)]
+        filtered = [list(position.items()) for position in helpers.brute_extensions(tree)]
+        assert enumerated == filtered
+        assert len(filtered) == helpers.extension_count(tree)
 
 
 def test_enumeration_is_deterministic_and_duplicate_free():
