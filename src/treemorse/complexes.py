@@ -96,46 +96,40 @@ class SimplicialTree:
         return count
 
 
-def _checked_edges(vertices: frozenset[str], pairs: Iterable[tuple[str, str]]) -> frozenset[Edge]:
-    out: set[Edge] = set()
-    for u, v in pairs:
-        for w in (u, v):
-            if w not in vertices:
-                raise UnknownVertexError(f"edge endpoint {w!r} is not a declared vertex")
-        e = edge(u, v)
-        if e in out:
-            raise MultiEdgeError(f"edge {e} appears more than once")
-        out.add(e)
-    return frozenset(out)
-
-
 def build_tree(vertices: Iterable[str], edge_pairs: Iterable[tuple[str, str]]) -> SimplicialTree:
     """Validated tree: connected, acyclic, at least one vertex."""
+    return keyed_tree(vertices, edge_pairs)[0]
+
+
+def keyed_tree(vertices: Iterable[str], edge_pairs: Iterable) -> tuple[SimplicialTree, list[Edge]]:
+    """:func:`build_tree`, with each pair's canonical edge in the order given."""
     vs = frozenset(vertices)
     if not vs:
         raise NotConnectedError("a tree needs at least one vertex")
-    es = _checked_edges(vs, edge_pairs)
-    if len(es) >= len(vs):
-        raise CycleDetectedError(f"{len(es)} edges on {len(vs)} vertices cannot be acyclic")
-    tree = SimplicialTree(vs, es)
-    # one search settles connectivity; the remaining components are counted
-    # only for the error message
-    adjacency = tree.adjacency
-    seen: set[str] = set()
-    components = 0
-    for start in vs:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == len(vs):
-            break
+    edges: list[Edge] = []
+    distinct: set[Edge] = set()
+    # union-find with path halving (Tarjan and van Leeuwen 1984); parents are
+    # the dict's own key objects, so a root is the vertex that is its parent
+    parent = {v: v for v in vs}
+    components = len(vs)
+    for u, v in edge_pairs:
+        if u not in vs or v not in vs:
+            raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex")
+        e = (u, v) if u < v else edge(v, u)  # edge refuses a loop
+        if e in distinct:
+            raise MultiEdgeError(f"edge {e} appears more than once")
+        distinct.add(e)
+        edges.append(e)
+        root_u, root_v = parent[u], parent[v]
+        while (up := parent[root_u]) is not root_u:
+            parent[root_u] = root_u = parent[up]
+        while (up := parent[root_v]) is not root_v:
+            parent[root_v] = root_v = parent[up]
+        if root_u is not root_v:
+            parent[root_v] = root_u
+            components -= 1
+    if len(edges) >= len(vs):
+        raise CycleDetectedError(f"{len(edges)} edges on {len(vs)} vertices cannot be acyclic")
     if components != 1:
         raise NotConnectedError(f"graph has {components} components")
-    return tree
+    return SimplicialTree(vs, frozenset(distinct)), edges

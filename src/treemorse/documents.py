@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .complexes import SimplicialTree, build_tree, edge
+from .complexes import SimplicialTree, build_tree, keyed_tree
 from .errors import ParseError
 from .morse import MorseFunction, validate
 from .stars import StarGraph
@@ -60,16 +60,15 @@ def parse_tree_document(text: str) -> SimplicialTree:
 def parse_morse_document(text: str) -> MorseFunction:
     """Tree plus fully valued discrete Morse function."""
     vertices, triples = _load(text)
-    values: dict = {}
-    for name, value in vertices.items():
-        if value is None:
-            raise ParseError(f"vertex {name!r} needs a value")
-        values[name] = value
-    tree = build_tree(vertices, [(u, v) for u, v, _ in triples])
+    if None in vertices.values():
+        name = next(name for name, value in vertices.items() if value is None)
+        raise ParseError(f"vertex {name!r} needs a value")
+    tree, edges = keyed_tree(vertices, [(u, v) for u, v, _ in triples])
     for u, v, value in triples:
         if value is None:
             raise ParseError(f"edge [{u!r}, {v!r}] needs a value")
-        values[edge(u, v)] = value
+    values = dict(vertices)
+    values.update(zip(edges, [value for _, _, value in triples]))
     return validate(tree, values)
 
 

@@ -15,7 +15,7 @@ stored on the left. Equal shape therefore means equal tags as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import MalformedMergeTreeError
 from .morse import MorseFunction
@@ -30,14 +30,19 @@ def format_value(value: float) -> str:
     return str(value)
 
 
-@dataclass(frozen=True, eq=False)
-class MergeNode:
-    """A leaf (no children) or a binary join; value is None on hand-built nodes."""
+class MergeNode(NamedTuple):
+    """A leaf (no children) or a binary join; value is None on hand-built nodes.
+
+    Immutable, and compared and hashed by identity, not by value: the
+    leaves of a thin tree are value-equal, and nodes key dictionaries.
+    """
 
     value: Optional[float]
     direction: str
     left: Optional["MergeNode"] = None
     right: Optional["MergeNode"] = None
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def is_leaf(self) -> bool:

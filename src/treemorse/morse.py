@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .complexes import Edge, Simplex, SimplicialTree, Vertex
@@ -84,55 +85,51 @@ class MorseFunction:
     def _partition(self) -> tuple[list, dict[float, Simplex], frozenset]:
         """The one sorted pass that decides sharing and criticality.
 
-        Returns the ``(value, dimension, simplex)`` entries in increasing
-        order (a vertex before an edge of equal value), the critical simplex
+        Returns the ``(simplex, value)`` items in increasing value order, a
+        gradient pair's vertex right before its edge, the critical simplex
         by value in that same order, and the gradient pairs. Walking the
-        runs of equal values, it checks the two sharing rules in increasing
-        value order: a value is taken at most twice, and twice only by a
-        vertex and an edge containing it. Every other value is critical.
+        items, it checks the two sharing rules in increasing value order: a
+        value is taken at most twice, and twice only by a vertex and an edge
+        containing it. Every other value is critical.
 
         Raises:
             MoreThanTwoShareValueError: a value is taken three or more times.
             ValueSharedByNonIncidentError: a value is shared by two
                 simplices that are not an incident vertex-edge pair.
         """
-        # the tuple test is is_edge inlined on this hot line
-        entries = sorted(
-            [
-                (value, 1 if type(simplex) is tuple else 0, simplex)
-                for simplex, value in self.values.items()
-            ]
-        )
+        entries = sorted(self.values.items(), key=itemgetter(1))
         critical: dict[float, Simplex] = {}
         pairs = set()
-        total = len(entries)
-        i = 0
-        while i < total:
-            value, _, simplex = entries[i]
-            end = i + 1
-            while end < total and entries[end][0] == value:
-                end += 1
-            if end - i == 1:
-                critical[value] = simplex
-            elif end - i > 2:
-                raise MoreThanTwoShareValueError(
-                    f"value {value} is taken by {end - i} simplices"
+        last = object()  # equal to no value, None included
+        # a run of equal values is settled at its second item, so the walk
+        # never reaches a third; the tuple test is is_edge inlined
+        for i, (b, value) in enumerate(entries):
+            if value != last:
+                critical[value] = b
+                last = value
+                continue
+            a = critical.pop(value)
+            if type(a) is tuple:
+                a, b = b, a
+                entries[i - 1], entries[i] = entries[i], entries[i - 1]
+            more = i + 1 < len(entries) and entries[i + 1][1] == value
+            if more or type(a) is tuple or type(b) is not tuple or a not in b:
+                # named as the (value, dimension, simplex) order names them
+                run = sorted((x, type(s) is tuple, s) for s, x in entries[i - 1:] if x == value)
+                (first, _, a), (_, _, b) = run[:2]
+                if len(run) > 2:
+                    raise MoreThanTwoShareValueError(f"value {first} is taken by {len(run)} simplices")
+                raise ValueSharedByNonIncidentError(
+                    f"value {first} shared by non-incident simplices {a!r} and {b!r}"
                 )
-            else:
-                (_, dim_a, a), (_, dim_b, b) = entries[i], entries[i + 1]
-                if dim_a or not dim_b or a not in b:
-                    raise ValueSharedByNonIncidentError(
-                        f"value {value} shared by non-incident simplices {a!r} and {b!r}"
-                    )
-                pairs.add((a, b))
-            i = end
+            pairs.add((a, b))
         return entries, critical, frozenset(pairs)
 
     @cached_property
     def sweep(self) -> Sweep:
         """The joins of one increasing sublevel sweep; see :class:`Sweep`.
 
-        The sweep walks :attr:`_partition`'s sorted entries, so sharing and
+        The sweep walks :attr:`_partition`'s sorted items, so sharing and
         criticality are already decided; it adds only the joins. It tracks,
         for every component of the growing complex, its minimum value and
         the largest critical value it has reached (its label). A paired
@@ -150,22 +147,21 @@ class MorseFunction:
             NotWeaklyIncreasingError: an edge value is below an endpoint
                 value.
         """
-        entries, critical, _ = self._partition
-        # components tracked by a leader vertex, smaller side relabeled on a
-        # join; at these sizes plain dicts beat a general union-find
-        leader: dict = {}
-        members: dict = {}
-        # leader -> (component minimum, label or None before any critical value)
+        # union-find with path halving, as in complexes.keyed_tree; a root
+        # maps to (component minimum, label), and a vertex starts labeled by
+        # its own value, which is read only if it is critical
+        parent: dict = {}
         state: dict = {}
         joins: dict = {}
-        for value, dim, simplex in entries:
-            if not dim:
-                leader[simplex] = simplex
-                members[simplex] = [simplex]
-                state[simplex] = (value, value if value in critical else None)
+        last = None
+        for simplex, value in self._partition[0]:
+            if type(simplex) is not tuple:
+                parent[simplex] = simplex
+                state[simplex] = (value, value)
+                last = value
                 continue
-            root_u = leader.get(simplex[0])
-            root_v = leader.get(simplex[1])
+            root_u = parent.get(simplex[0])
+            root_v = parent.get(simplex[1])
             if root_u is None or root_v is None:
                 endpoint = simplex[0] if root_u is None else simplex[1]
                 if endpoint not in self.values:
@@ -173,24 +169,21 @@ class MorseFunction:
                 raise NotWeaklyIncreasingError(
                     f"f({endpoint!r}) = {self.values[endpoint]} exceeds f({simplex!r}) = {value}"
                 )
-            min_u, crit_u = state[root_u]
-            min_v, crit_v = state[root_v]
-            if value in critical:
-                if min_u < min_v:
-                    joins[value] = (crit_u, crit_v, min_v)
-                else:
-                    joins[value] = (crit_v, crit_u, min_u)
-                new_crit = value
-            else:
-                # the paired vertex just placed is the unlabeled side
-                new_crit = crit_u if crit_v is None else crit_v
-            if len(members[root_u]) < len(members[root_v]):
-                root_u, root_v = root_v, root_u
-            for w in members[root_v]:
-                leader[w] = root_u
-            members[root_u].extend(members[root_v])
-            del members[root_v]
-            state[root_u] = (min(min_u, min_v), new_crit)
+            while (up := parent[root_u]) is not root_u:
+                parent[root_u] = root_u = parent[up]
+            while (up := parent[root_v]) is not root_v:
+                parent[root_v] = root_v = parent[up]
+            (min_u, crit_u), (min_v, crit_v) = state[root_u], state[root_v]
+            # u becomes the heir; a paired edge shares its value with the
+            # last vertex, just placed, and only attaches it to an older
+            # component, whose label stands
+            if min_v < min_u:
+                root_u, root_v, min_u, min_v, crit_u, crit_v = root_v, root_u, min_v, min_u, crit_v, crit_u
+            if value != last:
+                joins[value] = (crit_u, crit_v, min_v)
+                crit_u = value
+            parent[root_v] = root_u
+            state[root_u] = (min_u, crit_u)
             del state[root_v]
         # the domain is connected, so only an edge without a value leaves
         # more than one component
@@ -216,10 +209,15 @@ class MorseFunction:
 def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:
     """Check the discrete Morse conditions and wrap the assignment.
 
-    The checks on the input itself (every simplex valued, every value a
-    finite real) come first, then weak increase edge by edge in sorted edge
-    order. The sharing rules are left to the function's one sorted pass,
-    which this forces; the sweep itself is not run.
+    The fault reported is the first in this order: a simplex of the tree
+    without a value, vertices before edges, each in sorted order; a value
+    for a simplex the tree does not have, or a value that is not a finite
+    real, in the order the values are given; an edge valued below an
+    endpoint, the first such edge in sorted order and on it the first such
+    endpoint; a broken sharing rule, in increasing value order. The sharing
+    rules are left to the function's one sorted pass, which this forces;
+    the other checks sort nothing but the simplices at fault. The sweep
+    itself is not run.
 
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
@@ -231,25 +229,29 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
         ValueSharedByNonIncidentError: a value is shared by two simplices
             that are not an incident vertex-edge pair.
     """
-    declared = set(tree.vertices) | set(tree.edges)
-    for simplex in tree.simplices():
-        if simplex not in values:
-            raise MissingValueError(f"no value for simplex {simplex!r}")
-    for simplex, value in values.items():
-        if simplex not in declared:
-            raise MissingValueError(f"value given for unknown simplex {simplex!r}")
-        kind = type(value)
-        # exact int and finite float first: validate runs on every document
-        if kind is not int and not (kind is float and math.isfinite(value)) and (
-            kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
-        ):
-            raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
-    for e in sorted(tree.edges):
-        for endpoint in e:
-            if values[endpoint] > values[e]:
-                raise NotWeaklyIncreasingError(
-                    f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}"
-                )
-    f = MorseFunction(tree, dict(values))
+    values = dict(values)
+    vertices, edges, keys = tree.vertices, tree.edges, values.keys()
+    # as many keys as the tree has simplices, and every simplex among them
+    exact = len(keys) == tree.simplex_count and keys >= vertices and keys >= edges
+    if not exact:
+        for simplices in (vertices, edges):
+            missing = [s for s in simplices if s not in values]
+            if missing:
+                raise MissingValueError(f"no value for simplex {min(missing)!r}")
+    if not exact or set(map(type, values.values())) != {int}:
+        for simplex, value in values.items():
+            if simplex not in vertices and simplex not in edges:
+                raise MissingValueError(f"value given for unknown simplex {simplex!r}")
+            kind = type(value)
+            if kind is not int and not (kind is float and math.isfinite(value)) and (
+                kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            ):
+                raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
+    late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
+    if late:
+        e = min(late)
+        endpoint = e[0] if values[e[0]] > values[e] else e[1]
+        raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
+    f = MorseFunction(tree, values)
     f._partition  # the sorted pass raises on a broken sharing rule
     return f

@@ -6,6 +6,7 @@ interpreter to cover `python -m treemorse`.
 """
 
 import json
+import random
 import subprocess
 import sys
 
@@ -293,6 +294,56 @@ def test_invariants_and_homological_compare_on_a_long_path(tmp_path, capsys):
         [[f"v{i}", f"v{i + 1}", n + i] for i in range(n - 1)],
     )
     assert main(["compare", path, climbing, "--relation", "homological"]) == 1
+    assert capsys.readouterr() == ("not-equivalent\n", "")
+
+
+def test_every_command_on_a_caterpillar_of_a_hundred_thousand_simplices(tmp_path, capsys):
+    # a 16,666-vertex spine with the other 33,334 vertices hung on it:
+    # 99,999 simplices with distinct values, each edge above its endpoints.
+    # merge-tree --format text is left out: its output grows as the square
+    # of the depth
+    n, rng = 50_000, random.Random(14)
+    names = [f"v{i}" for i in range(n)]
+    spine = n // 3
+    pairs = [(names[i - 1], names[i]) for i in range(1, spine)]
+    pairs += [(names[rng.randrange(spine)], names[i]) for i in range(spine, n)]
+    values = dict(zip(names, rng.sample(range(4 * n), n)))
+    used = set(values.values())
+    edges = []
+    for u, v in pairs:
+        x = max(values[u], values[v]) + 1 + rng.randrange(4 * n)
+        while x in used:
+            x += 1
+        used.add(x)
+        edges.append([u, v, x])
+    # about 30% of all vertices are gradient pairs: hung vertices that take
+    # the value of their only edge
+    paired = [e for e in edges[spine - 1:] if rng.random() < 0.45]
+    for _, v, x in paired:
+        values[v] = x
+    critical_vertices = n - len(paired)
+    path = write_doc(tmp_path, "caterpillar.json", values, edges)
+    rescaled = write_doc(
+        tmp_path,
+        "rescaled.json",
+        {v: 3 * x + 7 for v, x in values.items()},
+        [[u, v, 3 * x + 7] for u, v, x in edges],
+    )
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
+    assert main(["merge-tree", path, "--format", "shape"]) == 0
+    shape, err = capsys.readouterr()
+    assert err == ""
+    assert shape.count("•") == critical_vertices
+    assert shape.count("(") == critical_vertices - 1
+    assert main(["merge-tree", path, "--format", "dot"]) == 0
+    dot, err = capsys.readouterr()
+    assert err == ""
+    assert len(dot.splitlines()) == 3 + (2 * critical_vertices - 1) + 2 * (critical_vertices - 1)
+    assert main(["compare", path, rescaled, "--relation", "merge"]) == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+    # rescaling moves every birth and death, so the diagrams differ
+    assert main(["compare", path, rescaled, "--relation", "persistence"]) == 1
     assert capsys.readouterr() == ("not-equivalent\n", "")
 
 

@@ -35,6 +35,17 @@ def test_unknown_endpoint_rejected():
         build_tree(["a", "b"], [("a", "c")])
 
 
+def test_the_first_faulty_pair_is_reported():
+    # an unknown endpoint before a repeated edge, a loop and a cycle; of an
+    # unknown pair, its first endpoint
+    with pytest.raises(UnknownVertexError) as excinfo:
+        build_tree(["a", "b", "c"], [("a", "b"), ("z", "y"), ("b", "a"), ("c", "c"), ("b", "c")])
+    assert str(excinfo.value) == "edge endpoint 'z' is not a declared vertex"
+    with pytest.raises(MultiEdgeError) as excinfo:
+        build_tree(["a", "b", "c"], [("b", "a"), ("a", "b"), ("x", "c")])
+    assert str(excinfo.value) == "edge ('a', 'b') appears more than once"
+
+
 def test_cycle_rejected():
     with pytest.raises(CycleDetectedError):
         build_tree(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])

@@ -295,6 +295,20 @@ def test_direction_tags_are_validated():
         )
 
 
+def test_merge_nodes_are_immutable_and_compared_by_identity():
+    # stars.realize_on_star keys nodes in a dict, and a thin tree's leaves
+    # are value-equal
+    a, b = MergeNode(1, "L"), MergeNode(1, "L")
+    assert a != b and not a == b
+    assert a == a
+    assert hash(a) != hash(b)
+    assert len({a: 0, b: 1}) == 2
+    with pytest.raises(AttributeError):
+        a.value = 2
+    assert a.left is None and a.right is None
+    assert a.is_leaf and not a.is_impasse
+
+
 def test_to_dot_layout():
     dot = induce_merge_tree(helpers.narrow_function()).to_dot()
     lines = dot.splitlines()

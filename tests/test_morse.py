@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +83,68 @@ def test_decreasing_edge_is_reported_before_a_lower_shared_value():
     with pytest.raises(NotWeaklyIncreasingError) as excinfo:
         validate(helpers.path3_tree(), values)
     assert str(excinfo.value) == "f('b') = 5 exceeds f(('a', 'b')) = 3"
+
+
+def twelve_path():
+    # vertex i at i, edge (i, i+1) at 12 + i: valid, everything critical;
+    # the values run from the last vertex to the first, so that insertion
+    # order is the reverse of sorted order
+    names = [f"v{i:02d}" for i in range(12)]
+    edges = list(zip(names, names[1:]))
+    values = {v: i for i, v in reversed(list(enumerate(names)))}
+    values.update((e, 12 + i) for i, e in reversed(list(enumerate(edges))))
+    return build_tree(names, edges), names, edges, values
+
+
+def fault_message(tree, values, error):
+    with pytest.raises(error) as excinfo:
+        validate(tree, values)
+    return str(excinfo.value)
+
+
+def test_the_smaller_missing_simplex_is_named():
+    tree, names, edges, values = twelve_path()
+    for i, j in combinations(range(12), 2):
+        missing = {k: x for k, x in values.items() if k not in (names[i], names[j])}
+        assert fault_message(tree, missing, MissingValueError) == f"no value for simplex {names[i]!r}"
+    for i, j in combinations(range(11), 2):
+        missing = {k: x for k, x in values.items() if k not in (edges[i], edges[j])}
+        assert fault_message(tree, missing, MissingValueError) == f"no value for simplex {edges[i]!r}"
+
+
+def test_the_smaller_decreasing_edge_and_its_first_high_endpoint_are_named():
+    tree, names, edges, values = twelve_path()
+    for i, j in combinations(range(11), 2):
+        # below both endpoints, or only below the second one
+        for low, high in ((-1, i + 0.5), (i + 0.5, -1)):
+            faulty = {**values, edges[i]: low, edges[j]: high}
+            endpoint = names[i] if low == -1 else names[i + 1]
+            assert fault_message(tree, faulty, NotWeaklyIncreasingError) == (
+                f"f({endpoint!r}) = {faulty[endpoint]} exceeds f({edges[i]!r}) = {low}"
+            )
+
+
+def test_input_faults_are_named_in_the_order_the_values_are_given():
+    tree, _, _, values = twelve_path()
+    first = {**values, "v05": math.nan, "zz": 1}
+    assert fault_message(tree, first, NotFiniteRealError) == (
+        "f('v05') = nan is not a finite real number"
+    )
+    second = {"zz": 1, **values, "v05": math.nan}
+    assert fault_message(tree, second, MissingValueError) == "value given for unknown simplex 'zz'"
+
+
+def test_shared_values_are_named_in_sorted_order():
+    tree, _, _, values = twelve_path()
+    # v07 comes first in insertion order, and holds the float
+    shared = {**values, "v07": 2.0}
+    assert fault_message(tree, shared, ValueSharedByNonIncidentError) == (
+        "value 2 shared by non-incident simplices 'v02' and 'v07'"
+    )
+    shared["v09"] = 2
+    assert fault_message(tree, shared, MoreThanTwoShareValueError) == (
+        "value 2 is taken by 3 simplices"
+    )
 
 
 def test_incident_pair_may_share():
