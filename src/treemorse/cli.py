@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .documents import parse_morse_document, parse_tree_document, star_document
@@ -120,6 +121,7 @@ def cmd_star_realize(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # built on the first call, then reused: parsing leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treemorse",

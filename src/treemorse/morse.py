@@ -93,6 +93,7 @@ class MorseFunction:
         containing it. Every other value is critical.
 
         Raises:
+            NotFiniteRealError: a value is NaN.
             MoreThanTwoShareValueError: a value is taken three or more times.
             ValueSharedByNonIncidentError: a value is shared by two
                 simplices that are not an incident vertex-edge pair.
@@ -105,6 +106,8 @@ class MorseFunction:
         # never reaches a third; the tuple test is is_edge inlined
         for i, (b, value) in enumerate(entries):
             if value != last:
+                if value != value:  # NaN, unequal to everything, so never tied
+                    raise NotFiniteRealError(f"f({b!r}) = {value!r} is not a finite real number")
                 critical[value] = b
                 last = value
                 continue

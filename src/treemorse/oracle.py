@@ -26,6 +26,8 @@ enumeration's time grows factorially with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .complexes import Simplex, SimplicialTree, is_edge
@@ -40,15 +42,18 @@ WITNESS_CAP = 5
 
 def _placement(
     tree: SimplicialTree, budget: int
-) -> tuple[list[Simplex], dict[int, tuple[int, int]], Callable[[int], list[int]]]:
+) -> tuple[list[Simplex], Callable[[int], list[tuple]], Callable[[int], list[int]]]:
     """The one placement rule both enumerations follow.
 
     Simplex ids put the vertices first, then the edges, each in sorted
-    order. Returns the simplices by id, each edge id's endpoint ids, and
-    choices(placed): the simplices that may take the next label once the
-    ids in the bitmask placed hold labels, in the order they are tried. Those
-    are the unplaced vertices, then the unplaced edges whose endpoints are
-    both placed, each in id order.
+    order. Returns the simplices by id, steps(placed) and choices(placed).
+    choices(placed) lists the simplices that may take the next label once
+    the ids in the bitmask placed hold labels, in the order they are tried:
+    the unplaced vertices, then the unplaced edges whose endpoints are both
+    placed, each in id order. steps(placed) gives the same candidates as
+    (id, placed after it, endpoint ids), the endpoints -1, -1 for a vertex.
+    Both are memoized per placed mask; the memos belong to the returned
+    functions, so they last one enumeration or search.
 
     Raises:
         BudgetExceededError: the tree has more than budget simplices.
@@ -57,15 +62,23 @@ def _placement(
         raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
     vertices = sorted(tree.vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    ends = {s: (index[a], index[b]) for s, (a, b) in enumerate(sorted(tree.edges), len(vertices))}
-    # (id, its bit, the bits of its faces) per simplex, in id order
-    faces = [(v, 1 << v, 0) for v in range(len(vertices))]
-    faces += [(s, 1 << s, 1 << a | 1 << b) for s, (a, b) in ends.items()]
+    # (id, its bit, the bits of its faces, its endpoint ids) per simplex, in id order
+    faces = [(v, 1 << v, 0, -1, -1) for v in range(len(vertices))]
+    faces += [
+        (s, 1 << s, 1 << index[a] | 1 << index[b], index[a], index[b])
+        for s, (a, b) in enumerate(sorted(tree.edges), len(vertices))
+    ]
 
+    @cache
+    def steps(placed: int) -> list[tuple[int, int, int, int]]:
+        return [(s, placed | bit, a, b) for s, bit, below, a, b in faces
+                if not placed & bit and placed & below == below]
+
+    @cache
     def choices(placed: int) -> list[int]:
-        return [s for s, bit, below in faces if not placed & bit and placed & below == below]
+        return [step[0] for step in steps(placed)]
 
-    return list(tree.simplices()), ends, choices
+    return list(tree.simplices()), steps, choices
 
 
 class ShapeTable:
@@ -178,7 +191,9 @@ def final_states(
     one. The edge is an impasse exactly when both joined pairs are
     ShapeTable.LEAF. What the remaining labels can do depends on the labels
     so far only through the state, so labelings that reach an equal state
-    are followed once.
+    are followed once. Within one search the candidates are memoized per
+    placed mask (_placement), and each join with its rank shift and impasse
+    verdict per (shapes, heir, other); nothing is kept between calls.
 
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
@@ -191,36 +206,45 @@ def final_states(
     Returns the final layer, the simplices by id, and the ShapeTable the
     shape ids refer to.
     """
-    simplices, ends, choices = _placement(tree, budget)
+    simplices, steps, _ = _placement(tree, budget)
     table = ShapeTable()
     leaf = ShapeTable.LEAF
+    # (shapes, heir, other) -> (each rank's rank after the join, the last slot
+    # keeping an unplaced vertex's -1; the shapes after it; whether it is an impasse)
+    joins: dict[tuple, tuple[tuple[int, ...], tuple, bool]] = {}
     layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0, 0, 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
             placed, ranks, shapes, on_impasse, impasses, overlaps = state
             count = entry[0]
-            for s in choices(placed):
-                if s in ends:
-                    a, b = ends[s]
-                    heir, other = sorted((ranks[a], ranks[b]))
-                    if shapes[heir] == shapes[other] == leaf:
-                        pair = 1 << a | 1 << b
-                        facts = on_impasse | pair, impasses + 1, overlaps + (on_impasse & pair).bit_count()
-                    else:
-                        facts = on_impasse, impasses, overlaps
-                    successor = (
-                        placed | 1 << s,
-                        tuple([heir if r == other else r - (r > other) for r in ranks]),
-                        shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
-                        + shapes[heir + 1:other] + shapes[other + 1:],
-                        *facts,
-                    )
+            grown = shapes + (leaf,)
+            for s, after, a, b in steps(placed):
+                if a < 0:
+                    grown_ranks = ranks[:s] + (len(shapes),) + ranks[s + 1:]
+                    successor = (after, grown_ranks, grown, on_impasse, impasses, overlaps)
                 else:
-                    grown = list(ranks)
-                    grown[s] = len(shapes)
-                    successor = (placed | 1 << s, tuple(grown), shapes + (leaf,),
-                                 on_impasse, impasses, overlaps)
+                    heir, other = ranks[a], ranks[b]
+                    if other < heir:
+                        heir, other = other, heir
+                    joined = joins.get((shapes, heir, other))
+                    if joined is None:
+                        joined = joins[shapes, heir, other] = (
+                            tuple(heir if r == other else r - (r > other) for r in (*range(len(shapes)), -1)),
+                            shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
+                            + shapes[heir + 1:other] + shapes[other + 1:],
+                            shapes[heir] == shapes[other] == leaf,
+                        )
+                    remap, joined_shapes, impasse = joined
+                    # an edge's two endpoints make ranks at least two long,
+                    # so itemgetter returns a tuple
+                    joined_ranks = itemgetter(*ranks)(remap)
+                    if impasse:
+                        pair = 1 << a | 1 << b
+                        successor = (after, joined_ranks, joined_shapes, on_impasse | pair, impasses + 1,
+                                     overlaps + (on_impasse & pair).bit_count())
+                    else:
+                        successor = (after, joined_ranks, joined_shapes, on_impasse, impasses, overlaps)
                 reached = following.get(successor)
                 if reached is None:
                     following[successor] = [count, entry, s]

@@ -22,6 +22,7 @@ from treemorse.errors import (
     MissingValueError,
     MorseValidationError,
     MoreThanTwoShareValueError,
+    NotFiniteRealError,
     NotWeaklyIncreasingError,
     ValueSharedByNonIncidentError,
 )
@@ -176,6 +177,18 @@ UNVALIDATED_CASES = [
         [("a", "b"), ("b", "c")],
         {"a": 0, "b": 0, "c": 0, ("a", "b"): 1, ("b", "c"): 0},
         MoreThanTwoShareValueError,
+    ),
+    # NaN on a vertex, then on an edge: it equals no value, itself included,
+    # so no tie or order check sees it
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": float("nan"), "b": 1, "c": 2, ("a", "b"): 3, ("b", "c"): 4},
+        NotFiniteRealError,
+    ),
+    (
+        [("a", "b"), ("b", "c")],
+        {"a": 0, "b": 1, "c": 2, ("a", "b"): float("nan"), ("b", "c"): 4},
+        NotFiniteRealError,
     ),
 ]
 

@@ -103,6 +103,27 @@ def test_sweep_matches_both_merge_tree_builders():
     assert labelings == 26_179
 
 
+def test_final_states_come_in_first_arrival_order():
+    # witnesses are read off the final layer's dict order, which must be
+    # the order in which the sweep's labelings first reach each final state
+    for n in range(1, 6):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            final, simplices, table = final_states(tree)
+            searched = []
+            for (_, _, shapes, on_impasse, _, _), (count, *_) in final.items():
+                on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
+                searched.append(((table.shape_code(shapes[0][0]), on), count))
+            swept: dict = {}
+            for values in LabelingSweep(tree):
+                merge = induce_merge_tree(validate(tree, values))
+                simplex_at = {value: s for s, value in values.items()}
+                on = tuple(sorted(w for m in merge.impasses() for w in simplex_at[m.value]))
+                key = merge.shape_code(), on
+                swept[key] = swept.get(key, 0) + 1
+            assert searched == list(swept.items()), edges
+
+
 def test_budget_is_enforced_eagerly():
     path7 = build_tree(
         [f"v{i}" for i in range(7)],
