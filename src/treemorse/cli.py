@@ -72,14 +72,13 @@ def cmd_merge_tree(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     f = parse_morse_document(_read(args.path))
-    tree = induce_merge_tree(f)
-    impasses = tree.impasse_count()
+    impasses = f.sweep.impasse_count()
     thin = impasses == 1
     print(f"impasses: {impasses}")
     print(f"matching: {f.domain.matching_number()}")
     print(f"thin: {'true' if thin else 'false'}")
     if thin:
-        print(f"lr: {lr_sequence(tree)}")
+        print(f"lr: {lr_sequence(induce_merge_tree(f))}")
     sequence = homological_sequence(f)
     print("homological sequence: " + ",".join(str(b0) for b0 in sequence.b0_values))
     print("persistence diagram:")

@@ -8,7 +8,6 @@ simplex is either a vertex name or such a pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -46,15 +45,6 @@ class SimplicialTree:
     vertices: frozenset[str]
     edges: frozenset[Edge]
 
-    @cached_property
-    def adjacency(self) -> dict[str, list[str]]:
-        """Neighbours of every vertex, in no particular order."""
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return nbrs
-
     @property
     def simplex_count(self) -> int:
         return len(self.vertices) + len(self.edges)
@@ -67,32 +57,40 @@ class SimplicialTree:
     def degree(self, v: str) -> int:
         if v not in self.vertices:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-        return len(self.adjacency[v])
+        return sum(1 for e in self.edges if v in e)
 
     def matching_number(self) -> int:
         """Size of a maximum set of pairwise vertex-disjoint edges.
 
-        Greedy from the leaves inward, exact on trees: walk the tree in
-        breadth-first order from an arbitrary root and, in reverse order,
-        match a vertex to its parent whenever both are still free.
+        Greedy from the leaves inward, exact on trees: peel the leaves one
+        by one, matching each to its one remaining neighbour whenever both
+        are still free. A vertex keeps only its count of remaining
+        neighbours and the XOR of their ids, which for a leaf is the id of
+        its neighbour.
         """
-        adjacency = self.adjacency
-        root = next(iter(self.vertices))
-        order = [root]
-        parent: dict[str, str | None] = {root: None}
-        for v in order:  # order grows while it is walked
-            for w in adjacency[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        matched: set[str] = set()
+        index = {v: i for i, v in enumerate(self.vertices)}
+        degree = [0] * len(index)
+        xor = [0] * len(index)
+        for u, v in self.edges:
+            i, j = index[u], index[v]
+            degree[i] += 1
+            degree[j] += 1
+            xor[i] ^= j
+            xor[j] ^= i
+        leaves = [i for i, d in enumerate(degree) if d == 1]
+        free = [True] * len(index)
         count = 0
-        for v in reversed(order):
-            p = parent[v]
-            if p is not None and v not in matched and p not in matched:
-                matched.add(v)
-                matched.add(p)
+        for v in leaves:  # leaves grows while it is walked
+            if degree[v] == 0:  # the last vertex, its neighbour peeled first
+                continue
+            p = xor[v]
+            if free[v] and free[p]:
+                free[v] = free[p] = False
                 count += 1
+            degree[p] -= 1
+            xor[p] ^= v
+            if degree[p] == 1:
+                leaves.append(p)
         return count
 
 

@@ -33,8 +33,8 @@ def format_value(value: float) -> str:
 class MergeNode(NamedTuple):
     """A leaf (no children) or a binary join; value is None on hand-built nodes.
 
-    Immutable, and compared and hashed by identity, not by value: the
-    leaves of a thin tree are value-equal, and nodes key dictionaries.
+    Immutable, and compared and hashed by identity: a thin tree's leaves are
+    equal in value, and NamedTuple equality would compare whole subtrees.
     """
 
     value: Optional[float]

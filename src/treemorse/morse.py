@@ -9,8 +9,8 @@ vector field; every unpaired simplex is critical.
 One sort of the values, cached on the function, decides both sharing rules
 and which simplices are critical; :func:`validate` forces it. The increasing
 sweep of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that
-sorted order and adds only the joins of two components; the merge tree, the
-persistence diagram and the Betti sequence are all read off that one record.
+sorted order and adds only the joins of two components; the merge tree, its
+impasses, the persistence diagram and the Betti sequence come from that record.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ class Sweep(NamedTuple):
 
     joins: dict[float, tuple[float, float, float]]
     global_min: float
+
+    def impasse_count(self) -> int:
+        """The merge tree's impasses: joins of two critical vertex labels."""
+        joins = self.joins
+        return sum(1 for heir, other, _ in joins.values() if heir not in joins and other not in joins)
 
 
 @dataclass(frozen=True)

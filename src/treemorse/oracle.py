@@ -40,20 +40,18 @@ DEFAULT_SIMPLEX_BUDGET = 11
 WITNESS_CAP = 5
 
 
-def _placement(
-    tree: SimplicialTree, budget: int
-) -> tuple[list[Simplex], Callable[[int], list[tuple]], Callable[[int], list[int]]]:
+def _placement(tree: SimplicialTree, budget: int) -> tuple[list[Simplex], Callable[[int], list[tuple]]]:
     """The one placement rule both enumerations follow.
 
     Simplex ids put the vertices first, then the edges, each in sorted
-    order. Returns the simplices by id, steps(placed) and choices(placed).
-    choices(placed) lists the simplices that may take the next label once
-    the ids in the bitmask placed hold labels, in the order they are tried:
-    the unplaced vertices, then the unplaced edges whose endpoints are both
-    placed, each in id order. steps(placed) gives the same candidates as
-    (id, placed after it, endpoint ids), the endpoints -1, -1 for a vertex.
-    Both are memoized per placed mask; the memos belong to the returned
-    functions, so they last one enumeration or search.
+    order. Returns the simplices by id and steps(placed). steps(placed)
+    lists the simplices that may take the next label once the ids in the
+    bitmask placed hold labels, in the order they are tried: the unplaced
+    vertices, then the unplaced edges whose endpoints are both placed, each
+    in id order. Each candidate is (id, placed after it, endpoint ids), the
+    endpoints -1, -1 for a vertex. The list is memoized per placed mask; the
+    memo belongs to the returned function, so it lasts one enumeration or
+    search.
 
     Raises:
         BudgetExceededError: the tree has more than budget simplices.
@@ -74,11 +72,7 @@ def _placement(
         return [(s, placed | bit, a, b) for s, bit, below, a, b in faces
                 if not placed & bit and placed & below == below]
 
-    @cache
-    def choices(placed: int) -> list[int]:
-        return [step[0] for step in steps(placed)]
-
-    return list(tree.simplices()), steps, choices
+    return list(tree.simplices()), steps
 
 
 class ShapeTable:
@@ -140,10 +134,10 @@ class LabelingSweep:
     """
 
     def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
-        self._simplices, _, self._choices = _placement(tree, budget)
+        self._simplices, self._steps = _placement(tree, budget)
 
     def __iter__(self) -> Iterator[dict[Simplex, int]]:
-        simplices, choices = self._simplices, self._choices
+        simplices, steps = self._simplices, self._steps
         n = len(simplices)
         # prefixes still to extend, as (placed bitmask, ids in label order)
         stack = [(0, ())]
@@ -152,8 +146,8 @@ class LabelingSweep:
             if len(order) == n:
                 yield {simplices[s]: label for label, s in enumerate(order)}
             else:
-                for s in reversed(choices(placed)):
-                    stack.append((placed | 1 << s, order + (s,)))
+                for s, after, _, _ in reversed(steps(placed)):
+                    stack.append((after, order + (s,)))
 
 
 def enumerate_critical_dmfs(
@@ -206,7 +200,7 @@ def final_states(
     Returns the final layer, the simplices by id, and the ShapeTable the
     shape ids refer to.
     """
-    simplices, steps, _ = _placement(tree, budget)
+    simplices, steps = _placement(tree, budget)
     table = ShapeTable()
     leaf = ShapeTable.LEAF
     # (shapes, heir, other) -> (each rank's rank after the join, the last slot

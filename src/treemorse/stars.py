@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialTree, Vertex, build_tree, edge
 from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
-from .merge_tree import MergeNode, MergeTree, induce_merge_tree
+from .merge_tree import MergeNode, MergeTree
 from .morse import MorseFunction, validate
 
 
@@ -39,28 +39,26 @@ def star_graph(k: int) -> StarGraph:
     return StarGraph(build_tree(["c", *leaves], [("c", leaf) for leaf in leaves]), "c")
 
 
-def _path_to_impasse(tree: MergeTree) -> tuple[list[MergeNode], str]:
-    """Internal nodes from the root to the unique impasse, and the itinerary.
-
-    Entry i of the itinerary is the direction of path node i: the root's L,
-    then L or R as the path continues left or right.
+def _itinerary(tree: MergeTree) -> str:
+    """The directions of the internal nodes from the root to the unique
+    impasse: the root's L, then L or R as the path continues left or right.
     """
     count = tree.impasse_count()
     if count != 1:
         raise NotThinError(f"tree has {count} impasses, need exactly 1")
-    path = [tree.root]
-    while not path[-1].is_impasse:
-        node = path[-1]
+    node, steps = tree.root, [tree.root.direction]
+    while not node.is_impasse:
         # one impasse means at most one child can head a subtree with one,
-        # so exactly one child of every non-impasse internal node is internal
-        path.append(node.left if not node.left.is_leaf else node.right)
-    # a MergeTree tags every left child L and every right child R
-    return path, "".join(node.direction for node in path)
+        # so exactly one child of every non-impasse internal node is internal;
+        # a MergeTree tags every left child L and every right child R
+        node = node.left if not node.left.is_leaf else node.right
+        steps.append(node.direction)
+    return "".join(steps)
 
 
 def lr_sequence(tree: MergeTree) -> str:
     """The root-to-impasse itinerary, without the implicit leading L."""
-    return _path_to_impasse(tree)[1][1:]
+    return _itinerary(tree)[1:]
 
 
 def thin_from_lr(seq: str) -> MergeTree:
@@ -99,48 +97,30 @@ def enumerate_thin(n: int) -> list[MergeTree]:
 def realize_on_star(tree: MergeTree) -> tuple[StarGraph, MorseFunction]:
     """An injective function on a star graph inducing the given thin tree.
 
-    Labels are consecutive integers from 0. Walking the root-to-impasse
-    path, the unique leaf child of each direction-switch node is labeled
-    first, in path order; the impasse's left leaf is labeled next and
-    becomes the star's center; remaining leaves are labeled walking from the
-    impasse back to the root, and internal nodes after that, on the same
-    walk. Each merge-tree leaf is a star vertex (named by its label) and
-    each internal node labels the star edge at the vertex of its own leaf
-    child (for the impasse, its non-center leaf).
+    Read off the itinerary of the k internal nodes, path node 0 the root
+    and node k - 1 the impasse. The k + 1 leaves are the star's vertices,
+    named and valued by their labels 0..k: first the leaves of the switch
+    nodes (those whose successor turns the other way), in path order; then
+    the impasse's left leaf, the center; then the other leaves from the
+    impasse back to the root. Path node i values the star edge at its own
+    leaf (the impasse's right leaf) 2k - i.
     """
-    path, steps = _path_to_impasse(tree)
-    switch_nodes = [path[i - 1] for i in range(1, len(path)) if steps[i] != steps[i - 1]]
-
-    labels: dict[MergeNode, int] = {}
-    counter = itertools.count()
-    for node in switch_nodes:
-        leaf = node.left if node.left.is_leaf else node.right
-        labels[leaf] = next(counter)
-    impasse = path[-1]
-    center_label = next(counter)
-    labels[impasse.left] = center_label
-    for node in reversed(path):
-        for child in (node.left, node.right):
-            if child.is_leaf and child not in labels:
-                labels[child] = next(counter)
-    for node in reversed(path):
-        labels[node] = next(counter)
-
-    center = str(center_label)
-    vertex_values = {
-        str(labels[leaf]): labels[leaf] for leaf in tree.leaves()
-    }
-    edge_values = {}
-    for node in path:
-        if node is impasse:
-            leaf = node.right  # the left leaf is the center itself
-        else:
-            leaf = node.left if node.left.is_leaf else node.right
-        edge_values[edge(center, str(labels[leaf]))] = labels[node]
-
-    star_tree = build_tree(vertex_values, [e for e in edge_values])
-    f = validate(star_tree, {**vertex_values, **edge_values})
-    return StarGraph(star_tree, center), f
+    steps = _itinerary(tree)
+    k = len(steps)
+    # leaf[i] labels path node i's leaf; no path node holds the center's
+    # label, which follows the switch nodes', so each later one is len(leaf) + 1
+    switches = (i for i in range(k - 1) if steps[i] != steps[i + 1])
+    leaf = {i: label for label, i in enumerate(switches)}
+    center = str(len(leaf))
+    leaf[k - 1] = len(leaf) + 1
+    for i in range(k - 2, -1, -1):
+        if i not in leaf:
+            leaf[i] = len(leaf) + 1
+    values = {str(label): label for label in range(k + 1)}
+    edges = [edge(center, str(leaf[i])) for i in range(k)]
+    star_tree = build_tree(values, edges)
+    values.update(zip(edges, range(2 * k, k, -1)))
+    return StarGraph(star_tree, center), validate(star_tree, values)
 
 
 def count_realizable_on_star(k: int) -> int:

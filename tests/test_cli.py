@@ -340,6 +340,13 @@ def test_every_command_on_a_caterpillar_of_a_hundred_thousand_simplices(tmp_path
     dot, err = capsys.readouterr()
     assert err == ""
     assert len(dot.splitlines()) == 3 + (2 * critical_vertices - 1) + 2 * (critical_vertices - 1)
+    # the impasses are the shape's joins of two leaves
+    assert main(["invariants", path]) == 0
+    report, err = capsys.readouterr()
+    assert err == ""
+    lines = report.splitlines()
+    assert lines[0] == f"impasses: {shape.count('(••)')}"
+    assert lines[2] == "thin: false"
     assert main(["compare", path, rescaled, "--relation", "merge"]) == 0
     assert capsys.readouterr() == ("equivalent\n", "")
     # rescaling moves every birth and death, so the diagrams differ

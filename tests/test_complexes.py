@@ -84,6 +84,11 @@ def test_matching_number_on_examples():
     assert helpers.deep_function().domain.matching_number() == 3
     assert helpers.narrow_function().domain.matching_number() == 2
     assert build_tree(["a", "b"], [("a", "b")]).matching_number() == 1
+    # the 25 trees with 1 to 7 vertices, each up to isomorphism
+    trees = [helpers.tree_from_edges(n, edges) for n in range(1, 8) for edges in helpers.trees_up_to_iso(n)]
+    assert len(trees) == 25
+    for tree in trees:
+        assert tree.matching_number() == helpers.brute_matching_number(tree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,17 +111,22 @@ def test_tree_census_counts():
 
 
 def test_build_tree_at_a_hundred_thousand_simplices():
-    # a 50,000-vertex path and star: 99,999 simplices each, so the
-    # connectivity search must not recurse
+    # a 50,000-vertex path and star, 99,999 simplices each, and a spider
+    # of 16,666 legs of three edges, 99,997 simplices, so the connectivity
+    # search must not recurse; a spider's largest matching takes the outer
+    # edge of every leg and joins the centre to one leg's inner vertex
     n = 50_000
     names = [f"v{i}" for i in range(n)]
     path = [(names[i], names[i + 1]) for i in range(n - 1)]
     star = [(names[0], names[i]) for i in range(1, n)]
-    for edges, matching in ((path, n // 2), (star, 1)):
-        tree = build_tree(names, edges)
-        assert tree.simplex_count == 2 * n - 1
+    legs = (n - 1) // 3
+    spider = [(names[0] if i % 3 == 1 else names[i - 1], names[i]) for i in range(1, 3 * legs + 1)]
+    for vertex_count, edges, matching in ((n, path, n // 2), (n, star, 1), (3 * legs + 1, spider, legs + 1)):
+        vertices = names[:vertex_count]
+        tree = build_tree(vertices, edges)
+        assert tree.simplex_count == 2 * vertex_count - 1
         assert tree.matching_number() == matching
         dropped = edges[: n // 2] + edges[n // 2 + 1 :]
         with pytest.raises(NotConnectedError) as excinfo:
-            build_tree(names, dropped)
+            build_tree(vertices, dropped)
         assert str(excinfo.value) == "graph has 2 components"

@@ -309,8 +309,8 @@ def test_direction_tags_are_validated():
 
 
 def test_merge_nodes_are_immutable_and_compared_by_identity():
-    # stars.realize_on_star keys nodes in a dict, and a thin tree's leaves
-    # are value-equal
+    # a thin tree's leaves are equal in value, and NamedTuple equality
+    # would compare whole subtrees
     a, b = MergeNode(1, "L"), MergeNode(1, "L")
     assert a != b and not a == b
     assert a == a
@@ -370,5 +370,7 @@ def test_sweep_matches_reference_on_random_functions(data):
     )
     for function in (f, g):
         merge = induce_merge_tree(function)
-        assert_same_merge_tree(merge, helpers.reference_merge_tree(function))
+        reference = helpers.reference_merge_tree(function)
+        assert_same_merge_tree(merge, reference)
         assert merge.node_count == len(function.critical_simplices)
+        assert function.sweep.impasse_count() == reference.impasse_count()

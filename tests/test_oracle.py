@@ -77,8 +77,9 @@ def test_every_enumerated_function_is_a_critical_dmf():
 def test_sweep_matches_both_merge_tree_builders():
     # check_invariants reads merged search states, never a labeling; hold
     # the count-weighted final states to the merge trees that both builders
-    # assemble from every labeling the sweep visits, so the invariants
-    # cannot become true by construction
+    # assemble from every labeling the sweep visits, and to the impasse
+    # count read off each function's sublevel sweep (Sweep.impasse_count),
+    # so the invariants cannot become true by construction
     labelings = 0
     for n in range(1, 6):
         for edges in helpers.trees_up_to_iso(n):
@@ -88,7 +89,7 @@ def test_sweep_matches_both_merge_tree_builders():
             for (_, _, shapes, on_impasse, k, _), (count, *_) in final.items():
                 shape = shapes[0][0]
                 on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                searched[table.shape_code(shape), table.node_count(shape), k, on] += count
+                searched[table.shape_code(shape), table.node_count(shape), k, k, on] += count
             for builder in (induce_merge_tree, helpers.reference_merge_tree):
                 built = Counter()
                 for values in LabelingSweep(tree):
@@ -97,7 +98,8 @@ def test_sweep_matches_both_merge_tree_builders():
                     # critical labelings are injective, so values name simplices
                     simplex_at = {value: s for s, value in f.values.items()}
                     on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
-                    built[merge.shape_code(), merge.node_count, merge.impasse_count(), on] += 1
+                    impasses = merge.impasse_count(), f.sweep.impasse_count()
+                    built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
                 assert searched == built, edges
             labelings += sum(built.values())
     assert labelings == 26_179

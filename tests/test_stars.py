@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -148,16 +149,20 @@ def test_realization_is_deterministic():
 
 
 def test_realizations_are_injective_and_faithful():
-    for n in range(1, 7):
-        for thin in enumerate_thin(n):
-            star, f = realize_on_star(thin)
-            assert star.edge_count == n
-            assert star.tree.degree(star.center) == n
-            assert sorted(f.values.values()) == list(range(2 * n + 1))
-            assert len(f.critical_simplices) == 2 * n + 1
-            induced = induce_merge_tree(f)
-            assert merge_equivalent(induced, thin)
-            assert lr_sequence(induced) == lr_sequence(thin)
+    # every thin tree with up to 6 internal nodes, and one whose sequence
+    # has 3,000 entries
+    cases = [(n, thin) for n in range(1, 7) for thin in enumerate_thin(n)]
+    rng = random.Random(3000)
+    cases.append((3001, thin_from_lr("".join(rng.choice("LR") for _ in range(3000)))))
+    for n, thin in cases:
+        star, f = realize_on_star(thin)
+        assert star.edge_count == n
+        assert star.tree.degree(star.center) == n
+        assert sorted(f.values.values()) == list(range(2 * n + 1))
+        assert len(f.critical_simplices) == 2 * n + 1
+        induced = induce_merge_tree(f)
+        assert merge_equivalent(induced, thin)
+        assert lr_sequence(induced) == lr_sequence(thin)
 
 
 def test_star_class_counts_match_the_oracle():
@@ -188,6 +193,5 @@ def test_random_long_sequences_round_trip(data):
     )
     tree = thin_from_lr(seq)
     assert lr_sequence(tree) == seq
-    if length <= 6:
-        star, f = realize_on_star(tree)
-        assert merge_equivalent(induce_merge_tree(f), tree)
+    star, f = realize_on_star(tree)
+    assert merge_equivalent(induce_merge_tree(f), tree)
