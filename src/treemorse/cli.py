@@ -8,6 +8,7 @@ input (unreadable file, malformed document, budget, wrong domain).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -169,6 +170,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()  # for this call only: nothing a command builds forms a cycle
     try:
         return args.func(args)
     except OSError as exc:
@@ -177,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     except TreemorseError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

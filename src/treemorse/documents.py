@@ -8,7 +8,7 @@ only need the tree accept null in place of any value.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .complexes import SimplicialTree, build_tree, keyed_tree
 from .errors import ParseError
@@ -16,7 +16,7 @@ from .morse import MorseFunction, validate
 from .stars import StarGraph
 
 
-def _load(text: str) -> tuple[dict[str, Any], list[tuple[str, str, Any]]]:
+def _load(text: str) -> tuple[dict[str, Any], list[Sequence]]:
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # json recurses on deep nesting
@@ -30,13 +30,21 @@ def _load(text: str) -> tuple[dict[str, Any], list[tuple[str, str, Any]]]:
     edges = doc.get("edges", [])
     if not isinstance(vertices, dict) or not vertices:
         raise ParseError('"vertices" must be a non-empty object')
-    for name, value in vertices.items():
-        if not isinstance(name, str):
-            raise ParseError(f"vertex name {name!r} is not a string")
-        if value is not None and not isinstance(value, (int, float)):
-            raise ParseError(f"vertex {name!r} has non-numeric value {value!r}")
+    # types are checked a column at a time (JSON object keys are always strings);
+    # the loops run only to accept a bool or to name the first bad item
+    numeric = {int, float, type(None)}
+    if not set(map(type, vertices.values())) <= numeric:
+        for name, value in vertices.items():
+            if not isinstance(name, str):
+                raise ParseError(f"vertex name {name!r} is not a string")
+            if value is not None and not isinstance(value, (int, float)):
+                raise ParseError(f"vertex {name!r} has non-numeric value {value!r}")
     if not isinstance(edges, list):
         raise ParseError('"edges" must be an array')
+    if edges and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}:
+        us, vs, values = zip(*edges)
+        if {*map(type, us), *map(type, vs)} <= {str} and set(map(type, values)) <= numeric:
+            return vertices, edges
     triples = []
     for item in edges:
         if not isinstance(item, list) or len(item) not in (2, 3):

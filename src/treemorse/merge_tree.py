@@ -15,6 +15,7 @@ stored on the left. Equal shape therefore means equal tags as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import MalformedMergeTreeError
@@ -211,12 +212,13 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
         tags[heir] = tags[value]
         tags[other] = "R" if tags[value] == "L" else "L"
     # a label that no join produced is a critical vertex: a leaf
+    node = partial(tuple.__new__, MergeNode)  # bypasses the Python-level __new__ of NamedTuple
     built: dict = {}
     for value, (heir, other, _) in joins.items():
-        heir_node = built.pop(heir) if heir in joins else MergeNode(heir, tags[heir])
-        other_node = built.pop(other) if other in joins else MergeNode(other, tags[other])
+        heir_node = built.pop(heir) if heir in joins else node((heir, tags[heir], None, None))
+        other_node = built.pop(other) if other in joins else node((other, tags[other], None, None))
         if tags[value] == "L":
-            built[value] = MergeNode(value, "L", heir_node, other_node)
+            built[value] = node((value, "L", heir_node, other_node))
         else:
-            built[value] = MergeNode(value, "R", other_node, heir_node)
+            built[value] = node((value, "R", other_node, heir_node))
     return MergeTree(built[top])

@@ -176,8 +176,8 @@ def final_states(
       -1 while the vertex is unplaced;
     - shapes: each rank's (L, R) pair of ShapeTable ids;
     - on_impasse: bitmask of vertex ids on impasse edges;
-    - impasses: the number of impasse edges;
-    - overlaps: impasse-edge endpoints already on an impasse edge.
+    - impasses: the number of impasse edges, pairwise disjoint exactly
+      when on_impasse has 2 * impasses bits set.
 
     Placing a vertex adds a last-ranked leaf component. Placing an edge
     joins its endpoints' components by ShapeTable.join, the lower rank as
@@ -206,17 +206,17 @@ def final_states(
     # (shapes, heir, other) -> (each rank's rank after the join, the last slot
     # keeping an unplaced vertex's -1; the shapes after it; whether it is an impasse)
     joins: dict[tuple, tuple[tuple[int, ...], tuple, bool]] = {}
-    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0, 0, 0): [1, None, None]}
+    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0, 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
-            placed, ranks, shapes, on_impasse, impasses, overlaps = state
+            placed, ranks, shapes, on_impasse, impasses = state
             count = entry[0]
             grown = shapes + (leaf,)
             for s, after, a, b in steps(placed):
                 if a < 0:
                     grown_ranks = ranks[:s] + (len(shapes),) + ranks[s + 1:]
-                    successor = (after, grown_ranks, grown, on_impasse, impasses, overlaps)
+                    successor = (after, grown_ranks, grown, on_impasse, impasses)
                 else:
                     heir, other = ranks[a], ranks[b]
                     if other < heir:
@@ -234,11 +234,10 @@ def final_states(
                     # so itemgetter returns a tuple
                     joined_ranks = itemgetter(*ranks)(remap)
                     if impasse:
-                        pair = 1 << a | 1 << b
-                        successor = (after, joined_ranks, joined_shapes, on_impasse | pair, impasses + 1,
-                                     overlaps + (on_impasse & pair).bit_count())
+                        successor = (after, joined_ranks, joined_shapes,
+                                     on_impasse | 1 << a | 1 << b, impasses + 1)
                     else:
-                        successor = (after, joined_ranks, joined_shapes, on_impasse, impasses, overlaps)
+                        successor = (after, joined_ranks, joined_shapes, on_impasse, impasses)
                 reached = following.get(successor)
                 if reached is None:
                     following[successor] = [count, entry, s]
@@ -390,7 +389,7 @@ def check_invariants(
     vertex_bits = (1 << len(tree.vertices)) - 1
     total = passed = 0
     impasse_counts = set()
-    for (placed, _, shapes, _, k, overlaps), entry in final.items():
+    for (placed, _, shapes, on_impasse, k), entry in final.items():
         count = entry[0]
         total += count
         impasse_counts.add(k)
@@ -401,7 +400,7 @@ def check_invariants(
             nodes == n,
             nodes == 1 or k >= 1,
             k <= nu,
-            overlaps == 0,
+            on_impasse.bit_count() == 2 * k,
             vertices == (n - vertices) + 1,
         )
         if all(verdicts):

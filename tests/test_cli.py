@@ -5,6 +5,7 @@ exercised exactly as a shell user sees them; one test shells out to the
 interpreter to cover `python -m treemorse`.
 """
 
+import gc
 import json
 import random
 import subprocess
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import helpers
+from treemorse import cli, induce_merge_tree
 from treemorse.cli import main
 
 
@@ -153,6 +155,48 @@ def test_missing_value_is_a_usage_error(tmp_path, capsys):
     path = write_doc(tmp_path, "null.json", {"a": None, "b": 1}, [["a", "b", 2]])
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith("ParseError:")
+
+
+def _path3(b=1, second=("b", "c", 4)):
+    """The path a-b-c (vertices 0, 1, 2; edges 3, 4) with b's value or its second edge item replaced."""
+    return {"a": 0, "b": b, "c": 2}, [["a", "b", 3], second]
+
+
+@pytest.mark.parametrize(
+    "argv, vertices, edges, out, err, code",
+    [
+        pytest.param(["validate"], *_path3(b=True), "",
+                     "NotFiniteRealError: f('b') = True is not a finite real number\n", 1, id="bool-vertex"),
+        pytest.param(["validate"], *_path3(b="1"), "",
+                     "ParseError: vertex 'b' has non-numeric value '1'\n", 2, id="string-vertex"),
+        pytest.param(["validate"], *_path3(b=[1]), "",
+                     "ParseError: vertex 'b' has non-numeric value [1]\n", 2, id="list-vertex"),
+        pytest.param(["validate"], *_path3(b=None), "",
+                     "ParseError: vertex 'b' needs a value\n", 2, id="null-vertex"),
+        pytest.param(["validate"], *_path3(second=["b", "c"]), "",
+                     "ParseError: edge ['b', 'c'] needs a value\n", 2, id="2-item-edge-validate"),
+        pytest.param(["enumerate", "--count-classes"], *_path3(second=["b", "c"]), "2\n",
+                     "", 0, id="2-item-edge-enumerate"),
+        pytest.param(["validate"], *_path3(second=["b", "c", 4, 5]), "",
+                     "ParseError: edge entry ['b', 'c', 4, 5] is not [u, v, value]\n", 2, id="4-item-edge"),
+        pytest.param(["validate"], *_path3(second=["b", 7, 4]), "",
+                     "ParseError: edge endpoints in ['b', 7, 4] must be strings\n", 2, id="non-string-endpoint"),
+        pytest.param(["validate"], *_path3(second=["b", "c", "4"]), "",
+                     "ParseError: edge ['b', 'c', '4'] has non-numeric value\n", 2, id="non-numeric-edge-value"),
+        pytest.param(["validate"], *_path3(second=["b", "c", True]), "",
+                     "NotFiniteRealError: f(('b', 'c')) = True is not a finite real number\n", 1,
+                     id="bool-edge-value"),
+        pytest.param(["validate"], *_path3(second={"u": "b"}), "",
+                     "ParseError: edge entry {'u': 'b'} is not [u, v, value]\n", 2, id="non-list-edge-item"),
+        pytest.param(["validate"], {"a": 0}, [], "valid\n", "", 0, id="empty-edges"),
+    ],
+)
+def test_document_messages_name_the_first_bad_item(tmp_path, capsys, argv, vertices, edges, out, err, code):
+    # _load tests types a column at a time and loops over the items only to
+    # accept a bool or to name the first bad one; both paths answer alike
+    path = write_doc(tmp_path, "doc.json", vertices, edges)
+    assert main([argv[0], path, *argv[1:]]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_unknown_command_exits_with_usage_error(capsys):
@@ -508,6 +552,53 @@ def test_star_realize_output_round_trips(tmp_path, capsys):
 def test_star_realize_rejects_junk(capsys):
     assert main(["star-realize", "LXL"]) == 2
     assert capsys.readouterr().err.startswith("MalformedSequenceError:")
+
+
+# --- cyclic garbage collector -----------------------------------------------
+
+
+@pytest.fixture
+def gc_restored():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_gc_as_it_found_it(tmp_path, capsys, monkeypatch, gc_restored, enabled):
+    left, right = left_path_doc(tmp_path), right_path_doc(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nope")
+    during = []
+
+    def spy(f):
+        during.append(gc.isenabled())
+        return induce_merge_tree(f)
+
+    monkeypatch.setattr(cli, "induce_merge_tree", spy)
+    for argv, code in (
+        (["merge-tree", left, "--format", "shape"], 0),
+        (["compare", left, right, "--relation", "merge"], 1),
+        (["validate", str(broken)], 2),  # a TreemorseError
+        (["validate", str(tmp_path / "absent.json")], 2),  # an OSError
+    ):
+        gc.enable() if enabled else gc.disable()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    capsys.readouterr()
+    assert during == [False, False, False]  # paused while the commands ran
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_library_calls_leave_the_gc_alone(gc_restored, enabled):
+    gc.enable() if enabled else gc.disable()
+    f = helpers.deep_function()  # runs validate
+    assert gc.isenabled() is enabled
+    induce_merge_tree(f)
+    assert gc.isenabled() is enabled
 
 
 # --- interpreter entry point ------------------------------------------------

@@ -86,7 +86,7 @@ def test_sweep_matches_both_merge_tree_builders():
             tree = helpers.tree_from_edges(n, edges)
             final, simplices, table = final_states(tree)
             searched = Counter()
-            for (_, _, shapes, on_impasse, k, _), (count, *_) in final.items():
+            for (_, _, shapes, on_impasse, k), (count, *_) in final.items():
                 shape = shapes[0][0]
                 on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
                 searched[table.shape_code(shape), table.node_count(shape), k, k, on] += count
@@ -113,7 +113,7 @@ def test_final_states_come_in_first_arrival_order():
             tree = helpers.tree_from_edges(n, edges)
             final, simplices, table = final_states(tree)
             searched = []
-            for (_, _, shapes, on_impasse, _, _), (count, *_) in final.items():
+            for (_, _, shapes, on_impasse, _), (count, *_) in final.items():
                 on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
                 searched.append(((table.shape_code(shapes[0][0]), on), count))
             swept: dict = {}
