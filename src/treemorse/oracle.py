@@ -13,14 +13,17 @@ Labels are handed out in increasing order, so a labeling's prefix already
 is the sublevel sweep of its first labels. What the rest of a labeling can
 still do to its merge tree and impasses depends only on a small state:
 which simplices are placed, how the components rank by their minima, each
-component's shapes, and the impasse facts so far. final_states searches
-those states layer by layer, each carrying the number of labelings that
-reach it, so equal states reached by different labelings are expanded once;
-it follows the same placement rule. check_invariants and
-count_merge_classes share that one search: the first reads the merge-tree
-invariants off its final states, weighted by their counts, the second their
-distinct shapes. Both still refuse a tree over the budget, but only the
-enumeration's time grows factorially with it.
+component's shape code, and which vertices lie on impasse edges so far.
+A component's shape code is the MergeTree.shape_code of its merge tree
+with the top node tagged L; tagged R, the same tree is its mirror image,
+so one code per component serves both places a join can put it.
+final_states searches those states layer by layer, each carrying the
+number of labelings that reach it, so equal states reached by different
+labelings are expanded once; it follows the same placement rule.
+check_invariants and count_merge_classes share that one search: the first
+reads the merge-tree invariants off its final states, weighted by their
+counts, the second their distinct shape codes. Both still refuse a tree
+over the budget, but only the enumeration's time grows factorially with it.
 """
 
 from __future__ import annotations
@@ -75,56 +78,6 @@ def _placement(tree: SimplicialTree, budget: int) -> tuple[list[Simplex], Callab
     return list(tree.simplices()), steps
 
 
-class ShapeTable:
-    """Hash-consed merge-tree shapes and the join rule that grows them.
-
-    Id 0 is the leaf; every other id stands for one join of a (left, right)
-    pair of ids, so equal ids mean equal shape codes. A component of the
-    sweep is described by a pair of ids (L, R): its shape with its top node
-    tagged L, and tagged R. When an edge joins two components, the heir,
-    the one holding the smaller label, inherits its parent's direction, so
-    the joined pair is L = (L(heir), R(other)) and R = (L(other), R(heir)).
-    """
-
-    LEAF = (0, 0)
-
-    def __init__(self) -> None:
-        self._children: list[tuple[int, int]] = [(0, 0)]
-        self._node_counts = [1]
-        self._ids: dict[tuple[int, int], int] = {}
-
-    def _intern(self, key: tuple[int, int]) -> int:
-        shape = self._ids.get(key)
-        if shape is None:
-            shape = self._ids[key] = len(self._children)
-            self._children.append(key)
-            self._node_counts.append(self._node_counts[key[0]] + self._node_counts[key[1]] + 1)
-        return shape
-
-    def join(self, heir: tuple[int, int], other: tuple[int, int]) -> tuple[int, int]:
-        """The (L, R) pair of the component joined from heir and other."""
-        return self._intern((heir[0], other[1])), self._intern((other[0], heir[1]))
-
-    def node_count(self, shape: int) -> int:
-        return self._node_counts[shape]
-
-    def shape_code(self, shape: int) -> str:
-        """The MergeTree.shape_code of an interned shape."""
-        out = []
-        stack: list = [shape]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-            elif item == 0:
-                out.append(LEAF_GLYPH)
-            else:
-                left, right = self._children[item]
-                out.append("(")
-                stack.extend((")", right, left))
-        return "".join(out)
-
-
 class LabelingSweep:
     """Every injective labeling of a tree by 0..N-1, one per iteration.
 
@@ -161,9 +114,22 @@ def enumerate_critical_dmfs(
     return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
 
 
+_MIRROR = str.maketrans("()", ")(")
+
+
+def _mirror(code: str) -> str:
+    """The shape code of the same component with its top node tagged R.
+
+    A child keeps its parent's tag exactly when it holds the smaller
+    minimum, so retagging the top flips every tag below it and with it
+    every pair of children: the code read backwards, parentheses swapped.
+    """
+    return code[::-1].translate(_MIRROR)
+
+
 def final_states(
     tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET
-) -> tuple[dict[tuple, list], list[Simplex], ShapeTable]:
+) -> tuple[dict[tuple, list], list[Simplex]]:
     """The enumeration's final states, each with the labelings that reach it.
 
     A breadth-first search over enumeration states, one label per layer,
@@ -174,20 +140,23 @@ def final_states(
     - placed: bitmask of placed simplex ids;
     - ranks: each vertex's component rank among the components' minima,
       -1 while the vertex is unplaced;
-    - shapes: each rank's (L, R) pair of ShapeTable ids;
-    - on_impasse: bitmask of vertex ids on impasse edges;
-    - impasses: the number of impasse edges, pairwise disjoint exactly
-      when on_impasse has 2 * impasses bits set.
+    - shapes: each rank's shape code, the MergeTree.shape_code of its
+      component's merge tree with the top node tagged L;
+    - on_impasse: bitmask of vertex ids on impasse edges.
 
     Placing a vertex adds a last-ranked leaf component. Placing an edge
-    joins its endpoints' components by ShapeTable.join, the lower rank as
-    heir, then drops the other rank and shifts the ranks above it down by
-    one. The edge is an impasse exactly when both joined pairs are
-    ShapeTable.LEAF. What the remaining labels can do depends on the labels
-    so far only through the state, so labelings that reach an equal state
-    are followed once. Within one search the candidates are memoized per
-    placed mask (_placement), and each join with its rank shift and impasse
-    verdict per (shapes, heir, other); nothing is kept between calls.
+    joins its endpoints' components, the lower rank as heir: the heir keeps
+    the join's tag and the other takes the opposite one, so the joined code
+    is "(" + heir + _mirror(other) + ")". Then the other rank is dropped and
+    the ranks above it shift down by one. The edge is an impasse exactly
+    when both joined codes are the leaf, so the impasse edges are counted by
+    the "(••)" in the codes, pairwise disjoint exactly when on_impasse has
+    two bits set per impasse. What the remaining labels can do depends on
+    the labels so far only through the state, so labelings that reach an
+    equal state are followed once. Within one search the candidates are
+    memoized per placed mask (_placement), and each join with its rank
+    shift and impasse verdict per (shapes, heir, other); nothing is kept
+    between calls.
 
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
@@ -197,26 +166,23 @@ def final_states(
     reaching each state, and following parents spells that labeling
     backwards.
 
-    Returns the final layer, the simplices by id, and the ShapeTable the
-    shape ids refer to.
+    Returns the final layer and the simplices by id.
     """
     simplices, steps = _placement(tree, budget)
-    table = ShapeTable()
-    leaf = ShapeTable.LEAF
     # (shapes, heir, other) -> (each rank's rank after the join, the last slot
     # keeping an unplaced vertex's -1; the shapes after it; whether it is an impasse)
-    joins: dict[tuple, tuple[tuple[int, ...], tuple, bool]] = {}
-    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0, 0): [1, None, None]}
+    joins: dict[tuple, tuple[tuple[int, ...], tuple[str, ...], bool]] = {}
+    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
-            placed, ranks, shapes, on_impasse, impasses = state
+            placed, ranks, shapes, on_impasse = state
             count = entry[0]
-            grown = shapes + (leaf,)
+            grown = shapes + (LEAF_GLYPH,)
             for s, after, a, b in steps(placed):
                 if a < 0:
                     grown_ranks = ranks[:s] + (len(shapes),) + ranks[s + 1:]
-                    successor = (after, grown_ranks, grown, on_impasse, impasses)
+                    successor = (after, grown_ranks, grown, on_impasse)
                 else:
                     heir, other = ranks[a], ranks[b]
                     if other < heir:
@@ -225,37 +191,36 @@ def final_states(
                     if joined is None:
                         joined = joins[shapes, heir, other] = (
                             tuple(heir if r == other else r - (r > other) for r in (*range(len(shapes)), -1)),
-                            shapes[:heir] + (table.join(shapes[heir], shapes[other]),)
+                            shapes[:heir] + ("(" + shapes[heir] + _mirror(shapes[other]) + ")",)
                             + shapes[heir + 1:other] + shapes[other + 1:],
-                            shapes[heir] == shapes[other] == leaf,
+                            shapes[heir] == shapes[other] == LEAF_GLYPH,
                         )
                     remap, joined_shapes, impasse = joined
                     # an edge's two endpoints make ranks at least two long,
                     # so itemgetter returns a tuple
                     joined_ranks = itemgetter(*ranks)(remap)
                     if impasse:
-                        successor = (after, joined_ranks, joined_shapes,
-                                     on_impasse | 1 << a | 1 << b, impasses + 1)
+                        successor = (after, joined_ranks, joined_shapes, on_impasse | 1 << a | 1 << b)
                     else:
-                        successor = (after, joined_ranks, joined_shapes, on_impasse, impasses)
+                        successor = (after, joined_ranks, joined_shapes, on_impasse)
                 reached = following.get(successor)
                 if reached is None:
                     following[successor] = [count, entry, s]
                 else:
                     reached[0] += count
         layer = following
-    return layer, simplices, table
+    return layer, simplices
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
     """Distinct merge-tree shapes over every enumerated labeling.
 
     Read off final_states: once every simplex is placed one component is
-    left, and its L id is the shape of the merge tree of every labeling
+    left, and its shape code is the MergeTree.shape_code of every labeling
     that reaches the state.
     """
-    final, _, _ = final_states(tree, budget=budget)
-    return len({shapes[0][0] for _, _, shapes, *_ in final})
+    final, _ = final_states(tree, budget=budget)
+    return len({shapes[0] for _, _, shapes, _ in final})
 
 
 def _earliest_labeling(tree: SimplicialTree, simplices: list[Simplex], entry: list) -> MorseFunction:
@@ -355,12 +320,12 @@ def check_invariants(
 
     - full binary: exactly one component is left, so every join linked two
       distinct subtrees and the joins built a single tree;
-    - node count = critical values: the root shape, counted node by node as
-      it was interned, has N nodes;
+    - node count = critical values: the root shape code has N nodes, one
+      glyph per leaf and one pair of parentheses per join;
     - impasse exists (n > 1): a single-node tree, or at least one edge that
-      joined two single vertices;
-    - impasse count <= matching number: that edge count is at most the
-      tree's matching number;
+      joined two single vertices, a "(••)" in the root shape code;
+    - impasse count <= matching number: the count of those edges, the
+      "(••)" in the root shape code, is at most the tree's matching number;
     - impasse edges disjoint: no vertex lies on two impasse edges;
     - critical vertices = edges + 1: vertex placements outnumber the edge
       placements, N minus them, by one.
@@ -383,17 +348,20 @@ def check_invariants(
         )
     ]
 
-    final, simplices, table = final_states(tree, budget=budget)
+    final, simplices = final_states(tree, budget=budget)
     n = len(simplices)
     nu = tree.matching_number()
     vertex_bits = (1 << len(tree.vertices)) - 1
+    impasse_code = f"({LEAF_GLYPH}{LEAF_GLYPH})"
     total = passed = 0
     impasse_counts = set()
-    for (placed, _, shapes, on_impasse, k), entry in final.items():
+    for (placed, _, shapes, on_impasse), entry in final.items():
         count = entry[0]
         total += count
+        root = shapes[0]
+        k = root.count(impasse_code)
         impasse_counts.add(k)
-        nodes = table.node_count(shapes[0][0])
+        nodes = len(root) - root.count(")")
         vertices = (placed & vertex_bits).bit_count()
         verdicts = (
             len(shapes) == 1,

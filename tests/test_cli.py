@@ -7,13 +7,16 @@ interpreter to cover `python -m treemorse`.
 
 import gc
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
+import treemorse
 from treemorse import cli, induce_merge_tree
 from treemorse.cli import main
 
@@ -605,10 +608,15 @@ def test_library_calls_leave_the_gc_alone(gc_restored, enabled):
 
 
 def test_module_entry_point(tmp_path):
+    # the child interpreter imports the same treemorse package as this one,
+    # installed or not
+    path = [str(Path(treemorse.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     result = subprocess.run(
         [sys.executable, "-m", "treemorse", "validate", narrow_doc(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "valid\n"

@@ -84,12 +84,13 @@ def test_sweep_matches_both_merge_tree_builders():
     for n in range(1, 6):
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
-            final, simplices, table = final_states(tree)
+            final, simplices = final_states(tree)
             searched = Counter()
-            for (_, _, shapes, on_impasse, k), (count, *_) in final.items():
-                shape = shapes[0][0]
+            for (_, _, shapes, on_impasse), (count, *_) in final.items():
+                shape = shapes[0]
+                nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
                 on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                searched[table.shape_code(shape), table.node_count(shape), k, k, on] += count
+                searched[shape, nodes, k, k, on] += count
             for builder in (induce_merge_tree, helpers.reference_merge_tree):
                 built = Counter()
                 for values in LabelingSweep(tree):
@@ -111,11 +112,11 @@ def test_final_states_come_in_first_arrival_order():
     for n in range(1, 6):
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
-            final, simplices, table = final_states(tree)
+            final, simplices = final_states(tree)
             searched = []
-            for (_, _, shapes, on_impasse, _), (count, *_) in final.items():
+            for (_, _, shapes, on_impasse), (count, *_) in final.items():
                 on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                searched.append(((table.shape_code(shapes[0][0]), on), count))
+                searched.append(((shapes[0], on), count))
             swept: dict = {}
             for values in LabelingSweep(tree):
                 merge = induce_merge_tree(validate(tree, values))
@@ -124,6 +125,18 @@ def test_final_states_come_in_first_arrival_order():
                 key = merge.shape_code(), on
                 swept[key] = swept.get(key, 0) + 1
             assert searched == list(swept.items()), edges
+
+
+def test_final_states_of_the_three_vertex_path():
+    # a state is (placed mask, ranks, one shape code per component, mask of
+    # vertices on impasse edges); the impasse count is read off the codes
+    final, _ = final_states(helpers.path3_tree())
+    assert [(state, entry[0]) for state, entry in final.items()] == [
+        ((31, (0, 0, 0), ("((••)•)",), 0b011), 6),
+        ((31, (0, 0, 0), ("(•(••))",), 0b110), 2),
+        ((31, (0, 0, 0), ("((••)•)",), 0b110), 6),
+        ((31, (0, 0, 0), ("(•(••))",), 0b011), 2),
+    ]
 
 
 def test_budget_is_enforced_eagerly():
