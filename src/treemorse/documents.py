@@ -19,7 +19,7 @@ from .stars import StarGraph
 def _load(text: str) -> tuple[dict[str, Any], list[Sequence]]:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses on deep nesting
+    except (ValueError, RecursionError) as exc:  # bad JSON or too many digits; deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

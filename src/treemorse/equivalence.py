@@ -77,7 +77,7 @@ class PersistenceDiagram:
         """One `birth death` pair per line, `inf` for infinite death."""
         lines = []
         for birth, death in self.pairs:
-            shown = "inf" if math.isinf(death) else format_value(death)
+            shown = "inf" if death == math.inf else format_value(death)
             lines.append(f"{format_value(birth)} {shown}")
         return "\n".join(lines)
 

@@ -6,8 +6,10 @@ is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
 
-One sort of the values, cached on the function, decides both sharing rules
-and which simplices are critical; :func:`validate` forces it. The increasing
+One sorted pass, cached on the function, checks every Morse condition and
+decides which simplices are critical. Everything derived from the values
+reads it first, so a function built directly runs the same checks, with the
+same errors, as :func:`validate`, which only forces it. The increasing
 sweep of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that
 sorted order and adds only the joins of two components; the merge tree, its
 impasses, the persistence diagram and the Betti sequence come from that record.
@@ -75,9 +77,9 @@ class Sweep(NamedTuple):
 class MorseFunction:
     """A discrete Morse function on a tree.
 
-    Build through :func:`validate`; the constructor itself trusts its input.
-    Besides validate, only the oracle's enumerate_critical_dmfs and
-    _earliest_labeling call it, on labelings that respect the face order.
+    The constructor checks nothing. The Morse conditions are checked, as
+    :func:`validate` documents, the first time anything derived from the
+    values is read; :func:`validate` forces that check.
     """
 
     domain: SimplicialTree
@@ -88,22 +90,44 @@ class MorseFunction:
 
     @cached_property
     def _partition(self) -> tuple[list, dict[float, Simplex], frozenset]:
-        """The one sorted pass that decides sharing and criticality.
+        """The one sorted pass that checks the values and decides criticality.
 
         Returns the ``(simplex, value)`` items in increasing value order, a
         gradient pair's vertex right before its edge, the critical simplex
-        by value in that same order, and the gradient pairs. Walking the
-        items, it checks the two sharing rules in increasing value order: a
-        value is taken at most twice, and twice only by a vertex and an edge
-        containing it. Every other value is critical.
+        by value in that same order, and the gradient pairs. It runs
+        :func:`validate`'s checks in the order validate documents: before
+        the sort, sorting nothing but the simplices at fault, then the two
+        sharing rules while walking the sorted items. An unshared value is
+        critical.
 
         Raises:
-            NotFiniteRealError: a value is NaN.
-            MoreThanTwoShareValueError: a value is taken three or more times.
-            ValueSharedByNonIncidentError: a value is shared by two
-                simplices that are not an incident vertex-edge pair.
+            MorseValidationError: the first fault, with the type and the
+                message that :func:`validate` documents.
         """
-        entries = sorted(self.values.items(), key=itemgetter(1))
+        tree, values = self.domain, self.values
+        vertices, edges, keys = tree.vertices, tree.edges, values.keys()
+        # as many keys as the tree has simplices, and every simplex among them
+        exact = len(keys) == tree.simplex_count and keys >= vertices and keys >= edges
+        if not exact:
+            for simplices in (vertices, edges):
+                missing = [s for s in simplices if s not in values]
+                if missing:
+                    raise MissingValueError(f"no value for simplex {min(missing)!r}")
+        if not exact or set(map(type, values.values())) != {int}:
+            for simplex, value in values.items():
+                if simplex not in vertices and simplex not in edges:
+                    raise MissingValueError(f"value given for unknown simplex {simplex!r}")
+                kind = type(value)
+                if kind is not int and not (kind is float and math.isfinite(value)) and (
+                    kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
+                ):
+                    raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
+        late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
+        if late:
+            e = min(late)
+            endpoint = e[0] if values[e[0]] > values[e] else e[1]
+            raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
+        entries = sorted(values.items(), key=itemgetter(1))
         critical: dict[float, Simplex] = {}
         pairs = set()
         last = object()  # equal to no value, None included
@@ -111,8 +135,6 @@ class MorseFunction:
         # never reaches a third; the tuple test is is_edge inlined
         for i, (b, value) in enumerate(entries):
             if value != last:
-                if value != value:  # NaN, unequal to everything, so never tied
-                    raise NotFiniteRealError(f"f({b!r}) = {value!r} is not a finite real number")
                 critical[value] = b
                 last = value
                 continue
@@ -137,23 +159,19 @@ class MorseFunction:
     def sweep(self) -> Sweep:
         """The joins of one increasing sublevel sweep; see :class:`Sweep`.
 
-        The sweep walks :attr:`_partition`'s sorted items, so sharing and
-        criticality are already decided; it adds only the joins. It tracks,
-        for every component of the growing complex, its minimum value and
-        the largest critical value it has reached (its label). A paired
-        vertex comes right before its edge, which attaches it to an older,
-        labeled component; a critical edge joins two labeled components,
-        whose minima differ because no two vertices share a value.
-
-        The constructor trusts its input, so besides the sharing rules the
-        sweep refuses an edge placed before one of its endpoints and a
-        simplex left without a value.
+        The sweep walks :attr:`_partition`'s sorted items, where the values
+        are checked, criticality is decided and every edge comes after both
+        its endpoints; it adds only the joins. It tracks, for every
+        component of the growing complex, its minimum value and the largest
+        critical value it has reached (its label). A paired vertex comes
+        right before its edge, which attaches it to an older, labeled
+        component; a critical edge joins two labeled components, whose
+        minima differ because no two vertices share a value.
 
         Raises:
-            MorseValidationError: the values break a sharing rule (see
-                :attr:`_partition`), or some simplex has no value.
-            NotWeaklyIncreasingError: an edge value is below an endpoint
-                value.
+            MorseValidationError: the values break a Morse condition (see
+                :attr:`_partition`), or the domain, built by hand rather
+                than by build_tree, is not connected.
         """
         # union-find with path halving, as in complexes.keyed_tree; a root
         # maps to (component minimum, label), and a vertex starts labeled by
@@ -168,15 +186,7 @@ class MorseFunction:
                 state[simplex] = (value, value)
                 last = value
                 continue
-            root_u = parent.get(simplex[0])
-            root_v = parent.get(simplex[1])
-            if root_u is None or root_v is None:
-                endpoint = simplex[0] if root_u is None else simplex[1]
-                if endpoint not in self.values:
-                    raise MissingValueError(f"no value for simplex {endpoint!r}")
-                raise NotWeaklyIncreasingError(
-                    f"f({endpoint!r}) = {self.values[endpoint]} exceeds f({simplex!r}) = {value}"
-                )
+            root_u, root_v = parent[simplex[0]], parent[simplex[1]]
             while (up := parent[root_u]) is not root_u:
                 parent[root_u] = root_u = parent[up]
             while (up := parent[root_v]) is not root_v:
@@ -193,8 +203,8 @@ class MorseFunction:
             parent[root_v] = root_u
             state[root_u] = (min_u, crit_u)
             del state[root_v]
-        # the domain is connected, so only an edge without a value leaves
-        # more than one component
+        # every simplex has a value, so only a domain built by hand, not
+        # through build_tree, can leave more than one component
         if len(state) != 1:
             raise MorseValidationError(f"the sweep ends with {len(state)} components")
         ((global_min, _),) = state.values()
@@ -222,10 +232,9 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     for a simplex the tree does not have, or a value that is not a finite
     real, in the order the values are given; an edge valued below an
     endpoint, the first such edge in sorted order and on it the first such
-    endpoint; a broken sharing rule, in increasing value order. The sharing
-    rules are left to the function's one sorted pass, which this forces;
-    the other checks sort nothing but the simplices at fault. The sweep
-    itself is not run.
+    endpoint; a broken sharing rule, in increasing value order. The checks
+    are the function's one sorted pass, which this forces; the sweep itself
+    is not run.
 
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
@@ -237,29 +246,6 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
         ValueSharedByNonIncidentError: a value is shared by two simplices
             that are not an incident vertex-edge pair.
     """
-    values = dict(values)
-    vertices, edges, keys = tree.vertices, tree.edges, values.keys()
-    # as many keys as the tree has simplices, and every simplex among them
-    exact = len(keys) == tree.simplex_count and keys >= vertices and keys >= edges
-    if not exact:
-        for simplices in (vertices, edges):
-            missing = [s for s in simplices if s not in values]
-            if missing:
-                raise MissingValueError(f"no value for simplex {min(missing)!r}")
-    if not exact or set(map(type, values.values())) != {int}:
-        for simplex, value in values.items():
-            if simplex not in vertices and simplex not in edges:
-                raise MissingValueError(f"value given for unknown simplex {simplex!r}")
-            kind = type(value)
-            if kind is not int and not (kind is float and math.isfinite(value)) and (
-                kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            ):
-                raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
-    late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
-    if late:
-        e = min(late)
-        endpoint = e[0] if values[e[0]] > values[e] else e[1]
-        raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
-    f = MorseFunction(tree, values)
-    f._partition  # the sorted pass raises on a broken sharing rule
+    f = MorseFunction(tree, dict(values))
+    f._partition  # the sorted pass raises on the first fault
     return f

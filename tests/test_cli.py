@@ -125,6 +125,24 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ParseError: invalid JSON:")
 
 
+def test_an_integer_past_the_digit_limit_is_a_usage_error(tmp_path, capsys):
+    # json.loads refuses an integer literal longer than Python's 4,300-digit
+    # limit with a ValueError that is not a JSONDecodeError
+    path = tmp_path / "digits.json"
+    path.write_text('{"vertices": {"a": 0, "b": 1' + "0" * 5000 + '}, "edges": [["a", "b", 2]]}')
+    for argv in (["validate", str(path)], ["merge-tree", str(path)], ["invariants", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError: invalid JSON:")
+
+
+def test_invariants_print_a_death_too_large_for_a_float(tmp_path, capsys):
+    path = write_doc(tmp_path, "huge.json", {"a": 0, "b": 1}, [["a", "b", 10**400]])
+    assert main(["invariants", path]) == 0
+    assert capsys.readouterr().out.endswith(f"persistence diagram:\n0 inf\n1 {10**400}\n")
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")

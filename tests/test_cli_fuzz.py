@@ -21,7 +21,7 @@ NAMES = ["a", "b", "c", "d", "e", "f", "g", "h"]
 odd_values = st.one_of(
     st.none(),
     st.booleans(),
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0, 10**40]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0, 10**40, 10**400]),
     st.text(max_size=2),
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=1), st.integers(0, 3), max_size=1),

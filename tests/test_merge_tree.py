@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from treemorse import (
     MorseFunction,
     build_tree,
     enumerate_critical_dmfs,
+    forman_equivalent,
     homological_sequence,
     induce_merge_tree,
     merge_equivalent,
@@ -161,8 +163,8 @@ UNVALIDATED_CASES = [
     ([("a", "b")], {"a": 1, "b": 0, ("a", "b"): 0}, NotWeaklyIncreasingError),
     # no critical simplex at all
     ([("a", "b")], {"a": 0, "b": 0, ("a", "b"): 0}, MoreThanTwoShareValueError),
-    # an edge with no value: two components are left
-    ([("a", "b")], {"a": 0, "b": 1}, MorseValidationError),
+    # an edge with no value
+    ([("a", "b")], {"a": 0, "b": 1}, MissingValueError),
     # two vertices tied, and two edges tied: each edge attaches one tied
     # vertex, just as a gradient pair would
     (
@@ -190,6 +192,12 @@ UNVALIDATED_CASES = [
         {"a": 0, "b": 1, "c": 2, ("a", "b"): float("nan"), ("b", "c"): 4},
         NotFiniteRealError,
     ),
+    # a boolean is an int to sort and compare, but not a real value here
+    ([("a", "b")], {"a": True, "b": 2, ("a", "b"): 3}, NotFiniteRealError),
+    # an infinite edge value, which sorts and ties like a finite one
+    ([("a", "b")], {"a": 0, "b": 1, ("a", "b"): math.inf}, NotFiniteRealError),
+    # a value for a vertex the tree lacks
+    ([("a", "b")], {"a": 0, "b": 1, "c": 2, ("a", "b"): 3}, MissingValueError),
 ]
 
 
@@ -200,16 +208,24 @@ UNVALIDATED_CASES = [
     ids=[f"edges{i}-values{i}" for i in range(len(UNVALIDATED_CASES))],
 )
 def test_unvalidated_non_morse_function_raises(edges, values, error):
-    # MorseFunction trusts its input; the sorted pass and the sweep still
-    # refuse, and their checks are not asserts, which python -O would strip
+    # MorseFunction checks nothing when built; the first read of anything
+    # derived from its values runs validate's checks, with validate's type
+    # and message, and they are not asserts, which python -O would strip
     tree = build_tree(sorted({v for e in edges for v in e}), edges)
-    f = MorseFunction(tree, values)
-    with pytest.raises(error):
-        induce_merge_tree(f)
-    with pytest.raises(error):
-        persistence_diagram(f)
-    with pytest.raises(error):
-        homological_sequence(f)
+    with pytest.raises(error) as expected:
+        validate(tree, values)
+    readers = [
+        induce_merge_tree,
+        persistence_diagram,
+        homological_sequence,
+        lambda f: forman_equivalent(f, f),
+        lambda f: f.critical_simplices,
+    ]
+    for read in readers:
+        with pytest.raises(MorseValidationError) as raised:
+            read(MorseFunction(tree, values))
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_unvalidated_functions_raise_exactly_when_validate_does():

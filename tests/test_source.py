@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import treemorse
+from treemorse import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +60,21 @@ def test_readme_tour_runs():
     used = set(re.findall(r"\btm\.(\w+)", text))
     assert used
     assert used <= set(treemorse.__all__)
+
+
+def test_readme_cli_transcript(tmp_path, capsys):
+    # the Command line block's output for the Documents block's narrow.json
+    text = README.read_text(encoding="utf-8")
+    (document,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    path = tmp_path / "narrow.json"
+    path.write_text(document, encoding="utf-8")
+    transcript = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    runs = re.findall(r"^\$ treemorse (.*narrow\.json.*)\n((?:[^$].*\n)*)", transcript, re.M)
+    assert [argv for argv, _ in runs] == [
+        "validate narrow.json",
+        "merge-tree narrow.json --format shape",
+        "invariants narrow.json",
+    ]
+    for argv, expected in runs:
+        assert cli.main([str(path) if word == "narrow.json" else word for word in argv.split()]) == 0
+        assert capsys.readouterr().out == expected
