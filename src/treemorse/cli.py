@@ -23,8 +23,7 @@ from .equivalence import (
     persistence_equivalent,
 )
 from .errors import ParseError, TreemorseError
-from .merge_tree import MergeTree, format_value, induce_merge_tree, merge_equivalent
-from .morse import MorseFunction
+from .merge_tree import induce_merge_tree, merge_equivalent
 from .oracle import DEFAULT_SIMPLEX_BUDGET, check_invariants, count_merge_classes
 from .stars import lr_sequence, realize_on_star, thin_from_lr
 
@@ -46,28 +45,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_text(tree: MergeTree) -> str:
-    lines: list[str] = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        label = "?" if node.value is None else format_value(node.value)
-        lines.append("  " * depth + f"{label} {node.direction}")
-        if node.left is not None:
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
-    return "\n".join(lines)
-
-
 def cmd_merge_tree(args: argparse.Namespace) -> int:
-    f = parse_morse_document(_read(args.path))
-    tree = induce_merge_tree(f)
-    if args.format == "shape":
-        print(tree.shape_code())
-    elif args.format == "dot":
-        print(tree.to_dot())
-    else:
-        print(_render_text(tree))
+    tree = induce_merge_tree(parse_morse_document(_read(args.path)))
+    print({"text": tree.to_text, "shape": tree.shape_code, "dot": tree.to_dot}[args.format]())
     return 0
 
 

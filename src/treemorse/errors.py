@@ -62,7 +62,7 @@ class MalformedSequenceError(TreemorseError):
 
 
 class MalformedMergeTreeError(TreemorseError, ValueError):
-    """A merge tree or shape code is not a full binary tree tagged L and R."""
+    """A merge tree has a one-child node or a non-MergeNode, or a shape code is malformed."""
 
 
 class NonPositiveSizeError(TreemorseError, ValueError):

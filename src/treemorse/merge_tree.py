@@ -9,7 +9,8 @@ leaves labeled by critical vertex values.
 Direction tags make child order canonical: the root is tagged L; at every
 join the child whose component holds the smaller minimum keeps its parent's
 tag while the sibling takes the opposite one; and the L-tagged child is
-stored on the left. Equal shape therefore means equal tags as well.
+stored on the left. A node's tag is therefore its position, L for the root
+and every left child, R for every right child, and no node stores it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class MergeNode(NamedTuple):
     """
 
     value: Optional[float]
-    direction: str
     left: Optional["MergeNode"] = None
     right: Optional["MergeNode"] = None
 
@@ -57,22 +57,20 @@ class MergeNode(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MergeTree:
-    """A full binary tree with position-consistent direction tags."""
+    """A full binary tree of MergeNodes, each tagged by its position."""
 
     root: MergeNode
 
     def __post_init__(self) -> None:
-        if self.root.direction != "L":
-            raise MalformedMergeTreeError("root direction must be L")
         stack = [self.root]
         while stack:  # plain loop: this runs on every construction
             node = stack.pop()
+            if not isinstance(node, MergeNode):
+                raise MalformedMergeTreeError(f"a node must be a MergeNode, not {type(node).__name__}")
             left, right = node.left, node.right
             if (left is None) != (right is None):
                 raise MalformedMergeTreeError("every node needs zero or two children")
             if left is not None:
-                if left.direction != "L" or right.direction != "R":
-                    raise MalformedMergeTreeError("left children are tagged L, right children R")
                 stack.append(right)
                 stack.append(left)
 
@@ -105,7 +103,7 @@ class MergeTree:
     def shape_code(self) -> str:
         """Parenthesized leaf pattern: "•" for a leaf, "(LR)" for a join.
 
-        Equal codes mean the trees agree as shapes with directions.
+        Equal codes mean equal shapes, and so equal tags.
         """
 
         out = []
@@ -121,6 +119,19 @@ class MergeTree:
                 stack.extend((")", item.right, item.left))
         return "".join(out)
 
+    def to_text(self) -> str:
+        """A "value tag" line per node in preorder, two spaces per level; "?" for no value."""
+        lines: list[str] = []
+        stack = [(self.root, 0, "L")]
+        while stack:
+            node, depth, tag = stack.pop()
+            label = "?" if node.value is None else format_value(node.value)
+            lines.append("  " * depth + f"{label} {tag}")
+            if node.left is not None:
+                stack.append((node.right, depth + 1, "R"))
+                stack.append((node.left, depth + 1, "L"))
+        return "\n".join(lines)
+
     def to_dot(self) -> str:
         """Graphviz rendering; the left child edge precedes the right one."""
         node_lines: list[str] = []
@@ -128,21 +139,21 @@ class MergeTree:
         # nodes are numbered in preorder; the edge into a node follows every
         # edge of the node's subtree, so it waits on the stack beneath the
         # node's children
-        stack: list = [(self.root, None)]
+        stack: list = [(self.root, None, "L")]
         while stack:
             item = stack.pop()
             if type(item) is str:
                 edge_lines.append(item)
                 continue
-            node, parent = item
+            node, parent, tag = item
             name = f"n{len(node_lines)}"
             label = "" if node.value is None else format_value(node.value)
             node_lines.append(f'  {name} [label="{label}"];')
             if parent is not None:
-                stack.append(f'  {parent} -> {name} [label="{node.direction}"];')
+                stack.append(f'  {parent} -> {name} [label="{tag}"];')
             if node.left is not None:
-                stack.append((node.right, name))
-                stack.append((node.left, name))
+                stack.append((node.right, name, "R"))
+                stack.append((node.left, name, "L"))
         lines = ["digraph merge_tree {", "  node [shape=circle];"]
         lines.extend(node_lines)
         lines.extend(edge_lines)
@@ -157,30 +168,28 @@ def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
 
 def parse_shape_code(code: str) -> MergeTree:
     """Inverse of shape_code, producing a value-free tree."""
-    # open joins, each as [its direction, its left child once parsed]; an
-    # explicit stack, so depth is bounded by memory, not the recursion limit
-    open_joins: list[list] = []
-    direction, i = "L", 0
+    # the left child of each open join once parsed, None before; an explicit
+    # stack, so depth is bounded by memory, not the recursion limit
+    open_joins: list[Optional[MergeNode]] = []
+    i = 0
     while True:
         if i >= len(code):
             raise MalformedMergeTreeError("truncated shape code")
         if code[i] == "(":
-            open_joins.append([direction, None])
-            direction, i = "L", i + 1
+            open_joins.append(None)
+            i += 1
             continue
         if code[i] != LEAF_GLYPH:
             raise MalformedMergeTreeError(f"unexpected character {code[i]!r} at position {i}")
-        node, i = MergeNode(None, direction), i + 1
+        node, i = MergeNode(None), i + 1
         # a finished right child closes its join, which may finish another
-        while open_joins and open_joins[-1][1] is not None:
+        while open_joins and open_joins[-1] is not None:
             if i >= len(code) or code[i] != ")":
                 raise MalformedMergeTreeError(f"unbalanced parentheses at position {i}")
-            join_direction, left = open_joins.pop()
-            node, i = MergeNode(None, join_direction, left, node), i + 1
+            node, i = MergeNode(None, open_joins.pop(), node), i + 1
         if not open_joins:
             break
-        open_joins[-1][1] = node
-        direction = "R"
+        open_joins[-1] = node
     if i != len(code):
         raise MalformedMergeTreeError(f"trailing characters after position {i}")
     return MergeTree(node)
@@ -192,9 +201,10 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     Assembled from the joins of the sweep cached on f
     (:attr:`MorseFunction.sweep`), which :func:`persistence_diagram` reads
     too: each critical edge is a node whose children are the labels of the
-    two components it joins, the heir keeping the parent's direction. A
-    join's children are joins of smaller value or leaves, so tags go top
-    down in decreasing value and nodes bottom up in increasing value.
+    two components it joins, the heir keeping the parent's tag. A join's
+    children are joins of smaller value or leaves, so tags go top down in
+    decreasing value and nodes bottom up in increasing value; a join tagged
+    R stores its heir on the right.
 
     With no critical edge at all (exactly one critical vertex), the merge
     tree is the single node carrying that vertex value.
@@ -205,20 +215,21 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     """
     joins, global_min = f.sweep
     if not joins:
-        return MergeTree(MergeNode(global_min, "L"))
+        return MergeTree(MergeNode(global_min))
     top = next(reversed(joins))
-    tags = {top: "L"}
+    # whether each label is tagged R; only a join's is read
+    flipped = {top: False}
     for value, (heir, other, _) in reversed(joins.items()):
-        tags[heir] = tags[value]
-        tags[other] = "R" if tags[value] == "L" else "L"
+        flipped[heir] = flipped[value]
+        flipped[other] = not flipped[value]
     # a label that no join produced is a critical vertex: a leaf
     node = partial(tuple.__new__, MergeNode)  # bypasses the Python-level __new__ of NamedTuple
     built: dict = {}
     for value, (heir, other, _) in joins.items():
-        heir_node = built.pop(heir) if heir in joins else node((heir, tags[heir], None, None))
-        other_node = built.pop(other) if other in joins else node((other, tags[other], None, None))
-        if tags[value] == "L":
-            built[value] = node((value, "L", heir_node, other_node))
+        heir_node = built.pop(heir) if heir in joins else node((heir, None, None))
+        other_node = built.pop(other) if other in joins else node((other, None, None))
+        if flipped[value]:
+            built[value] = node((value, other_node, heir_node))
         else:
-            built[value] = node((value, "R", other_node, heir_node))
+            built[value] = node((value, heir_node, other_node))
     return MergeTree(built[top])

@@ -31,6 +31,7 @@ from .errors import (
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
+    UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
 
@@ -103,6 +104,7 @@ class MorseFunction:
         Raises:
             MorseValidationError: the first fault, with the type and the
                 message that :func:`validate` documents.
+            UnknownVertexError: as :func:`validate` documents.
         """
         tree, values = self.domain, self.values
         vertices, edges, keys = tree.vertices, tree.edges, values.keys()
@@ -118,11 +120,16 @@ class MorseFunction:
                 if simplex not in vertices and simplex not in edges:
                     raise MissingValueError(f"value given for unknown simplex {simplex!r}")
                 kind = type(value)
+                # a Rational is finite, and math.isfinite would overflow on a big one
                 if kind is not int and not (kind is float and math.isfinite(value)) and (
-                    kind is bool or not isinstance(value, numbers.Real) or not math.isfinite(value)
+                    kind is bool or not isinstance(value, numbers.Real)
+                    or not (isinstance(value, numbers.Rational) or math.isfinite(value))
                 ):
                     raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
-        late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
+        try:
+            late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
+        except KeyError as exc:  # only a tree built by hand, not by build_tree
+            raise UnknownVertexError(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
         if late:
             e = min(late)
             endpoint = e[0] if values[e[0]] > values[e] else e[1]
@@ -229,18 +236,20 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
 
     The fault reported is the first in this order: a simplex of the tree
     without a value, vertices before edges, each in sorted order; a value
-    for a simplex the tree does not have, or a value that is not a finite
-    real, in the order the values are given; an edge valued below an
-    endpoint, the first such edge in sorted order and on it the first such
-    endpoint; a broken sharing rule, in increasing value order. The checks
-    are the function's one sorted pass, which this forces; the sweep itself
-    is not run.
+    for a simplex the tree does not have, a value that is not a finite
+    real, then an edge endpoint that is not a vertex, in the order the
+    values are given; an edge valued below an endpoint, the first such edge
+    in sorted order and on it the first such endpoint; a broken sharing
+    rule, in increasing value order. The checks are the function's one
+    sorted pass, which this forces; the sweep itself is not run.
 
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
             names a simplex the tree does not have.
         NotFiniteRealError: a value is a boolean, not a real number at all,
             NaN or an infinity.
+        UnknownVertexError: an edge of a tree built by hand, not by
+            :func:`build_tree`, has an endpoint that is not a vertex.
         NotWeaklyIncreasingError: an edge value is below an endpoint value.
         MoreThanTwoShareValueError: a value is taken three or more times.
         ValueSharedByNonIncidentError: a value is shared by two simplices

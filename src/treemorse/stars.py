@@ -40,19 +40,19 @@ def star_graph(k: int) -> StarGraph:
 
 
 def _itinerary(tree: MergeTree) -> str:
-    """The directions of the internal nodes from the root to the unique
-    impasse: the root's L, then L or R as the path continues left or right.
+    """The tags of the internal nodes from the root to the unique impasse:
+    the root's L, then L or R as the path continues left or right.
     """
     count = tree.impasse_count()
     if count != 1:
         raise NotThinError(f"tree has {count} impasses, need exactly 1")
-    node, steps = tree.root, [tree.root.direction]
+    node, steps = tree.root, ["L"]
     while not node.is_impasse:
         # one impasse means at most one child can head a subtree with one,
-        # so exactly one child of every non-impasse internal node is internal;
-        # a MergeTree tags every left child L and every right child R
-        node = node.left if not node.left.is_leaf else node.right
-        steps.append(node.direction)
+        # so exactly one child of every non-impasse internal node is internal
+        side = "R" if node.left.is_leaf else "L"
+        steps.append(side)
+        node = node.right if side == "R" else node.left
     return "".join(steps)
 
 
@@ -72,15 +72,12 @@ def thin_from_lr(seq: str) -> MergeTree:
     if bad:
         raise MalformedSequenceError(f"sequence may only contain L and R, got {sorted(bad)}")
 
-    # built from the impasse up; entry i of steps is internal node i's
-    # direction, node 0 being the root
-    steps = "L" + seq
-    node = MergeNode(None, steps[-1], MergeNode(None, "L"), MergeNode(None, "R"))
-    for i in range(len(seq) - 1, -1, -1):
-        if seq[i] == "L":
-            node = MergeNode(None, steps[i], node, MergeNode(None, "R"))
-        else:
-            node = MergeNode(None, steps[i], MergeNode(None, "L"), node)
+    # built from the impasse up; entry i of seq says on which side internal
+    # node i + 1 hangs below node i, node 0 being the root
+    node = MergeNode(None, MergeNode(None), MergeNode(None))
+    for step in reversed(seq):
+        leaf = MergeNode(None)
+        node = MergeNode(None, node, leaf) if step == "L" else MergeNode(None, leaf, node)
     return MergeTree(node)
 
 

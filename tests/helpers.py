@@ -172,13 +172,14 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
     """Literal reconstruction: strict sublevel forest recomputed per edge.
 
     Independent of the production sweep; shares only the direction rule,
-    which the worked examples pin down exactly.
+    which the worked examples pin down exactly. It carries each node's tag
+    down its own recursion and stores the L-tagged child on the left.
     """
     critical = literal_critical(f)
     critical_values = sorted(critical)
     edge_values = [v for v in critical_values if is_edge(critical[v])]
     if not edge_values:
-        return MergeTree(MergeNode(critical_values[0], "L"))
+        return MergeTree(MergeNode(critical_values[0]))
 
     def component_data(value: float, endpoint: str) -> tuple[float, float]:
         component = strict_sublevel_component(f, value, endpoint)
@@ -190,7 +191,7 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
     def build(value: float, direction: str) -> MergeNode:
         simplex = critical[value]
         if not is_edge(simplex):
-            return MergeNode(value, direction)
+            return MergeNode(value)
         u, v = simplex
         label_u, min_u = component_data(value, u)
         label_v, min_v = component_data(value, v)
@@ -202,8 +203,8 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
         first = build(inherits, direction)
         second = build(other, flipped)
         if direction == "L":
-            return MergeNode(value, direction, first, second)
-        return MergeNode(value, direction, second, first)
+            return MergeNode(value, first, second)
+        return MergeNode(value, second, first)
 
     return MergeTree(build(edge_values[-1], "L"))
 
@@ -257,10 +258,6 @@ def reference_b0_sequence(f: MorseFunction) -> tuple:
 
 def values_preorder(tree: MergeTree) -> list:
     return [node.value for node in tree.nodes()]
-
-
-def tagged_preorder(tree: MergeTree) -> list:
-    return [(node.value, node.direction) for node in tree.nodes()]
 
 
 # ------------------------------------------------------- tree generation

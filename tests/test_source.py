@@ -72,6 +72,7 @@ def test_readme_cli_transcript(tmp_path, capsys):
     runs = re.findall(r"^\$ treemorse (.*narrow\.json.*)\n((?:[^$].*\n)*)", transcript, re.M)
     assert [argv for argv, _ in runs] == [
         "validate narrow.json",
+        "merge-tree narrow.json",
         "merge-tree narrow.json --format shape",
         "invariants narrow.json",
     ]
