@@ -29,7 +29,10 @@ from .stars import lr_sequence, realize_on_star, thin_from_lr
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -19,7 +19,9 @@ with the top node tagged L; tagged R, the same tree is its mirror image,
 so one code per component serves both places a join can put it.
 final_states searches those states layer by layer, each carrying the
 number of labelings that reach it, so equal states reached by different
-labelings are expanded once; it follows the same placement rule.
+labelings are expanded once; it follows the same placement rule. Within
+one call it interns each tuple of shape codes to a small int and memoizes
+the joins per interned tuple; nothing is kept from one call to the next.
 check_invariants and count_merge_classes share that one search: the first
 reads the merge-tree invariants off its final states, weighted by their
 counts, the second their distinct shape codes. Both still refuse a tree
@@ -141,7 +143,8 @@ def final_states(
     - ranks: each vertex's component rank among the components' minima,
       -1 while the vertex is unplaced;
     - shapes: each rank's shape code, the MergeTree.shape_code of its
-      component's merge tree with the top node tagged L;
+      component's merge tree with the top node tagged L; during the search
+      a state holds the tuple's interned id in its place;
     - on_impasse: bitmask of vertex ids on impasse edges.
 
     Placing a vertex adds a last-ranked leaf component. Placing an edge
@@ -154,9 +157,10 @@ def final_states(
     two bits set per impasse. What the remaining labels can do depends on
     the labels so far only through the state, so labelings that reach an
     equal state are followed once. Within one search the candidates are
-    memoized per placed mask (_placement), and each join with its rank
-    shift and impasse verdict per (shapes, heir, other); nothing is kept
-    between calls.
+    memoized per placed mask (_placement), and per shapes id the id after a
+    vertex is placed and, per (heir, other), the join's rank shift, joined
+    id and impasse verdict; a state builds one itemgetter over its ranks.
+    Nothing is kept between calls, and the final layer holds shape codes.
 
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
@@ -169,47 +173,60 @@ def final_states(
     Returns the final layer and the simplices by id.
     """
     simplices, steps = _placement(tree, budget)
-    # (shapes, heir, other) -> (each rank's rank after the join, the last slot
-    # keeping an unplaced vertex's -1; the shapes after it; whether it is an impasse)
-    joins: dict[tuple, tuple[tuple[int, ...], tuple[str, ...], bool]] = {}
-    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), (), 0): [1, None, None]}
+    # per shapes id: [shapes, the id after a vertex is placed (None until needed),
+    # {(heir, other): (each rank's rank after the join, the last slot keeping an
+    # unplaced vertex's -1; the id after the join; whether it is an impasse)}]
+    interned: list[list] = []
+    ids: dict[tuple[str, ...], int] = {}
+
+    def intern(shapes: tuple[str, ...]) -> int:
+        if shapes not in ids:
+            ids[shapes] = len(interned)
+            interned.append([shapes, None, {}])
+        return ids[shapes]
+
+    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), intern(()), 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
-            placed, ranks, shapes, on_impasse = state
+            placed, ranks, sid, on_impasse = state
             count = entry[0]
-            grown = shapes + (LEAF_GLYPH,)
+            shapes, grown, joins = record = interned[sid]
+            get = None
             for s, after, a, b in steps(placed):
                 if a < 0:
+                    if grown is None:
+                        grown = record[1] = intern(shapes + (LEAF_GLYPH,))
                     grown_ranks = ranks[:s] + (len(shapes),) + ranks[s + 1:]
                     successor = (after, grown_ranks, grown, on_impasse)
                 else:
                     heir, other = ranks[a], ranks[b]
                     if other < heir:
                         heir, other = other, heir
-                    joined = joins.get((shapes, heir, other))
+                    joined = joins.get((heir, other))
                     if joined is None:
-                        joined = joins[shapes, heir, other] = (
+                        joined = joins[heir, other] = (
                             tuple(heir if r == other else r - (r > other) for r in (*range(len(shapes)), -1)),
-                            shapes[:heir] + ("(" + shapes[heir] + _mirror(shapes[other]) + ")",)
-                            + shapes[heir + 1:other] + shapes[other + 1:],
+                            intern(shapes[:heir] + ("(" + shapes[heir] + _mirror(shapes[other]) + ")",)
+                                   + shapes[heir + 1:other] + shapes[other + 1:]),
                             shapes[heir] == shapes[other] == LEAF_GLYPH,
                         )
-                    remap, joined_shapes, impasse = joined
-                    # an edge's two endpoints make ranks at least two long,
-                    # so itemgetter returns a tuple
-                    joined_ranks = itemgetter(*ranks)(remap)
+                    remap, joined_id, impasse = joined
+                    if get is None:
+                        # ranks holds both endpoints, so get returns a tuple
+                        get = itemgetter(*ranks)
                     if impasse:
-                        successor = (after, joined_ranks, joined_shapes, on_impasse | 1 << a | 1 << b)
+                        successor = (after, get(remap), joined_id, on_impasse | 1 << a | 1 << b)
                     else:
-                        successor = (after, joined_ranks, joined_shapes, on_impasse)
+                        successor = (after, get(remap), joined_id, on_impasse)
                 reached = following.get(successor)
                 if reached is None:
                     following[successor] = [count, entry, s]
                 else:
                     reached[0] += count
         layer = following
-    return layer, simplices
+    return {(placed, ranks, interned[sid][0], on_impasse): entry
+            for (placed, ranks, sid, on_impasse), entry in layer.items()}, simplices
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:

@@ -143,6 +143,17 @@ def test_invariants_print_a_death_too_large_for_a_float(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(f"persistence diagram:\n0 inf\n1 {10**400}\n")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["enumerate", "--check"]], ids=lambda argv: argv[0])
+def test_a_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "ParseError: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+    )
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")

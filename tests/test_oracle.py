@@ -139,6 +139,22 @@ def test_final_states_of_the_three_vertex_path():
     ]
 
 
+def test_final_states_keep_nothing_between_calls():
+    # shapes are interned to ids within one search; an id or join table
+    # that outlived a call would mean another shape in the next one
+    path4 = helpers.tree_from_edges(4, [("v0", "v1"), ("v1", "v2"), ("v2", "v3")])
+    star4 = helpers.tree_from_edges(4, [("v0", "v1"), ("v0", "v2"), ("v0", "v3")])
+    trees = (path4, star4, path4)
+    runs = [(check_invariants(tree).to_dict(), count_merge_classes(tree)) for tree in trees]
+    assert runs[0] == runs[2]
+    assert [classes for _, classes in runs] == [5, 4, 5]
+    assert [report["functions"] for report, _ in runs] == [helpers.extension_count(t) for t in trees]
+    assert all(report["ok"] for report, _ in runs)
+    for tree in (path4, star4):
+        final, _ = final_states(tree)
+        assert all(type(code) is str for _, _, shapes, _ in final for code in shapes)
+
+
 def test_budget_is_enforced_eagerly():
     path7 = build_tree(
         [f"v{i}" for i in range(7)],
