@@ -1,11 +1,14 @@
-"""Shared test material: worked examples, brute-force oracles, tree generators."""
+"""Shared test material: worked examples, brute-force oracles, tree generators
+and the small-tree corpus."""
 
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import itertools
 import math
+import random
 from collections import Counter, defaultdict
 
 from treemorse import (
@@ -14,6 +17,7 @@ from treemorse import (
     MorseFunction,
     SimplicialTree,
     build_tree,
+    enumerate_critical_dmfs,
     is_edge,
     validate,
 )
@@ -379,3 +383,28 @@ def collapse_pairs(f: MorseFunction, choose) -> MorseFunction:
         values[e] = values[v]
         used.update((v, e))
     return validate(f.domain, values)
+
+
+# ------------------------------------------------------ the small corpus
+
+@functools.cache
+def small_corpus() -> tuple:
+    """Every injective labeling of the trees with 1 to 5 vertices, built once.
+
+    One (n, edges, tree, functions) per tree in trees_up_to_iso order, with
+    each function as enumerate_critical_dmfs yields it, as (f, its
+    collapse_pairs twin drawn from one Random(7), reference_merge_tree(f)).
+    The corpus is shared: a sweep one equivalence test caches on a function
+    is the one the other reads. No test may mutate an entry. It lives all
+    session, so gc.freeze spares every later full collection its objects.
+    """
+    rng = random.Random(7)
+    corpus = []
+    for n in range(1, 6):
+        for edges in trees_up_to_iso(n):
+            tree = tree_from_edges(n, edges)
+            functions = [(f, collapse_pairs(f, rng.randrange), reference_merge_tree(f))
+                         for f in enumerate_critical_dmfs(tree)]
+            corpus.append((n, edges, tree, tuple(functions)))
+    gc.freeze()
+    return tuple(corpus)

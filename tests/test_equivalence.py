@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 import helpers
 from treemorse import (
     build_tree,
-    enumerate_critical_dmfs,
     forman_equivalent,
     homological_sequence,
     homologically_equivalent,
@@ -118,16 +116,10 @@ def test_single_vertex_sequence():
 def test_sequence_matches_the_literal_component_count():
     # every labeling of every tree with up to 5 vertices, each again with
     # some vertex-edge pairs collapsed
-    rng = random.Random(7)
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            for f in enumerate_critical_dmfs(helpers.tree_from_edges(n, edges)):
-                g = helpers.collapse_pairs(f, rng.randrange)
-                for function in (f, g):
-                    assert (
-                        homological_sequence(function).b0_values
-                        == helpers.reference_b0_sequence(function)
-                    )
+    for *_, functions in helpers.small_corpus():
+        for f, g, _ in functions:
+            for function in (f, g):
+                assert homological_sequence(function).b0_values == helpers.reference_b0_sequence(function)
 
 
 # ------------------------------------------------------------ persistence
@@ -169,16 +161,22 @@ def test_paired_edges_leave_no_finite_pair():
 def test_diagram_matches_the_literal_elder_rule():
     # every labeling of every tree with up to 5 vertices, each again with
     # some vertex-edge pairs collapsed
-    rng = random.Random(7)
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            for f in enumerate_critical_dmfs(helpers.tree_from_edges(n, edges)):
-                g = helpers.collapse_pairs(f, rng.randrange)
-                for function in (f, g):
-                    assert (
-                        persistence_diagram(function).pairs
-                        == helpers.reference_persistence_diagram(function)
-                    )
+    for *_, functions in helpers.small_corpus():
+        for f, g, _ in functions:
+            for function in (f, g):
+                assert persistence_diagram(function).pairs == helpers.reference_persistence_diagram(function)
+
+
+def test_corpus_twins_carry_gradient_pairs():
+    # the two literal-oracle tests above rely on collapse_pairs for their
+    # paired inputs; a twin has a gradient pair when two of its simplices
+    # share a value, read straight off the values
+    paired = 0
+    for n, edges, _, functions in helpers.small_corpus():
+        shared = sum(len(set(g.values.values())) < len(g.values) for _, g, _ in functions)
+        assert shared > 0 or n == 1, edges
+        paired += shared
+    assert paired == 10_336
 
 
 def test_diagram_text():

@@ -18,7 +18,6 @@ from treemorse.errors import BudgetExceededError
 from treemorse.complexes import SimplicialTree
 from treemorse.oracle import (
     WITNESS_CAP,
-    LabelingSweep,
     PropertyCheck,
     _describe,
     final_states,
@@ -80,51 +79,46 @@ def test_sweep_matches_both_merge_tree_builders():
     # assemble from every labeling the sweep visits, and to the impasse
     # count read off each function's sublevel sweep (Sweep.impasse_count),
     # so the invariants cannot become true by construction
-    labelings = 0
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            final, simplices = final_states(tree)
-            searched = Counter()
-            for (_, _, shapes, on_impasse), (count, *_) in final.items():
-                shape = shapes[0]
-                nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
-                on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                searched[shape, nodes, k, k, on] += count
-            for builder in (induce_merge_tree, helpers.reference_merge_tree):
-                built = Counter()
-                for values in LabelingSweep(tree):
-                    f = validate(tree, values)
-                    merge = builder(f)
-                    # critical labelings are injective, so values name simplices
-                    simplex_at = {value: s for s, value in f.values.items()}
-                    on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
-                    impasses = merge.impasse_count(), f.sweep.impasse_count()
-                    built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
-                assert searched == built, edges
-            labelings += sum(built.values())
-    assert labelings == 26_179
+    for n, edges, tree, functions in helpers.small_corpus():
+        # the enumerator under test builds the corpus; the down-set count is independent
+        assert len(functions) == helpers.extension_count(tree), edges
+        final, simplices = final_states(tree)
+        searched = Counter()
+        for (_, _, shapes, on_impasse), (count, *_) in final.items():
+            shape = shapes[0]
+            nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
+            on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
+            searched[shape, nodes, k, k, on] += count
+        induced, referenced = Counter(), Counter()
+        for f, _, reference in functions:
+            f = validate(tree, f.values)
+            # critical labelings are injective, so values name simplices
+            simplex_at = {value: s for s, value in f.values.items()}
+            for built, merge in ((induced, induce_merge_tree(f)), (referenced, reference)):
+                on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
+                impasses = merge.impasse_count(), f.sweep.impasse_count()
+                built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
+        for built in (induced, referenced):
+            assert searched == built, edges
+    assert sum(len(functions) for *_, functions in helpers.small_corpus()) == 26_179
 
 
 def test_final_states_come_in_first_arrival_order():
     # witnesses are read off the final layer's dict order, which must be
     # the order in which the sweep's labelings first reach each final state
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            final, simplices = final_states(tree)
-            searched = []
-            for (_, _, shapes, on_impasse), (count, *_) in final.items():
-                on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                searched.append(((shapes[0], on), count))
-            swept: dict = {}
-            for values in LabelingSweep(tree):
-                merge = induce_merge_tree(validate(tree, values))
-                simplex_at = {value: s for s, value in values.items()}
-                on = tuple(sorted(w for m in merge.impasses() for w in simplex_at[m.value]))
-                key = merge.shape_code(), on
-                swept[key] = swept.get(key, 0) + 1
-            assert searched == list(swept.items()), edges
+    for n, edges, tree, functions in helpers.small_corpus():
+        final, simplices = final_states(tree)
+        searched = []
+        for (_, _, shapes, on_impasse), (count, *_) in final.items():
+            on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
+            searched.append(((shapes[0], on), count))
+        swept = Counter()  # a dict, so in first-arrival order
+        for f, _, _ in functions:
+            merge = induce_merge_tree(validate(tree, f.values))
+            simplex_at = {value: s for s, value in f.values.items()}
+            on = tuple(sorted(w for m in merge.impasses() for w in simplex_at[m.value]))
+            swept[merge.shape_code(), on] += 1
+        assert searched == list(swept.items()), edges
 
 
 def test_final_states_of_the_three_vertex_path():
@@ -176,14 +170,9 @@ def test_state_search_matches_the_sweep():
     # count_merge_classes merges equal enumeration states; the sweep visits
     # every labeling, so the reference shapes of its labelings are the
     # oracle for the count
-    for n in range(1, 6):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            swept = {
-                helpers.reference_merge_tree(validate(tree, values)).shape_code()
-                for values in LabelingSweep(tree)
-            }
-            assert count_merge_classes(tree) == len(swept), edges
+    for _, edges, tree, functions in helpers.small_corpus():
+        swept = {reference.shape_code() for _, _, reference in functions}
+        assert count_merge_classes(tree) == len(swept), edges
 
 
 def test_merge_class_counts():

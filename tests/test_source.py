@@ -1,13 +1,24 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import treemorse
-from treemorse import cli
+from treemorse import MergeTree, MorseFunction, cli
+from treemorse.morse import Sweep
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
+
+# the independent oracles in helpers.py and the package names they may load
+ORACLES = {
+    "brute_matching_number", "brute_extensions", "extension_count",
+    "strict_sublevel_component", "literal_critical", "reference_merge_tree",
+    "reference_persistence_diagram", "reference_b0_sequence",
+}
+ORACLE_IMPORTS = {"MergeNode", "MergeTree", "MorseFunction", "SimplicialTree", "is_edge"}
 
 
 def _package_nodes():
@@ -79,3 +90,35 @@ def test_readme_cli_transcript(tmp_path, capsys):
     for argv, expected in runs:
         assert cli.main([str(path) if word == "narrow.json" else word for word in argv.split()]) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_oracles_stay_independent_of_the_package():
+    # an oracle answers for the code it checks, so it loads only the
+    # package's data types and is_edge, calls no other helper, and reads no
+    # member the package derives from the values (SimplicialTree's
+    # matching_number included)
+    module = ast.parse(HELPERS.read_text(encoding="utf-8"))
+    package = {  # the names helpers.py binds to the package
+        alias.asname or alias.name.split(".")[0]
+        for node in module.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if (getattr(node, "module", None) or alias.name).split(".")[0] == "treemorse"
+    }
+    helpers = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert ORACLES <= helpers.keys()
+    assert ORACLE_IMPORTS <= package
+    fields = {f.name for cls in (MorseFunction, MergeTree) for f in dataclasses.fields(cls)}
+    derived = {
+        name for cls in (MorseFunction, Sweep, MergeTree) for name in vars(cls)
+        if not name.startswith("__")
+    } - fields | {"matching_number"}
+    assert {"sweep", "_partition", "critical_values", "gradient_vector_field", "joins"} <= derived
+    found = []
+    for name in sorted(ORACLES):
+        for node in ast.walk(helpers[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in package - ORACLE_IMPORTS or node.id in helpers.keys() - ORACLES:
+                    found.append(f"{name} loads {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in derived:
+                found.append(f"{name} reads .{node.attr}")
+    assert found == []
