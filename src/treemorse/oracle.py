@@ -1,5 +1,5 @@
-"""Exhaustive enumeration of injective discrete Morse functions, and the
-state search that counts them without listing them.
+"""Exhaustive enumeration of injective discrete Morse functions, the state
+search that checks them without listing them, and their merge classes.
 
 An injective function on a tree with N simplices is, up to order-preserving
 relabeling, a bijection onto 0..N-1 that respects the face order: every
@@ -22,10 +22,8 @@ number of labelings that reach it, so equal states reached by different
 labelings are expanded once; it follows the same placement rule. Within
 one call it interns each tuple of shape codes to a small int and memoizes
 the joins per interned tuple; nothing is kept from one call to the next.
-check_invariants and count_merge_classes share that one search: the first
-reads the merge-tree invariants off its final states, weighted by their
-counts, the second their distinct shape codes. Both still refuse a tree
-over the budget, but only the enumeration's time grows factorially with it.
+check_invariants tallies its checks over the final states by their counts;
+count_merge_classes recurses on the top edge. All refuse trees over budget.
 """
 
 from __future__ import annotations
@@ -232,12 +230,44 @@ def final_states(
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
     """Distinct merge-tree shapes over every enumerated labeling.
 
-    Read off final_states: once every simplex is placed one component is
-    left, and its shape code is the MergeTree.shape_code of every labeling
-    that reaches the state.
+    Visits no labeling. On two or more vertices the largest value is on an
+    edge e, so the root is e's join of the two sides of T - e. Each side's
+    merge tree depends only on its own values' order, the orders interleave
+    freely, and either side can hold the smaller minimum, the heir. So the
+    shapes of T are the union over e and both heirs of "(" + heir +
+    _mirror(other) + ")", and a vertex has only LEAF_GLYPH. Mirroring a
+    join gives the join with the other heir, so shapes are mirror-closed.
     """
-    final, _ = final_states(tree, budget=budget)
-    return len({shapes[0] for _, _, shapes, _ in final})
+    return len(_merge_shapes(tree, budget))
+
+
+def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
+    """count_merge_classes' shapes, memoized per connected vertex set.
+
+    A set is a bitmask of vertex ids, and the memo fills by increasing size.
+    A set holds an edge exactly when it meets both sides of the edge's cut.
+    """
+    simplices, _ = _placement(tree, budget)
+    edges = [(simplices.index(a), simplices.index(b)) for a, b in tree.edges]
+    cuts = []
+    for e in edges:  # e[0]'s side, grown at least one edge further per pass
+        side = 1 << e[0]
+        for a, b in edges * len(edges):
+            if (a, b) != e and (side >> a | side >> b) & 1:
+                side |= 1 << a | 1 << b
+        cuts.append(side)
+    splits: dict[int, list[tuple[int, int]]] = {}
+    todo = [(1 << len(tree.vertices)) - 1]  # the whole tree first
+    for part in todo:  # todo grows while it is walked
+        if part not in splits:
+            splits[part] = [(part & cut, part & ~cut) for cut in cuts if part & cut and part & ~cut]
+            todo += [side for split in splits[part] for side in split]
+    memo: dict[int, set[str]] = {}
+    for part in sorted(splits, key=int.bit_count):
+        # memo[o] is closed under _mirror, so it holds every _mirror(other)
+        memo[part] = {"(" + heir + other + ")" for x, y in splits[part] for h, o in ((x, y), (y, x))
+                      for heir in memo[h] for other in memo[o]} or {LEAF_GLYPH}
+    return memo[todo[0]]
 
 
 def _earliest_labeling(tree: SimplicialTree, simplices: list[Simplex], entry: list) -> MorseFunction:

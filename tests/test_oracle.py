@@ -20,6 +20,7 @@ from treemorse.oracle import (
     WITNESS_CAP,
     PropertyCheck,
     _describe,
+    _merge_shapes,
     final_states,
 )
 
@@ -195,11 +196,25 @@ def test_merge_class_counts():
     for name, (edges, classes) in six_vertex_trees.items():
         tree = helpers.tree_from_edges(6, [(f"v{a}", f"v{b}") for a, b in edges])
         assert count_merge_classes(tree) == classes, name
+    # the eleven trees with seven vertices
+    counts = [count_merge_classes(helpers.tree_from_edges(7, edges), budget=13)
+              for edges in helpers.trees_up_to_iso(7)]
+    assert sorted(counts) == [32, 88, 96, 96, 104, 104, 112, 132, 132, 132, 132]
     # a path realizes every full binary tree with n leaves: Catalan(n - 1)
-    for n in range(2, 8):
+    for n in range(2, 11):
         path = helpers.tree_from_edges(n, [(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
         catalan = math.comb(2 * (n - 1), n - 1) // n
         assert count_merge_classes(path, budget=2 * n - 1) == catalan, n
+
+
+def test_top_edge_recursion_matches_the_state_search():
+    # count_merge_classes joins the shapes of the two sides of each top
+    # edge; final_states reaches the same root codes label by label
+    for n in range(1, 7):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            final, _ = final_states(tree)
+            assert _merge_shapes(tree, DEFAULT_SIMPLEX_BUDGET) == {shapes[0] for _, _, shapes, _ in final}, edges
 
 
 def test_property_check_records_witnesses():
