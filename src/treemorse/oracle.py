@@ -22,7 +22,7 @@ number of labelings that reach it, so equal states reached by different
 labelings are expanded once; it follows the same placement rule. Within
 one call it interns each tuple of shape codes to a small int and memoizes
 the joins per interned tuple; nothing is kept from one call to the next.
-check_invariants tallies its checks over the final states by their counts;
+check_invariants tallies its checks over orbits of final states by count;
 count_merge_classes recurses on the top edge. All refuse trees over budget.
 """
 
@@ -127,8 +127,22 @@ def _mirror(code: str) -> str:
     return code[::-1].translate(_MIRROR)
 
 
+def _automorphisms(n: int, edges: list[tuple]) -> list[tuple[int, ...]]:
+    """The tree's automorphisms, each as the image of every simplex id.
+
+    edges are the _placement candidates. Vertex ids in turn take each image
+    keeping adjacency to the ids before them, and edges follow their ends.
+    """
+    edge_id = {1 << a | 1 << b: s for s, _, a, b in edges}
+    group = [()]
+    for v in range(n):
+        group = [images + (w,) for images in group for w in range(n) if w not in images and all(
+            (1 << u | 1 << v in edge_id) == (1 << x | 1 << w in edge_id) for u, x in enumerate(images))]
+    return [images + tuple(edge_id[1 << images[a] | 1 << images[b]] for _, _, a, b in edges) for images in group]
+
+
 def final_states(
-    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET
+    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET, _orbits: bool = False
 ) -> tuple[dict[tuple, list], list[Simplex]]:
     """The enumeration's final states, each with the labelings that reach it.
 
@@ -159,14 +173,17 @@ def final_states(
     vertex is placed and, per (heir, other), the join's rank shift, joined
     id and impasse verdict; a state builds one itemgetter over its ranks.
     Nothing is kept between calls, and the final layer holds shape codes.
+    With _orbits, a layer keeps one state per orbit of the automorphisms σ:
+    the least (σ(placed), ranks∘σ⁻¹, shapes id, σ(on_impasse)), with the
+    orbit's summed count. σ maps the labelings reaching a state onto those
+    reaching its image, futures alike, so tallies of what σ keeps hold.
 
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
     placed on that arrival. States are expanded in first-arrival order and
-    candidates in placement order, as LabelingSweep tries them, so each
-    layer's dict order is the enumeration order of the earliest labeling
-    reaching each state, and following parents spells that labeling
-    backwards.
+    candidates in placement order, as LabelingSweep tries them, so unfolded
+    each layer's dict order is the enumeration order of the earliest
+    labeling reaching each state, and following parents spells it backwards.
 
     Returns the final layer and the simplices by id.
     """
@@ -183,7 +200,13 @@ def final_states(
             interned.append([shapes, None, {}])
         return ids[shapes]
 
-    layer: dict[tuple, list] = {(0, (-1,) * len(tree.vertices), intern(()), 0): [1, None, None]}
+    n = len(tree.vertices)
+    # per automorphism σ: σ(s)'s bit per simplex id s, a 0 for pick to read twice, and ranks∘σ⁻¹'s getter
+    group = [(tuple(1 << x for x in sigma) + (0,), itemgetter(*sorted(range(n), key=sigma.__getitem__)))
+             for sigma in (_automorphisms(n, steps((1 << n) - 1)) if _orbits else ())]
+    pick = cache(lambda mask: itemgetter(*(s for s in range(len(simplices)) if mask >> s & 1), -1, -1))
+    folds: dict[int, tuple] = {}  # per placed mask: its least image, the σ reaching it, () if just the identity
+    layer: dict[tuple, list] = {(0, (-1,) * n, intern(()), 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
         for state, entry in layer.items():
@@ -223,6 +246,19 @@ def final_states(
                 else:
                     reached[0] += count
         layer = following
+        if len(group) > 1:
+            layer = {}
+            for (placed, ranks, sid, on_impasse), entry in following.items():
+                if placed not in folds:
+                    images = list(map(sum, map(pick(placed), (bits for bits, _ in group))))
+                    least = min(images)
+                    reach = [sigma for sigma, image in zip(group, images) if image == least]
+                    folds[placed] = least, (reach if len(reach) > 1 or least != placed else ())
+                least, reach = folds[placed]
+                if reach:
+                    ranks, on_impasse = min([(perm(ranks), sum(pick(on_impasse)(bits))) for bits, perm in reach])
+                if (reached := layer.setdefault((least, ranks, sid, on_impasse), entry)) is not entry:
+                    reached[0] += entry[0]
     return {(placed, ranks, interned[sid][0], on_impasse): entry
             for (placed, ranks, sid, on_impasse), entry in layer.items()}, simplices
 
@@ -361,9 +397,10 @@ def check_invariants(
 ) -> InvariantReport:
     """Check the merge-tree invariants over every enumerated labeling.
 
-    The checks are read once per final state of final_states and tallied
-    with the number of labelings that reach it, which all share the state's
-    verdicts. All N labels are distinct, so all N simplices are critical.
+    The checks are read once per orbit of final states (final_states with
+    _orbits), tallied with the number of labelings that reach it, which all
+    share its verdicts; if one fails, over the unfolded states instead, for
+    the witnesses. All N labels are distinct, so all N simplices are critical.
 
     - full binary: exactly one component is left, so every join linked two
       distinct subtrees and the joins built a single tree;
@@ -395,35 +432,38 @@ def check_invariants(
         )
     ]
 
-    final, simplices = final_states(tree, budget=budget)
-    n = len(simplices)
     nu = tree.matching_number()
     vertex_bits = (1 << len(tree.vertices)) - 1
     impasse_code = f"({LEAF_GLYPH}{LEAF_GLYPH})"
-    total = passed = 0
-    impasse_counts = set()
-    for (placed, _, shapes, on_impasse), entry in final.items():
-        count = entry[0]
-        total += count
-        root = shapes[0]
-        k = root.count(impasse_code)
-        impasse_counts.add(k)
-        nodes = len(root) - root.count(")")
-        vertices = (placed & vertex_bits).bit_count()
-        verdicts = (
-            len(shapes) == 1,
-            nodes == n,
-            nodes == 1 or k >= 1,
-            k <= nu,
-            on_impasse.bit_count() == 2 * k,
-            vertices == (n - vertices) + 1,
-        )
-        if all(verdicts):
-            passed += count
-            continue
-        f = _earliest_labeling(tree, simplices, entry)
-        for check, ok in zip(checks, verdicts):
-            check.record(ok, f, count)
+    for orbits in (True, False):
+        final, simplices = final_states(tree, budget=budget, _orbits=orbits)
+        n = len(simplices)
+        total = passed = 0
+        impasse_counts = set()
+        for (placed, _, shapes, on_impasse), entry in final.items():
+            count = entry[0]
+            total += count
+            root = shapes[0]
+            k = root.count(impasse_code)
+            impasse_counts.add(k)
+            nodes = len(root) - root.count(")")
+            vertices = (placed & vertex_bits).bit_count()
+            verdicts = (
+                len(shapes) == 1,
+                nodes == n,
+                nodes == 1 or k >= 1,
+                k <= nu,
+                on_impasse.bit_count() == 2 * k,
+                vertices == (n - vertices) + 1,
+            )
+            if all(verdicts):
+                passed += count
+            elif not orbits:
+                f = _earliest_labeling(tree, simplices, entry)
+                for check, ok in zip(checks, verdicts):
+                    check.record(ok, f, count)
+        if passed == total:
+            break
     # states that passed everything are tallied once, not per check
     for check in checks:
         check.checked += passed

@@ -14,13 +14,16 @@ from treemorse import (
     induce_merge_tree,
     validate,
 )
+from treemorse import oracle
 from treemorse.errors import BudgetExceededError
 from treemorse.complexes import SimplicialTree
 from treemorse.oracle import (
     WITNESS_CAP,
     PropertyCheck,
+    _automorphisms,
     _describe,
     _merge_shapes,
+    _placement,
     final_states,
 )
 
@@ -132,6 +135,63 @@ def test_final_states_of_the_three_vertex_path():
         ((31, (0, 0, 0), ("((••)•)",), 0b110), 6),
         ((31, (0, 0, 0), ("(•(••))",), 0b011), 2),
     ]
+    # the reflection swaps the two impasse edges, so each shape is one orbit
+    # kept as its least (placed, ranks, shapes, on_impasse) image
+    folded, _ = final_states(helpers.path3_tree(), _orbits=True)
+    assert [(state, entry[0]) for state, entry in folded.items()] == [
+        ((31, (0, 0, 0), ("((••)•)",), 0b011), 12),
+        ((31, (0, 0, 0), ("(•(••))",), 0b011), 4),
+    ]
+
+
+def _group(tree):
+    """_automorphisms of tree, each as a dict from vertex name to image."""
+    n = len(tree.vertices)
+    simplices, steps = _placement(tree, 2 * n - 1)
+    group = _automorphisms(n, steps((1 << n) - 1))
+    for images in group:  # an edge goes where its endpoints go
+        assert all(simplices[images[s]] == tuple(sorted(simplices[images[simplices.index(v)]] for v in e))
+                   for s, e in enumerate(simplices[n:], n))
+    return [{simplices[v]: simplices[images[v]] for v in range(n)} for images in group]
+
+
+def test_automorphisms_match_the_permutation_filter():
+    sizes = {}
+    for n in range(1, 8):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            group, brute = _group(tree), helpers.brute_automorphisms(tree)
+            assert sorted(sorted(m.items()) for m in group) == sorted(sorted(m.items()) for m in brute), edges
+            sizes.setdefault(n, []).append(len(group))
+    assert sizes[6] == [120, 6, 8, 2, 2, 2]  # star5, broom4, double_star, spider113, spider122, path6
+    assert sorted(sizes[7]) == [1, 2, 2, 2, 4, 6, 6, 8, 12, 24, 720]
+
+
+def test_orbit_fold_keeps_every_answer(monkeypatch):
+    # no automorphism moves what check_invariants reads, so the orbit layer's
+    # weighted tally is the unfolded one's, and so is the report
+    def unfolded(tree, *, budget, _orbits):
+        return final_states(tree, budget=budget)
+
+    for n in range(1, 7):
+        for edges in helpers.trees_up_to_iso(n):
+            tree = helpers.tree_from_edges(n, edges)
+            layers, tallies = [], []
+            for orbits in (True, False):
+                final, _ = final_states(tree, _orbits=orbits)
+                tally = Counter()
+                for (placed, _, shapes, on_impasse), (count, *_) in final.items():
+                    vertices = (placed & (1 << n) - 1).bit_count()
+                    tally[shapes[0], on_impasse.bit_count(), vertices, len(shapes)] += count
+                layers.append(final)
+                tallies.append(tally)
+            assert tallies[0] == tallies[1], edges
+            if n > 2 and len(_group(tree)) > 1:  # the single edge's one final state is its own orbit
+                assert len(layers[0]) < len(layers[1]), edges
+            report = check_invariants(tree).to_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "final_states", unfolded)
+                assert check_invariants(tree).to_dict() == report, edges
 
 
 def test_final_states_keep_nothing_between_calls():
@@ -305,6 +365,10 @@ def test_witnesses_are_the_earliest_labeling_of_each_failing_state(monkeypatch):
     assert _impasse_witness_positions(helpers.path3_tree()) == (16, 4)
     path4 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
     assert _impasse_witness_positions(path4) == (272, WITNESS_CAP)
+    # the 3-leaf star has 6 automorphisms; its witnesses come from the
+    # unfolded search that check_invariants reruns once an orbit fails
+    star3 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
+    assert _impasse_witness_positions(star3) == (288, WITNESS_CAP)
 
 
 def test_labeling_counts_match_the_down_set_count():
