@@ -19,17 +19,17 @@ with the top node tagged L; tagged R, the same tree is its mirror image,
 so one code per component serves both places a join can put it.
 final_states searches those states layer by layer, each carrying the
 number of labelings that reach it, so equal states reached by different
-labelings are expanded once; it follows the same placement rule. Within
-one call it interns each tuple of shape codes to a small int and memoizes
-the joins per interned tuple; nothing is kept from one call to the next.
-check_invariants tallies its checks over orbits of final states by count;
-count_merge_classes recurses on the top edge. All refuse trees over budget.
+labelings are expanded once; it follows the same placement rule.
+count_merge_classes recurses on the top edge, which holds the largest
+label; check_invariants weights that recursion by labelings and runs the
+search only for a failed check's witnesses. All refuse trees over budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -127,22 +127,8 @@ def _mirror(code: str) -> str:
     return code[::-1].translate(_MIRROR)
 
 
-def _automorphisms(n: int, edges: list[tuple]) -> list[tuple[int, ...]]:
-    """The tree's automorphisms, each as the image of every simplex id.
-
-    edges are the _placement candidates. Vertex ids in turn take each image
-    keeping adjacency to the ids before them, and edges follow their ends.
-    """
-    edge_id = {1 << a | 1 << b: s for s, _, a, b in edges}
-    group = [()]
-    for v in range(n):
-        group = [images + (w,) for images in group for w in range(n) if w not in images and all(
-            (1 << u | 1 << v in edge_id) == (1 << x | 1 << w in edge_id) for u, x in enumerate(images))]
-    return [images + tuple(edge_id[1 << images[a] | 1 << images[b]] for _, _, a, b in edges) for images in group]
-
-
 def final_states(
-    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET, _orbits: bool = False
+    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET
 ) -> tuple[dict[tuple, list], list[Simplex]]:
     """The enumeration's final states, each with the labelings that reach it.
 
@@ -173,19 +159,16 @@ def final_states(
     vertex is placed and, per (heir, other), the join's rank shift, joined
     id and impasse verdict; a state builds one itemgetter over its ranks.
     Nothing is kept between calls, and the final layer holds shape codes.
-    With _orbits, a layer keeps one state per orbit of the automorphisms σ:
-    the least (σ(placed), ranks∘σ⁻¹, shapes id, σ(on_impasse)), with the
-    orbit's summed count. σ maps the labelings reaching a state onto those
-    reaching its image, futures alike, so tallies of what σ keeps hold.
 
     Each state maps to [count, parent, simplex id]: the number of labelings
     that reach it, then the entry it first arrived from and the simplex
     placed on that arrival. States are expanded in first-arrival order and
-    candidates in placement order, as LabelingSweep tries them, so unfolded
-    each layer's dict order is the enumeration order of the earliest
-    labeling reaching each state, and following parents spells it backwards.
+    candidates in placement order, as LabelingSweep tries them, so each
+    layer's dict order is the enumeration order of the earliest labeling
+    reaching each state, and following parents spells it backwards.
 
-    Returns the final layer and the simplices by id.
+    Returns the final layer and the simplices by id. check_invariants runs
+    it only for witnesses; _final_tally tallies the final layer without it.
     """
     simplices, steps = _placement(tree, budget)
     # per shapes id: [shapes, the id after a vertex is placed (None until needed),
@@ -201,11 +184,6 @@ def final_states(
         return ids[shapes]
 
     n = len(tree.vertices)
-    # per automorphism σ: σ(s)'s bit per simplex id s, a 0 for pick to read twice, and ranks∘σ⁻¹'s getter
-    group = [(tuple(1 << x for x in sigma) + (0,), itemgetter(*sorted(range(n), key=sigma.__getitem__)))
-             for sigma in (_automorphisms(n, steps((1 << n) - 1)) if _orbits else ())]
-    pick = cache(lambda mask: itemgetter(*(s for s in range(len(simplices)) if mask >> s & 1), -1, -1))
-    folds: dict[int, tuple] = {}  # per placed mask: its least image, the σ reaching it, () if just the identity
     layer: dict[tuple, list] = {(0, (-1,) * n, intern(()), 0): [1, None, None]}
     for _ in simplices:
         following: dict[tuple, list] = {}
@@ -246,19 +224,6 @@ def final_states(
                 else:
                     reached[0] += count
         layer = following
-        if len(group) > 1:
-            layer = {}
-            for (placed, ranks, sid, on_impasse), entry in following.items():
-                if placed not in folds:
-                    images = list(map(sum, map(pick(placed), (bits for bits, _ in group))))
-                    least = min(images)
-                    reach = [sigma for sigma, image in zip(group, images) if image == least]
-                    folds[placed] = least, (reach if len(reach) > 1 or least != placed else ())
-                least, reach = folds[placed]
-                if reach:
-                    ranks, on_impasse = min([(perm(ranks), sum(pick(on_impasse)(bits))) for bits, perm in reach])
-                if (reached := layer.setdefault((least, ranks, sid, on_impasse), entry)) is not entry:
-                    reached[0] += entry[0]
     return {(placed, ranks, interned[sid][0], on_impasse): entry
             for (placed, ranks, sid, on_impasse), entry in layer.items()}, simplices
 
@@ -277,11 +242,12 @@ def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_B
     return len(_merge_shapes(tree, budget))
 
 
-def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
-    """count_merge_classes' shapes, memoized per connected vertex set.
+def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int, int]]]:
+    """The connected vertex sets the top-edge recursion reaches, with their splits.
 
-    A set is a bitmask of vertex ids, and the memo fills by increasing size.
-    A set holds an edge exactly when it meets both sides of the edge's cut.
+    A set is a bitmask of vertex ids, the whole tree first; it holds an
+    edge exactly when it meets both sides of the edge's cut. A split (x, y,
+    ends) cuts it there: the sides, then the edge's endpoint bits.
     """
     simplices, _ = _placement(tree, budget)
     edges = [(simplices.index(a), simplices.index(b)) for a, b in tree.edges]
@@ -291,19 +257,50 @@ def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
         for a, b in edges * len(edges):
             if (a, b) != e and (side >> a | side >> b) & 1:
                 side |= 1 << a | 1 << b
-        cuts.append(side)
-    splits: dict[int, list[tuple[int, int]]] = {}
+        cuts.append((side, 1 << e[0] | 1 << e[1]))
+    splits: dict[int, list[tuple[int, int, int]]] = {}
     todo = [(1 << len(tree.vertices)) - 1]  # the whole tree first
     for part in todo:  # todo grows while it is walked
         if part not in splits:
-            splits[part] = [(part & cut, part & ~cut) for cut in cuts if part & cut and part & ~cut]
-            todo += [side for split in splits[part] for side in split]
+            splits[part] = [(part & cut, part & ~cut, ends) for cut, ends in cuts if part & cut and part & ~cut]
+            todo += [side for x, y, _ in splits[part] for side in (x, y)]
+    return splits
+
+
+def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
+    """count_merge_classes' shapes, memoized per set of _splits by increasing size."""
+    splits = _splits(tree, budget)
     memo: dict[int, set[str]] = {}
     for part in sorted(splits, key=int.bit_count):
         # memo[o] is closed under _mirror, so it holds every _mirror(other)
-        memo[part] = {"(" + heir + other + ")" for x, y in splits[part] for h, o in ((x, y), (y, x))
+        memo[part] = {"(" + heir + other + ")" for x, y, _ in splits[part] for h, o in ((x, y), (y, x))
                       for heir in memo[h] for other in memo[o]} or {LEAF_GLYPH}
-    return memo[todo[0]]
+    return memo[next(iter(splits))]
+
+
+def _final_tally(tree: SimplicialTree, budget: int) -> dict[tuple[str, int], int]:
+    """final_states' final layer as {(root shape code, on_impasse): labelings}.
+
+    _merge_shapes' recursion, weighted. A set's top edge e joins its sides'
+    codes as final_states does, an impasse when both are the leaf. The s
+    simplices below e interleave the sides' labelings freely, and side H is
+    the heir exactly when the first label, always a vertex, is H's: in
+    C(s - 1, |H| - 1) ways, |H| counting H's simplices, 2v - 1 on v vertices.
+    """
+    splits = _splits(tree, budget)
+    memo: dict[int, dict[tuple[str, int], int]] = {}
+    for part in sorted(splits, key=int.bit_count):
+        tally: dict[tuple[str, int], int] = {}
+        for x, y, ends in splits[part]:
+            for h, o in ((x, y), (y, x)):
+                weight = comb(2 * part.bit_count() - 3, 2 * h.bit_count() - 2)
+                others = [(_mirror(b), mb, cb) for (b, mb), cb in memo[o].items()]
+                for (a, ma), ca in memo[h].items():
+                    for b, mb, cb in others:
+                        key = ("(" + a + b + ")", ma | mb | ends if a == b == LEAF_GLYPH else ma | mb)
+                        tally[key] = tally.get(key, 0) + weight * ca * cb
+        memo[part] = tally or {(LEAF_GLYPH, 0): 1}
+    return memo[next(iter(splits))]
 
 
 def _earliest_labeling(tree: SimplicialTree, simplices: list[Simplex], entry: list) -> MorseFunction:
@@ -397,10 +394,10 @@ def check_invariants(
 ) -> InvariantReport:
     """Check the merge-tree invariants over every enumerated labeling.
 
-    The checks are read once per orbit of final states (final_states with
-    _orbits), tallied with the number of labelings that reach it, which all
-    share its verdicts; if one fails, over the unfolded states instead, for
-    the witnesses. All N labels are distinct, so all N simplices are critical.
+    The checks are read off _final_tally, every simplex placed and one
+    component left, each entry weighted by the labelings ending there; if
+    one fails, off final_states' final layer instead, for the witnesses.
+    All N labels are distinct, so all N simplices are critical.
 
     - full binary: exactly one component is left, so every join linked two
       distinct subtrees and the joins built a single tree;
@@ -433,11 +430,14 @@ def check_invariants(
     ]
 
     nu = tree.matching_number()
+    n = tree.simplex_count
     vertex_bits = (1 << len(tree.vertices)) - 1
     impasse_code = f"({LEAF_GLYPH}{LEAF_GLYPH})"
-    for orbits in (True, False):
-        final, simplices = final_states(tree, budget=budget, _orbits=orbits)
-        n = len(simplices)
+    final = {((1 << n) - 1, None, (root,), on_impasse): [count]
+             for (root, on_impasse), count in _final_tally(tree, budget).items()}
+    for rerun in (False, True):
+        if rerun:
+            final, simplices = final_states(tree, budget=budget)
         total = passed = 0
         impasse_counts = set()
         for (placed, _, shapes, on_impasse), entry in final.items():
@@ -458,7 +458,7 @@ def check_invariants(
             )
             if all(verdicts):
                 passed += count
-            elif not orbits:
+            elif rerun:
                 f = _earliest_labeling(tree, simplices, entry)
                 for check, ok in zip(checks, verdicts):
                     check.record(ok, f, count)

@@ -105,22 +105,6 @@ def brute_matching_number(tree: SimplicialTree) -> int:
     return best
 
 
-def brute_automorphisms(tree: SimplicialTree) -> list[dict]:
-    """Automorphisms, found by filtering all permutations of the vertex names.
-
-    Each is a dict from vertex name to its image, kept when the images of
-    the edges are the edge set again.
-    """
-    names = sorted(tree.vertices)
-    edges = {frozenset(e) for e in tree.edges}
-    found = []
-    for images in itertools.permutations(names):
-        image = dict(zip(names, images))
-        if {frozenset((image[u], image[v])) for u, v in tree.edges} == edges:
-            found.append(image)
-    return found
-
-
 def brute_extensions(tree: SimplicialTree) -> list[dict]:
     """Face-respecting orders, found by filtering all permutations.
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -14,16 +15,15 @@ from treemorse import (
     induce_merge_tree,
     validate,
 )
-from treemorse import oracle
 from treemorse.errors import BudgetExceededError
 from treemorse.complexes import SimplicialTree
 from treemorse.oracle import (
     WITNESS_CAP,
     PropertyCheck,
-    _automorphisms,
     _describe,
+    _earliest_labeling,
+    _final_tally,
     _merge_shapes,
-    _placement,
     final_states,
 )
 
@@ -78,8 +78,9 @@ def test_every_enumerated_function_is_a_critical_dmf():
 
 
 def test_sweep_matches_both_merge_tree_builders():
-    # check_invariants reads merged search states, never a labeling; hold
-    # the count-weighted final states to the merge trees that both builders
+    # check_invariants reads the weighted top-edge recursion and merged
+    # search states, never a labeling; hold the count-weighted final states
+    # and the recursion's tally to the merge trees that both builders
     # assemble from every labeling the sweep visits, and to the impasse
     # count read off each function's sublevel sweep (Sweep.impasse_count),
     # so the invariants cannot become true by construction
@@ -89,10 +90,15 @@ def test_sweep_matches_both_merge_tree_builders():
         final, simplices = final_states(tree)
         searched = Counter()
         for (_, _, shapes, on_impasse), (count, *_) in final.items():
-            shape = shapes[0]
-            nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
-            on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-            searched[shape, nodes, k, k, on] += count
+            searched[shapes[0], on_impasse] += count
+        weighted = []
+        for tally in (searched, _final_tally(tree, DEFAULT_SIMPLEX_BUDGET)):
+            keyed = Counter()
+            for (shape, on_impasse), count in tally.items():
+                nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
+                on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
+                keyed[shape, nodes, k, k, on] += count
+            weighted.append(keyed)
         induced, referenced = Counter(), Counter()
         for f, _, reference in functions:
             f = validate(tree, f.values)
@@ -103,7 +109,7 @@ def test_sweep_matches_both_merge_tree_builders():
                 impasses = merge.impasse_count(), f.sweep.impasse_count()
                 built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
         for built in (induced, referenced):
-            assert searched == built, edges
+            assert weighted == [built, built], edges
     assert sum(len(functions) for *_, functions in helpers.small_corpus()) == 26_179
 
 
@@ -135,63 +141,75 @@ def test_final_states_of_the_three_vertex_path():
         ((31, (0, 0, 0), ("((••)•)",), 0b110), 6),
         ((31, (0, 0, 0), ("(•(••))",), 0b011), 2),
     ]
-    # the reflection swaps the two impasse edges, so each shape is one orbit
-    # kept as its least (placed, ranks, shapes, on_impasse) image
-    folded, _ = final_states(helpers.path3_tree(), _orbits=True)
-    assert [(state, entry[0]) for state, entry in folded.items()] == [
-        ((31, (0, 0, 0), ("((••)•)",), 0b011), 12),
-        ((31, (0, 0, 0), ("(•(••))",), 0b011), 4),
-    ]
 
 
-def _group(tree):
-    """_automorphisms of tree, each as a dict from vertex name to image."""
-    n = len(tree.vertices)
-    simplices, steps = _placement(tree, 2 * n - 1)
-    group = _automorphisms(n, steps((1 << n) - 1))
-    for images in group:  # an edge goes where its endpoints go
-        assert all(simplices[images[s]] == tuple(sorted(simplices[images[simplices.index(v)]] for v in e))
-                   for s, e in enumerate(simplices[n:], n))
-    return [{simplices[v]: simplices[images[v]] for v in range(n)} for images in group]
+CHECK_NAMES = (
+    "full binary",
+    "node count = critical values",
+    "impasse exists (n > 1)",
+    "impasse count <= matching number",
+    "impasse edges disjoint",
+    "critical vertices = edges + 1",
+)
 
 
-def test_automorphisms_match_the_permutation_filter():
-    sizes = {}
-    for n in range(1, 8):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            group, brute = _group(tree), helpers.brute_automorphisms(tree)
-            assert sorted(sorted(m.items()) for m in group) == sorted(sorted(m.items()) for m in brute), edges
-            sizes.setdefault(n, []).append(len(group))
-    assert sizes[6] == [120, 6, 8, 2, 2, 2]  # star5, broom4, double_star, spider113, spider122, path6
-    assert sorted(sizes[7]) == [1, 2, 2, 2, 4, 6, 6, 8, 12, 24, 720]
+def _report_from_states(tree, final, simplices):
+    """check_invariants' to_dict(), built straight from final_states' final layer."""
+    n, nu = len(simplices), tree.matching_number()
+    vertex_bits = (1 << len(tree.vertices)) - 1
+    checks = [{"name": name, "checked": 0, "failed": 0, "witnesses": []} for name in CHECK_NAMES]
+    impasses = set()
+    for (placed, _, shapes, on_impasse), entry in final.items():
+        root = shapes[0]
+        k, nodes = root.count("(••)"), len(root) - root.count(")")
+        vertices = (placed & vertex_bits).bit_count()
+        impasses.add(k)
+        verdicts = (len(shapes) == 1, nodes == n, nodes == 1 or k >= 1, k <= nu,
+                    on_impasse.bit_count() == 2 * k, vertices == n - vertices + 1)
+        for check, ok in zip(checks, verdicts):
+            check["checked"] += entry[0]
+            if not ok:
+                check["failed"] += entry[0]
+                if len(check["witnesses"]) < WITNESS_CAP:
+                    check["witnesses"].append(_describe(_earliest_labeling(tree, simplices, entry)))
+    return {
+        "functions": sum(entry[0] for entry in final.values()),
+        "ok": not any(check["failed"] for check in checks),
+        "impasse_count_min": min(impasses),
+        "impasse_count_max": max(impasses),
+        "matching_number": nu,
+        "checks": checks,
+    }
 
 
-def test_orbit_fold_keeps_every_answer(monkeypatch):
-    # no automorphism moves what check_invariants reads, so the orbit layer's
-    # weighted tally is the unfolded one's, and so is the report
-    def unfolded(tree, *, budget, _orbits):
-        return final_states(tree, budget=budget)
-
+def test_final_tally_matches_the_state_search():
+    # check_invariants reads _final_tally and reruns final_states only when
+    # a check fails; on every passing tree the tally must be the unfolded
+    # final layer summed by (root code, on_impasse), and the report the one
+    # that layer gives
     for n in range(1, 7):
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
-            layers, tallies = [], []
-            for orbits in (True, False):
-                final, _ = final_states(tree, _orbits=orbits)
-                tally = Counter()
-                for (placed, _, shapes, on_impasse), (count, *_) in final.items():
-                    vertices = (placed & (1 << n) - 1).bit_count()
-                    tally[shapes[0], on_impasse.bit_count(), vertices, len(shapes)] += count
-                layers.append(final)
-                tallies.append(tally)
-            assert tallies[0] == tallies[1], edges
-            if n > 2 and len(_group(tree)) > 1:  # the single edge's one final state is its own orbit
-                assert len(layers[0]) < len(layers[1]), edges
-            report = check_invariants(tree).to_dict()
-            with monkeypatch.context() as patch:
-                patch.setattr(oracle, "final_states", unfolded)
-                assert check_invariants(tree).to_dict() == report, edges
+            final, simplices = final_states(tree)
+            summed = Counter()
+            for (placed, _, shapes, on_impasse), (count, *_) in final.items():
+                assert len(shapes) == 1 and placed == (1 << len(simplices)) - 1, edges
+                summed[shapes[0], on_impasse] += count
+            assert _final_tally(tree, DEFAULT_SIMPLEX_BUDGET) == summed, edges
+            assert check_invariants(tree).to_dict() == _report_from_states(tree, final, simplices), edges
+
+
+def test_star_with_eight_leaves_is_checked_quickly():
+    # the tally's work follows the star's connected vertex sets, not its 8!
+    # automorphisms, its search states or its labelings
+    star = helpers.tree_from_edges(9, [("v0", f"v{i}") for i in range(1, 9)])
+    start = time.perf_counter()
+    report = check_invariants(star, budget=17)
+    elapsed = time.perf_counter() - start
+    assert report.function_count == helpers.extension_count(star) == 416_179_814_400
+    assert report.ok
+    assert (report.min_impasse_count, report.max_impasse_count) == (1, 1)
+    assert elapsed < 1.0
 
 
 def test_final_states_keep_nothing_between_calls():
@@ -365,8 +383,8 @@ def test_witnesses_are_the_earliest_labeling_of_each_failing_state(monkeypatch):
     assert _impasse_witness_positions(helpers.path3_tree()) == (16, 4)
     path4 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
     assert _impasse_witness_positions(path4) == (272, WITNESS_CAP)
-    # the 3-leaf star has 6 automorphisms; its witnesses come from the
-    # unfolded search that check_invariants reruns once an orbit fails
+    # the 3-leaf star too; every witness comes from the state search that
+    # check_invariants reruns once its tally fails a check
     star3 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
     assert _impasse_witness_positions(star3) == (288, WITNESS_CAP)
 

@@ -14,7 +14,7 @@ HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 # the independent oracles in helpers.py and the package names they may load
 ORACLES = {
-    "brute_matching_number", "brute_automorphisms", "brute_extensions", "extension_count",
+    "brute_matching_number", "brute_extensions", "extension_count",
     "strict_sublevel_component", "literal_critical", "reference_merge_tree",
     "reference_persistence_diagram", "reference_b0_sequence",
 }
