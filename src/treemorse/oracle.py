@@ -1,5 +1,6 @@
-"""Exhaustive enumeration of injective discrete Morse functions, the state
-search that checks them without listing them, and their merge classes.
+"""Exhaustive enumeration of injective discrete Morse functions, the
+top-edge recursion that checks them without listing them, and their merge
+classes.
 
 An injective function on a tree with N simplices is, up to order-preserving
 relabeling, a bijection onto 0..N-1 that respects the face order: every
@@ -9,20 +10,17 @@ the candidates that one placement rule (_placement) offers for each label;
 their number grows factorially, so enumerate_critical_dmfs takes a simplex
 budget.
 
-Labels are handed out in increasing order, so a labeling's prefix already
-is the sublevel sweep of its first labels. What the rest of a labeling can
-still do to its merge tree and impasses depends only on a small state:
-which simplices are placed, how the components rank by their minima, each
-component's shape code, and which vertices lie on impasse edges so far.
-A component's shape code is the MergeTree.shape_code of its merge tree
-with the top node tagged L; tagged R, the same tree is its mirror image,
-so one code per component serves both places a join can put it.
-final_states searches those states layer by layer, each carrying the
-number of labelings that reach it, so equal states reached by different
-labelings are expanded once; it follows the same placement rule.
-count_merge_classes recurses on the top edge, which holds the largest
-label; check_invariants weights that recursion by labelings and runs the
-search only for a failed check's witnesses. All refuse trees over budget.
+On two or more vertices the largest label is on an edge, the top edge, so
+the merge tree's root joins the merge trees of the two sides of the tree
+without it, and each side's merge tree depends only on its own labels'
+order. A component's shape code is the MergeTree.shape_code of its merge
+tree with the top node tagged L; tagged R, the same tree is its mirror
+image, so one code per component serves both places a join can put it.
+count_merge_classes recurses on the top edge over the connected vertex
+sets it reaches (_splits). check_invariants weights that recursion by the
+labelings that end in each shape code and set of impasse vertices
+(_final_tally), and walks it backwards (_witness) for a failed check's
+witnesses. All refuse trees over budget.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .complexes import Simplex, SimplicialTree, is_edge
@@ -44,17 +41,16 @@ WITNESS_CAP = 5
 
 
 def _placement(tree: SimplicialTree, budget: int) -> tuple[list[Simplex], Callable[[int], list[tuple]]]:
-    """The one placement rule both enumerations follow.
+    """The placement rule LabelingSweep follows, and the simplex ids.
 
     Simplex ids put the vertices first, then the edges, each in sorted
-    order. Returns the simplices by id and steps(placed). steps(placed)
-    lists the simplices that may take the next label once the ids in the
-    bitmask placed hold labels, in the order they are tried: the unplaced
-    vertices, then the unplaced edges whose endpoints are both placed, each
-    in id order. Each candidate is (id, placed after it, endpoint ids), the
-    endpoints -1, -1 for a vertex. The list is memoized per placed mask; the
-    memo belongs to the returned function, so it lasts one enumeration or
-    search.
+    order; _splits names simplices by the same ids. Returns the simplices
+    by id and steps(placed). steps(placed) lists the simplices that may
+    take the next label once the ids in the bitmask placed hold labels, in
+    the order they are tried: the unplaced vertices, then the unplaced
+    edges whose endpoints are both placed, each in id order. Each candidate
+    is (id, placed after it). The list is memoized per placed mask; the
+    memo belongs to the returned function, so it lasts one enumeration.
 
     Raises:
         BudgetExceededError: the tree has more than budget simplices.
@@ -63,17 +59,16 @@ def _placement(tree: SimplicialTree, budget: int) -> tuple[list[Simplex], Callab
         raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
     vertices = sorted(tree.vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    # (id, its bit, the bits of its faces, its endpoint ids) per simplex, in id order
-    faces = [(v, 1 << v, 0, -1, -1) for v in range(len(vertices))]
+    # (id, its bit, the bits of its faces) per simplex, in id order
+    faces = [(v, 1 << v, 0) for v in range(len(vertices))]
     faces += [
-        (s, 1 << s, 1 << index[a] | 1 << index[b], index[a], index[b])
+        (s, 1 << s, 1 << index[a] | 1 << index[b])
         for s, (a, b) in enumerate(sorted(tree.edges), len(vertices))
     ]
 
     @cache
-    def steps(placed: int) -> list[tuple[int, int, int, int]]:
-        return [(s, placed | bit, a, b) for s, bit, below, a, b in faces
-                if not placed & bit and placed & below == below]
+    def steps(placed: int) -> list[tuple[int, int]]:
+        return [(s, placed | bit) for s, bit, below in faces if not placed & bit and placed & below == below]
 
     return list(tree.simplices()), steps
 
@@ -99,7 +94,7 @@ class LabelingSweep:
             if len(order) == n:
                 yield {simplices[s]: label for label, s in enumerate(order)}
             else:
-                for s, after, _, _ in reversed(steps(placed)):
+                for s, after in reversed(steps(placed)):
                     stack.append((after, order + (s,)))
 
 
@@ -127,107 +122,6 @@ def _mirror(code: str) -> str:
     return code[::-1].translate(_MIRROR)
 
 
-def final_states(
-    tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET
-) -> tuple[dict[tuple, list], list[Simplex]]:
-    """The enumeration's final states, each with the labelings that reach it.
-
-    A breadth-first search over enumeration states, one label per layer,
-    keeping only the current layer's states; earlier layers live on only as
-    the parent links of its entries. Simplex ids and the candidates for each
-    label are those of _placement. A state is the tuple
-
-    - placed: bitmask of placed simplex ids;
-    - ranks: each vertex's component rank among the components' minima,
-      -1 while the vertex is unplaced;
-    - shapes: each rank's shape code, the MergeTree.shape_code of its
-      component's merge tree with the top node tagged L; during the search
-      a state holds the tuple's interned id in its place;
-    - on_impasse: bitmask of vertex ids on impasse edges.
-
-    Placing a vertex adds a last-ranked leaf component. Placing an edge
-    joins its endpoints' components, the lower rank as heir: the heir keeps
-    the join's tag and the other takes the opposite one, so the joined code
-    is "(" + heir + _mirror(other) + ")". Then the other rank is dropped and
-    the ranks above it shift down by one. The edge is an impasse exactly
-    when both joined codes are the leaf, so the impasse edges are counted by
-    the "(••)" in the codes, pairwise disjoint exactly when on_impasse has
-    two bits set per impasse. What the remaining labels can do depends on
-    the labels so far only through the state, so labelings that reach an
-    equal state are followed once. Within one search the candidates are
-    memoized per placed mask (_placement), and per shapes id the id after a
-    vertex is placed and, per (heir, other), the join's rank shift, joined
-    id and impasse verdict; a state builds one itemgetter over its ranks.
-    Nothing is kept between calls, and the final layer holds shape codes.
-
-    Each state maps to [count, parent, simplex id]: the number of labelings
-    that reach it, then the entry it first arrived from and the simplex
-    placed on that arrival. States are expanded in first-arrival order and
-    candidates in placement order, as LabelingSweep tries them, so each
-    layer's dict order is the enumeration order of the earliest labeling
-    reaching each state, and following parents spells it backwards.
-
-    Returns the final layer and the simplices by id. check_invariants runs
-    it only for witnesses; _final_tally tallies the final layer without it.
-    """
-    simplices, steps = _placement(tree, budget)
-    # per shapes id: [shapes, the id after a vertex is placed (None until needed),
-    # {(heir, other): (each rank's rank after the join, the last slot keeping an
-    # unplaced vertex's -1; the id after the join; whether it is an impasse)}]
-    interned: list[list] = []
-    ids: dict[tuple[str, ...], int] = {}
-
-    def intern(shapes: tuple[str, ...]) -> int:
-        if shapes not in ids:
-            ids[shapes] = len(interned)
-            interned.append([shapes, None, {}])
-        return ids[shapes]
-
-    n = len(tree.vertices)
-    layer: dict[tuple, list] = {(0, (-1,) * n, intern(()), 0): [1, None, None]}
-    for _ in simplices:
-        following: dict[tuple, list] = {}
-        for state, entry in layer.items():
-            placed, ranks, sid, on_impasse = state
-            count = entry[0]
-            shapes, grown, joins = record = interned[sid]
-            get = None
-            for s, after, a, b in steps(placed):
-                if a < 0:
-                    if grown is None:
-                        grown = record[1] = intern(shapes + (LEAF_GLYPH,))
-                    grown_ranks = ranks[:s] + (len(shapes),) + ranks[s + 1:]
-                    successor = (after, grown_ranks, grown, on_impasse)
-                else:
-                    heir, other = ranks[a], ranks[b]
-                    if other < heir:
-                        heir, other = other, heir
-                    joined = joins.get((heir, other))
-                    if joined is None:
-                        joined = joins[heir, other] = (
-                            tuple(heir if r == other else r - (r > other) for r in (*range(len(shapes)), -1)),
-                            intern(shapes[:heir] + ("(" + shapes[heir] + _mirror(shapes[other]) + ")",)
-                                   + shapes[heir + 1:other] + shapes[other + 1:]),
-                            shapes[heir] == shapes[other] == LEAF_GLYPH,
-                        )
-                    remap, joined_id, impasse = joined
-                    if get is None:
-                        # ranks holds both endpoints, so get returns a tuple
-                        get = itemgetter(*ranks)
-                    if impasse:
-                        successor = (after, get(remap), joined_id, on_impasse | 1 << a | 1 << b)
-                    else:
-                        successor = (after, get(remap), joined_id, on_impasse)
-                reached = following.get(successor)
-                if reached is None:
-                    following[successor] = [count, entry, s]
-                else:
-                    reached[0] += count
-        layer = following
-    return {(placed, ranks, interned[sid][0], on_impasse): entry
-            for (placed, ranks, sid, on_impasse), entry in layer.items()}, simplices
-
-
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
     """Distinct merge-tree shapes over every enumerated labeling.
 
@@ -242,28 +136,31 @@ def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_B
     return len(_merge_shapes(tree, budget))
 
 
-def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int, int]]]:
+def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int, int, int]]]:
     """The connected vertex sets the top-edge recursion reaches, with their splits.
 
     A set is a bitmask of vertex ids, the whole tree first; it holds an
     edge exactly when it meets both sides of the edge's cut. A split (x, y,
-    ends) cuts it there: the sides, then the edge's endpoint bits.
+    ends, s) cuts it there: the sides, the edge's endpoint bits, then the
+    edge's simplex id. Splits come in edge id order.
     """
     simplices, _ = _placement(tree, budget)
-    edges = [(simplices.index(a), simplices.index(b)) for a, b in tree.edges]
+    # sorted, as ids are, so no order here follows string hashing
+    edges = [(simplices.index(a), simplices.index(b)) for a, b in sorted(tree.edges)]
     cuts = []
-    for e in edges:  # e[0]'s side, grown at least one edge further per pass
-        side = 1 << e[0]
+    for s, e in enumerate(edges, len(tree.vertices)):
+        side = 1 << e[0]  # e[0]'s side, grown at least one edge further per pass
         for a, b in edges * len(edges):
             if (a, b) != e and (side >> a | side >> b) & 1:
                 side |= 1 << a | 1 << b
-        cuts.append((side, 1 << e[0] | 1 << e[1]))
-    splits: dict[int, list[tuple[int, int, int]]] = {}
+        cuts.append((side, 1 << e[0] | 1 << e[1], s))
+    splits: dict[int, list[tuple[int, int, int, int]]] = {}
     todo = [(1 << len(tree.vertices)) - 1]  # the whole tree first
     for part in todo:  # todo grows while it is walked
         if part not in splits:
-            splits[part] = [(part & cut, part & ~cut, ends) for cut, ends in cuts if part & cut and part & ~cut]
-            todo += [side for x, y, _ in splits[part] for side in (x, y)]
+            splits[part] = [(part & cut, part & ~cut, ends, s)
+                            for cut, ends, s in cuts if part & cut and part & ~cut]
+            todo += [side for x, y, _, _ in splits[part] for side in (x, y)]
     return splits
 
 
@@ -273,16 +170,18 @@ def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
     memo: dict[int, set[str]] = {}
     for part in sorted(splits, key=int.bit_count):
         # memo[o] is closed under _mirror, so it holds every _mirror(other)
-        memo[part] = {"(" + heir + other + ")" for x, y, _ in splits[part] for h, o in ((x, y), (y, x))
+        memo[part] = {"(" + heir + other + ")" for x, y, _, _ in splits[part] for h, o in ((x, y), (y, x))
                       for heir in memo[h] for other in memo[o]} or {LEAF_GLYPH}
     return memo[next(iter(splits))]
 
 
-def _final_tally(tree: SimplicialTree, budget: int) -> dict[tuple[str, int], int]:
-    """final_states' final layer as {(root shape code, on_impasse): labelings}.
+def _final_tally(tree: SimplicialTree, budget: int) -> tuple[dict, dict[int, dict[tuple[str, int], int]]]:
+    """_splits, and per set {(shape code, on_impasse): labelings of its simplices}.
 
-    _merge_shapes' recursion, weighted. A set's top edge e joins its sides'
-    codes as final_states does, an impasse when both are the leaf. The s
+    _merge_shapes' recursion, weighted; the whole tree's tally is the memo
+    of the first set of _splits. on_impasse is the bitmask of vertex ids on
+    impasse edges. A set's top edge e joins its sides' codes, "(" + heir +
+    _mirror(other) + ")", and is an impasse when both are the leaf. The s
     simplices below e interleave the sides' labelings freely, and side H is
     the heir exactly when the first label, always a vertex, is H's: in
     C(s - 1, |H| - 1) ways, |H| counting H's simplices, 2v - 1 on v vertices.
@@ -291,7 +190,7 @@ def _final_tally(tree: SimplicialTree, budget: int) -> dict[tuple[str, int], int
     memo: dict[int, dict[tuple[str, int], int]] = {}
     for part in sorted(splits, key=int.bit_count):
         tally: dict[tuple[str, int], int] = {}
-        for x, y, ends in splits[part]:
+        for x, y, ends, _ in splits[part]:
             for h, o in ((x, y), (y, x)):
                 weight = comb(2 * part.bit_count() - 3, 2 * h.bit_count() - 2)
                 others = [(_mirror(b), mb, cb) for (b, mb), cb in memo[o].items()]
@@ -300,16 +199,25 @@ def _final_tally(tree: SimplicialTree, budget: int) -> dict[tuple[str, int], int
                         key = ("(" + a + b + ")", ma | mb | ends if a == b == LEAF_GLYPH else ma | mb)
                         tally[key] = tally.get(key, 0) + weight * ca * cb
         memo[part] = tally or {(LEAF_GLYPH, 0): 1}
-    return memo[next(iter(splits))]
+    return splits, memo
 
 
-def _earliest_labeling(tree: SimplicialTree, simplices: list[Simplex], entry: list) -> MorseFunction:
-    """The first labeling in enumeration order that reaches a final_states entry."""
-    order = []
-    while entry[1] is not None:
-        order.append(entry[2])
-        entry = entry[1]
-    return MorseFunction(tree, {simplices[s]: label for label, s in enumerate(reversed(order))})
+def _witness(splits: dict, memo: dict, part: int, key: tuple[str, int]) -> tuple[int, ...]:
+    """Simplex ids in label order: a labeling of part's simplices ending in key.
+
+    _final_tally run backwards: the first split, heir side and pair of side
+    entries, in memo order, that join to key. The heir's labeling comes
+    first, so it holds the first label, then the other side's, then the top
+    edge; each side's code and on_impasse depend only on its own order.
+    """
+    for x, y, ends, s in splits[part]:
+        for h, o in ((x, y), (y, x)):
+            for a, ma in memo[h]:
+                for b, mb in memo[o]:
+                    impasse = ends if a == b == LEAF_GLYPH else 0
+                    if ("(" + a + _mirror(b) + ")", ma | mb | impasse) == key:
+                        return _witness(splits, memo, h, (a, ma)) + _witness(splits, memo, o, (b, mb)) + (s,)
+    return (part.bit_length() - 1,)  # a single vertex, which has no split
 
 
 def _describe(f: MorseFunction) -> str:
@@ -329,8 +237,11 @@ class PropertyCheck:
     failed: int = 0
     witnesses: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, f: MorseFunction, count: int = 1) -> None:
-        """Tally count labelings with one verdict; f witnesses a failure."""
+    def record(self, ok: bool, f: MorseFunction | None, count: int = 1) -> None:
+        """Tally count labelings with one verdict; f witnesses a failure.
+
+        f may be None once the check holds WITNESS_CAP witnesses.
+        """
         self.checked += count
         if not ok:
             self.failed += count
@@ -394,13 +305,12 @@ def check_invariants(
 ) -> InvariantReport:
     """Check the merge-tree invariants over every enumerated labeling.
 
-    The checks are read off _final_tally, every simplex placed and one
-    component left, each entry weighted by the labelings ending there; if
-    one fails, off final_states' final layer instead, for the witnesses.
-    All N labels are distinct, so all N simplices are critical.
+    The checks are read off the whole tree's _final_tally, once per entry,
+    weighted by the labelings that end there. All N labels are distinct,
+    so all N simplices are critical.
 
-    - full binary: exactly one component is left, so every join linked two
-      distinct subtrees and the joins built a single tree;
+    - full binary: the root shape code has 2j + 1 nodes for its j joins,
+      as a single tree whose every join links two subtrees has;
     - node count = critical values: the root shape code has N nodes, one
       glyph per leaf and one pair of parentheses per join;
     - impasse exists (n > 1): a single-node tree, or at least one edge that
@@ -408,14 +318,13 @@ def check_invariants(
     - impasse count <= matching number: the count of those edges, the
       "(••)" in the root shape code, is at most the tree's matching number;
     - impasse edges disjoint: no vertex lies on two impasse edges;
-    - critical vertices = edges + 1: vertex placements outnumber the edge
-      placements, N minus them, by one.
+    - critical vertices = edges + 1: every simplex is placed, and the
+      vertex placements outnumber the edge placements, N minus them, by one.
 
-    A check's witnesses are at most WITNESS_CAP labelings, one per final
-    state that fails it: the earliest labeling in enumeration order that
-    reaches the state, taken for the states in the order of those
-    labelings. So witnesses come in enumeration order, and two labelings
-    that end in the same state give one witness.
+    A check's witnesses are at most WITNESS_CAP labelings, one per failing
+    entry of the tally, (root shape code, on_impasse), in the tally's
+    order. Each is a labeling by 0..N-1 that ends in its entry, built by
+    _witness only while some check the entry fails has room for it.
     """
     checks = [
         PropertyCheck(name)
@@ -431,40 +340,37 @@ def check_invariants(
 
     nu = tree.matching_number()
     n = tree.simplex_count
-    vertex_bits = (1 << len(tree.vertices)) - 1
+    vertices = len(tree.vertices)
+    simplices = list(tree.simplices())
     impasse_code = f"({LEAF_GLYPH}{LEAF_GLYPH})"
-    final = {((1 << n) - 1, None, (root,), on_impasse): [count]
-             for (root, on_impasse), count in _final_tally(tree, budget).items()}
-    for rerun in (False, True):
-        if rerun:
-            final, simplices = final_states(tree, budget=budget)
-        total = passed = 0
-        impasse_counts = set()
-        for (placed, _, shapes, on_impasse), entry in final.items():
-            count = entry[0]
-            total += count
-            root = shapes[0]
-            k = root.count(impasse_code)
-            impasse_counts.add(k)
-            nodes = len(root) - root.count(")")
-            vertices = (placed & vertex_bits).bit_count()
-            verdicts = (
-                len(shapes) == 1,
-                nodes == n,
-                nodes == 1 or k >= 1,
-                k <= nu,
-                on_impasse.bit_count() == 2 * k,
-                vertices == (n - vertices) + 1,
-            )
-            if all(verdicts):
-                passed += count
-            elif rerun:
-                f = _earliest_labeling(tree, simplices, entry)
-                for check, ok in zip(checks, verdicts):
-                    check.record(ok, f, count)
-        if passed == total:
-            break
-    # states that passed everything are tallied once, not per check
+    splits, memo = _final_tally(tree, budget)
+    whole = next(iter(splits))
+    total = passed = 0
+    impasse_counts = set()
+    for key, count in memo[whole].items():
+        root, on_impasse = key
+        total += count
+        k = root.count(impasse_code)
+        impasse_counts.add(k)
+        nodes = len(root) - root.count(")")
+        verdicts = (
+            nodes == 2 * root.count("(") + 1,
+            nodes == n,
+            nodes == 1 or k >= 1,
+            k <= nu,
+            on_impasse.bit_count() == 2 * k,
+            vertices == (n - vertices) + 1,
+        )
+        if all(verdicts):
+            passed += count
+            continue
+        f = None
+        if any(not ok and len(check.witnesses) < WITNESS_CAP for check, ok in zip(checks, verdicts)):
+            order = _witness(splits, memo, whole, key)
+            f = MorseFunction(tree, {simplices[s]: label for label, s in enumerate(order)})
+        for check, ok in zip(checks, verdicts):
+            check.record(ok, f, count)
+    # entries that passed everything are tallied once, not per check
     for check in checks:
         check.checked += passed
 

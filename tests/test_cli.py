@@ -19,6 +19,7 @@ import helpers
 import treemorse
 from treemorse import cli, induce_merge_tree
 from treemorse.cli import main
+from treemorse.complexes import SimplicialTree
 
 
 def write_doc(tmp_path, name, vertices, edges):
@@ -521,6 +522,23 @@ def test_enumerate_check_json(tmp_path, capsys):
     assert report["impasse_count_max"] == 1
     assert report["matching_number"] == 1
     assert all(check["failed"] == 0 for check in report["checks"])
+
+
+def test_enumerate_check_reports_a_failing_tree(tmp_path, capsys, monkeypatch):
+    # no tree fails a check on correct code, so the matching number reads 0;
+    # the path's 16 labelings end in 4 tally entries, one witness each
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
+    doc = path3_tree_doc(tmp_path)
+    assert main(["enumerate", doc, "--check"]) == 1
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("INVARIANT FAILURES")
+    assert out.count("  witness [") == out.count("  witness [impasse count <= matching number]: ") == 4
+    assert main(["enumerate", doc, "--check", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    witnesses = {check["name"]: len(check["witnesses"]) for check in report["checks"]}
+    assert witnesses.pop("impasse count <= matching number") == 4
+    assert set(witnesses.values()) == {0}
 
 
 def test_enumerate_checks_a_seven_vertex_path_under_a_raised_budget(tmp_path, capsys):

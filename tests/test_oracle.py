@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import helpers
+import treemorse
 from treemorse import (
     DEFAULT_SIMPLEX_BUDGET,
     build_tree,
@@ -21,10 +26,9 @@ from treemorse.oracle import (
     WITNESS_CAP,
     PropertyCheck,
     _describe,
-    _earliest_labeling,
     _final_tally,
     _merge_shapes,
-    final_states,
+    _witness,
 )
 
 
@@ -78,27 +82,21 @@ def test_every_enumerated_function_is_a_critical_dmf():
 
 
 def test_sweep_matches_both_merge_tree_builders():
-    # check_invariants reads the weighted top-edge recursion and merged
-    # search states, never a labeling; hold the count-weighted final states
-    # and the recursion's tally to the merge trees that both builders
+    # check_invariants reads the weighted top-edge recursion, never a
+    # labeling; hold its tally to the merge trees that both builders
     # assemble from every labeling the sweep visits, and to the impasse
     # count read off each function's sublevel sweep (Sweep.impasse_count),
     # so the invariants cannot become true by construction
     for n, edges, tree, functions in helpers.small_corpus():
         # the enumerator under test builds the corpus; the down-set count is independent
         assert len(functions) == helpers.extension_count(tree), edges
-        final, simplices = final_states(tree)
-        searched = Counter()
-        for (_, _, shapes, on_impasse), (count, *_) in final.items():
-            searched[shapes[0], on_impasse] += count
-        weighted = []
-        for tally in (searched, _final_tally(tree, DEFAULT_SIMPLEX_BUDGET)):
-            keyed = Counter()
-            for (shape, on_impasse), count in tally.items():
-                nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
-                on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-                keyed[shape, nodes, k, k, on] += count
-            weighted.append(keyed)
+        splits, memo = _final_tally(tree, DEFAULT_SIMPLEX_BUDGET)
+        simplices = list(tree.simplices())
+        weighted = Counter()
+        for (shape, on_impasse), count in memo[next(iter(splits))].items():
+            nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
+            on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
+            weighted[shape, nodes, k, k, on] += count
         induced, referenced = Counter(), Counter()
         for f, _, reference in functions:
             f = validate(tree, f.values)
@@ -109,94 +107,74 @@ def test_sweep_matches_both_merge_tree_builders():
                 impasses = merge.impasse_count(), f.sweep.impasse_count()
                 built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
         for built in (induced, referenced):
-            assert weighted == [built, built], edges
+            assert built == weighted, edges
     assert sum(len(functions) for *_, functions in helpers.small_corpus()) == 26_179
 
 
-def test_final_states_come_in_first_arrival_order():
-    # witnesses are read off the final layer's dict order, which must be
-    # the order in which the sweep's labelings first reach each final state
-    for n, edges, tree, functions in helpers.small_corpus():
-        final, simplices = final_states(tree)
-        searched = []
-        for (_, _, shapes, on_impasse), (count, *_) in final.items():
-            on = tuple(simplices[v] for v in range(n) if on_impasse >> v & 1)
-            searched.append(((shapes[0], on), count))
-        swept = Counter()  # a dict, so in first-arrival order
-        for f, _, _ in functions:
-            merge = induce_merge_tree(validate(tree, f.values))
-            simplex_at = {value: s for s, value in f.values.items()}
-            on = tuple(sorted(w for m in merge.impasses() for w in simplex_at[m.value]))
-            swept[merge.shape_code(), on] += 1
-        assert searched == list(swept.items()), edges
-
-
 def test_final_states_of_the_three_vertex_path():
-    # a state is (placed mask, ranks, one shape code per component, mask of
-    # vertices on impasse edges); the impasse count is read off the codes
-    final, _ = final_states(helpers.path3_tree())
-    assert [(state, entry[0]) for state, entry in final.items()] == [
-        ((31, (0, 0, 0), ("((••)•)",), 0b011), 6),
-        ((31, (0, 0, 0), ("(•(••))",), 0b110), 2),
-        ((31, (0, 0, 0), ("((••)•)",), 0b110), 6),
-        ((31, (0, 0, 0), ("(•(••))",), 0b011), 2),
+    # the tally maps each final state, (root shape code, mask of vertices on
+    # impasse edges), to the labelings that end in it; the impasse count is
+    # read off the code
+    splits, memo = _final_tally(helpers.path3_tree(), DEFAULT_SIMPLEX_BUDGET)
+    assert list(memo[next(iter(splits))].items()) == [
+        (("(•(••))", 0b110), 2),
+        (("((••)•)", 0b110), 6),
+        (("((••)•)", 0b011), 6),
+        (("(•(••))", 0b011), 2),
     ]
 
 
-CHECK_NAMES = (
-    "full binary",
-    "node count = critical values",
-    "impasse exists (n > 1)",
-    "impasse count <= matching number",
-    "impasse edges disjoint",
-    "critical vertices = edges + 1",
-)
-
-
-def _report_from_states(tree, final, simplices):
-    """check_invariants' to_dict(), built straight from final_states' final layer."""
-    n, nu = len(simplices), tree.matching_number()
-    vertex_bits = (1 << len(tree.vertices)) - 1
-    checks = [{"name": name, "checked": 0, "failed": 0, "witnesses": []} for name in CHECK_NAMES]
-    impasses = set()
-    for (placed, _, shapes, on_impasse), entry in final.items():
-        root = shapes[0]
-        k, nodes = root.count("(••)"), len(root) - root.count(")")
-        vertices = (placed & vertex_bits).bit_count()
-        impasses.add(k)
-        verdicts = (len(shapes) == 1, nodes == n, nodes == 1 or k >= 1, k <= nu,
-                    on_impasse.bit_count() == 2 * k, vertices == n - vertices + 1)
-        for check, ok in zip(checks, verdicts):
-            check["checked"] += entry[0]
-            if not ok:
-                check["failed"] += entry[0]
-                if len(check["witnesses"]) < WITNESS_CAP:
-                    check["witnesses"].append(_describe(_earliest_labeling(tree, simplices, entry)))
-    return {
-        "functions": sum(entry[0] for entry in final.values()),
-        "ok": not any(check["failed"] for check in checks),
-        "impasse_count_min": min(impasses),
-        "impasse_count_max": max(impasses),
-        "matching_number": nu,
-        "checks": checks,
-    }
-
-
-def test_final_tally_matches_the_state_search():
-    # check_invariants reads _final_tally and reruns final_states only when
-    # a check fails; on every passing tree the tally must be the unfolded
-    # final layer summed by (root code, on_impasse), and the report the one
-    # that layer gives
+def test_every_tally_entry_has_a_witness():
+    # a failed check names each failing entry by _witness's labeling, so on
+    # every tree with up to six vertices every entry's witness must be a
+    # labeling by 0..N-1 that both merge-tree builders turn back into the
+    # entry's root code and impasse vertices; the entries' codes are the
+    # shapes count_merge_classes counts
+    entries = 0
     for n in range(1, 7):
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
-            final, simplices = final_states(tree)
-            summed = Counter()
-            for (placed, _, shapes, on_impasse), (count, *_) in final.items():
-                assert len(shapes) == 1 and placed == (1 << len(simplices)) - 1, edges
-                summed[shapes[0], on_impasse] += count
-            assert _final_tally(tree, DEFAULT_SIMPLEX_BUDGET) == summed, edges
-            assert check_invariants(tree).to_dict() == _report_from_states(tree, final, simplices), edges
+            simplices = list(tree.simplices())
+            splits, memo = _final_tally(tree, DEFAULT_SIMPLEX_BUDGET)
+            whole = next(iter(splits))
+            assert {code for code, _ in memo[whole]} == _merge_shapes(tree, DEFAULT_SIMPLEX_BUDGET), edges
+            for code, on_impasse in memo[whole]:
+                order = _witness(splits, memo, whole, (code, on_impasse))
+                assert sorted(order) == list(range(len(simplices))), edges
+                f = validate(tree, {simplices[s]: label for label, s in enumerate(order)})
+                simplex_at = {value: s for s, value in f.values.items()}
+                on = {simplices[v] for v in range(n) if on_impasse >> v & 1}
+                for merge in (induce_merge_tree(f), helpers.reference_merge_tree(f)):
+                    assert merge.shape_code() == code, (edges, order)
+                    assert {w for m in merge.impasses() for w in simplex_at[m.value]} == on, (edges, order)
+                entries += 1
+    assert entries == 1_059
+
+
+WITNESS_SCRIPT = """
+import helpers
+from treemorse.oracle import _final_tally, _witness
+for n in range(2, 7):
+    for edges in helpers.trees_up_to_iso(n):
+        splits, memo = _final_tally(helpers.tree_from_edges(n, edges), 11)
+        whole = next(iter(splits))
+        print([(key, _witness(splits, memo, whole, key)) for key in memo[whole]])
+"""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    # a tree's edges are a frozenset, iterated in string-hash order; the
+    # splits follow the sorted edges instead, so the tally's order and each
+    # witness are the same in every interpreter
+    path = [str(Path(treemorse.__file__).parents[1]), str(Path(helpers.__file__).parent)]
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path)}
+        result = subprocess.run([sys.executable, "-c", WITNESS_SCRIPT], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        runs.append(result.stdout)
+    assert runs[0] == runs[1]
+    assert runs[0].count("\n") == 13
 
 
 def test_star_with_eight_leaves_is_checked_quickly():
@@ -212,9 +190,27 @@ def test_star_with_eight_leaves_is_checked_quickly():
     assert elapsed < 1.0
 
 
+def test_failing_star_with_eight_leaves_is_reported_quickly(monkeypatch):
+    # every labeling fails once the matching number reads 0; the witnesses
+    # are walked back through the tally, not searched for among the star's
+    # labelings or states
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
+    star = helpers.tree_from_edges(9, [("v0", f"v{i}") for i in range(1, 9)])
+    start = time.perf_counter()
+    report = check_invariants(star, budget=17)
+    elapsed = time.perf_counter() - start
+    assert report.function_count == 416_179_814_400
+    assert not report.ok
+    for check in report.checks:
+        failing = check.name == "impasse count <= matching number"
+        assert check.failed == (report.function_count if failing else 0), check.name
+        assert len(check.witnesses) == (WITNESS_CAP if failing else 0), check.name
+    assert elapsed < 1.0
+
+
 def test_final_states_keep_nothing_between_calls():
-    # shapes are interned to ids within one search; an id or join table
-    # that outlived a call would mean another shape in the next one
+    # the splits, the tally's memo and the placement's memo live for one
+    # call; one that outlived it would mean another answer in the next call
     path4 = helpers.tree_from_edges(4, [("v0", "v1"), ("v1", "v2"), ("v2", "v3")])
     star4 = helpers.tree_from_edges(4, [("v0", "v1"), ("v0", "v2"), ("v0", "v3")])
     trees = (path4, star4, path4)
@@ -223,9 +219,6 @@ def test_final_states_keep_nothing_between_calls():
     assert [classes for _, classes in runs] == [5, 4, 5]
     assert [report["functions"] for report, _ in runs] == [helpers.extension_count(t) for t in trees]
     assert all(report["ok"] for report, _ in runs)
-    for tree in (path4, star4):
-        final, _ = final_states(tree)
-        assert all(type(code) is str for _, _, shapes, _ in final for code in shapes)
 
 
 def test_budget_is_enforced_eagerly():
@@ -246,9 +239,9 @@ def test_budget_is_enforced_eagerly():
 
 
 def test_state_search_matches_the_sweep():
-    # count_merge_classes merges equal enumeration states; the sweep visits
-    # every labeling, so the reference shapes of its labelings are the
-    # oracle for the count
+    # count_merge_classes recurses on the top edge; the sweep visits every
+    # labeling, so the reference shapes of its labelings are the oracle for
+    # the count
     for _, edges, tree, functions in helpers.small_corpus():
         swept = {reference.shape_code() for _, _, reference in functions}
         assert count_merge_classes(tree) == len(swept), edges
@@ -283,16 +276,6 @@ def test_merge_class_counts():
         path = helpers.tree_from_edges(n, [(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
         catalan = math.comb(2 * (n - 1), n - 1) // n
         assert count_merge_classes(path, budget=2 * n - 1) == catalan, n
-
-
-def test_top_edge_recursion_matches_the_state_search():
-    # count_merge_classes joins the shapes of the two sides of each top
-    # edge; final_states reaches the same root codes label by label
-    for n in range(1, 7):
-        for edges in helpers.trees_up_to_iso(n):
-            tree = helpers.tree_from_edges(n, edges)
-            final, _ = final_states(tree)
-            assert _merge_shapes(tree, DEFAULT_SIMPLEX_BUDGET) == {shapes[0] for _, _, shapes, _ in final}, edges
 
 
 def test_property_check_records_witnesses():
@@ -359,34 +342,39 @@ def test_report_text_and_dict():
     }
 
 
-def _impasse_witness_positions(tree):
-    """Failures and witness positions in the enumeration when nu reads 0."""
-    order = [_describe(f) for f in enumerate_critical_dmfs(tree)]
+def _impasse_witnesses(tree):
+    """Labelings and impasse-check witnesses when nu reads 0."""
+    labelings = {_describe(f) for f in enumerate_critical_dmfs(tree)}
     report = check_invariants(tree)
     assert not report.ok
-    assert report.function_count == len(order)
+    assert report.function_count == len(labelings)
     for check in report.checks:
         if check.name != "impasse count <= matching number":
             assert check.failed == 0, check.name
             continue
         assert check.failed == report.function_count
-        positions = [order.index(w) for w in check.witnesses]
-        assert positions[0] == 0
-        assert positions == sorted(set(positions))
-        return len(order), len(positions)
+        assert len(set(check.witnesses)) == len(check.witnesses)
+        assert set(check.witnesses) <= labelings
+        return len(labelings), check.witnesses
 
 
-def test_witnesses_are_the_earliest_labeling_of_each_failing_state(monkeypatch):
+def test_witnesses_are_distinct_labelings_of_the_failing_entries(monkeypatch):
     monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
-    # all 16 labelings of the 3-vertex path fail, and they end in 4 states:
-    # 2 shapes times 2 impasse edges
-    assert _impasse_witness_positions(helpers.path3_tree()) == (16, 4)
+    # all 16 labelings of the 3-vertex path fail, and they end in 4 tally
+    # entries, 2 shapes times 2 impasse edges: heir first, then the other
+    # side, then the top edge
+    assert _impasse_witnesses(helpers.path3_tree()) == (16, [
+        "a=0 b=1 c=2 b-c=3 a-b=4",
+        "b=0 c=1 b-c=2 a=3 a-b=4",
+        "a=0 b=1 a-b=2 c=3 b-c=4",
+        "c=0 a=1 b=2 a-b=3 b-c=4",
+    ])
     path4 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    assert _impasse_witness_positions(path4) == (272, WITNESS_CAP)
-    # the 3-leaf star too; every witness comes from the state search that
-    # check_invariants reruns once its tally fails a check
+    count, witnesses = _impasse_witnesses(path4)
+    assert (count, len(witnesses)) == (272, WITNESS_CAP)
     star3 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
-    assert _impasse_witness_positions(star3) == (288, WITNESS_CAP)
+    count, witnesses = _impasse_witnesses(star3)
+    assert (count, len(witnesses)) == (288, WITNESS_CAP)
 
 
 def test_labeling_counts_match_the_down_set_count():
