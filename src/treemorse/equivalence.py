@@ -4,20 +4,16 @@ Merge equivalence lives with the merge tree itself; this module provides the
 other three relations: equal gradient fields (Forman), equal Betti-number
 sequences along the sublevel filtration, and equal sublevel persistence
 diagrams. The last two, like the merge tree, are read off the one sweep
-cached on the function. None of the three implies another, and none
-coincides with merge equivalence; the test suite pins down witnesses for
-each separation.
+cached on the function and are cached on it too, so a relation compares
+cached readings. None of the three implies another, and none coincides
+with merge equivalence; the test suite pins down witnesses for each
+separation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from itertools import accumulate
-
 from .errors import DomainMismatchError
-from .merge_tree import format_value
-from .morse import MorseFunction
+from .morse import HomologicalSequence, MorseFunction, PersistenceDiagram
 
 
 def forman_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
@@ -27,22 +23,8 @@ def forman_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
     return f.gradient_vector_field == g.gradient_vector_field
 
 
-@dataclass(frozen=True)
-class HomologicalSequence:
-    """b0 of the sublevel set at each critical value, in increasing order.
-
-    On a forest b1 is always 0, so b0 is the whole Betti sequence.
-    """
-
-    entries: tuple[int, ...]
-
-    @property
-    def b0_values(self) -> tuple[int, ...]:
-        return self.entries
-
-
 def homological_sequence(f: MorseFunction) -> HomologicalSequence:
-    """Running b0 over the sublevel sweep cached on f.
+    """Running b0 over the sublevel sweep cached on f, taken once and cached on f.
 
     On a forest b0 is #vertices - #edges, so walking the critical values in
     order, a critical vertex adds a component and a critical edge, exactly a
@@ -53,10 +35,7 @@ def homological_sequence(f: MorseFunction) -> HomologicalSequence:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
     """
-    joins = f.sweep.joins
-    return HomologicalSequence(
-        tuple(accumulate(-1 if value in joins else 1 for value in f.critical_values))
-    )
+    return f._betti
 
 
 def homologically_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
@@ -64,26 +43,8 @@ def homologically_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
     return homological_sequence(f) == homological_sequence(g)
 
 
-@dataclass(frozen=True)
-class PersistenceDiagram:
-    """Birth-death pairs of sublevel components, sorted by birth.
-
-    Exactly one pair per connected domain has infinite death.
-    """
-
-    pairs: tuple[tuple[float, float], ...]
-
-    def to_text(self) -> str:
-        """One `birth death` pair per line, `inf` for infinite death."""
-        lines = []
-        for birth, death in self.pairs:
-            shown = "inf" if death == math.inf else format_value(death)
-            lines.append(f"{format_value(birth)} {shown}")
-        return "\n".join(lines)
-
-
 def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
-    """Elder rule over the sublevel sweep cached on f.
+    """Elder rule over the sublevel sweep cached on f, taken once and cached on f.
 
     Read off the same joins (:attr:`MorseFunction.sweep`) that
     :func:`induce_merge_tree` assembles. Every vertex births a component at
@@ -97,10 +58,7 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
     """
-    joins, global_min = f.sweep
-    pairs = [(born, value) for value, (_, _, born) in joins.items()]
-    pairs.append((global_min, math.inf))
-    return PersistenceDiagram(tuple(sorted(pairs)))
+    return f._diagram
 
 
 def persistence_equivalent(f: MorseFunction, g: MorseFunction) -> bool:

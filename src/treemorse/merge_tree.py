@@ -20,16 +20,10 @@ from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import MalformedMergeTreeError
-from .morse import MorseFunction
+from .morse import MorseFunction, _cached, format_value
 
 LEAF_GLYPH = "•"
-
-
-def format_value(value: float) -> str:
-    """Integer-valued floats print without a trailing .0."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
+_IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves
 
 
 class MergeNode(NamedTuple):
@@ -57,7 +51,7 @@ class MergeNode(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MergeTree:
-    """A full binary tree of MergeNodes, each tagged by its position."""
+    """A full binary tree of MergeNodes, each tagged by its position; the shape code is cached."""
 
     root: MergeNode
 
@@ -95,7 +89,8 @@ class MergeTree:
         return [n for n in self.nodes() if n.is_impasse]
 
     def impasse_count(self) -> int:
-        return len(self.impasses())
+        """The impasses, each a "(••)" in the cached shape code."""
+        return self._shape_code.count(_IMPASSE_CODE)
 
     def is_thin(self) -> bool:
         return self.impasse_count() == 1
@@ -103,9 +98,12 @@ class MergeTree:
     def shape_code(self) -> str:
         """Parenthesized leaf pattern: "•" for a leaf, "(LR)" for a join.
 
-        Equal codes mean equal shapes, and so equal tags.
+        Equal codes mean equal shapes, and so equal tags. Cached on the tree.
         """
+        return self._shape_code
 
+    @_cached
+    def _shape_code(self) -> str:
         out = []
         stack: list = [self.root]
         while stack:

@@ -9,10 +9,10 @@ vector field; every unpaired simplex is critical.
 One sorted pass, cached on the function, checks every Morse condition and
 decides which simplices are critical. Everything derived from the values
 reads it first, so a function built directly runs the same checks, with the
-same errors, as :func:`validate`, which only forces it. The increasing
-sweep of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that
-sorted order and adds only the joins of two components; the merge tree, its
-impasses, the persistence diagram and the Betti sequence come from that record.
+same errors, as :func:`validate`, which only forces it. The increasing sweep
+of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that order
+and adds only the joins of two components; the merge tree, its impasses, and
+the persistence diagram and Betti sequence, both also cached, come from it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
@@ -34,6 +34,28 @@ from .errors import (
     UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
+
+
+class _cached:
+    """functools.cached_property without the per-property lock it takes on
+    every first read up to Python 3.11: the value goes into the instance's
+    __dict__, which later reads find first; a read that raises stores nothing.
+    """
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
+
+
+def format_value(value: float) -> str:
+    """Integer-valued floats print without a trailing .0."""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -75,6 +97,38 @@ class Sweep(NamedTuple):
 
 
 @dataclass(frozen=True)
+class HomologicalSequence:
+    """b0 of the sublevel set at each critical value, in increasing order.
+
+    On a forest b1 is always 0, so b0 is the whole Betti sequence.
+    """
+
+    entries: tuple[int, ...]
+
+    @property
+    def b0_values(self) -> tuple[int, ...]:
+        return self.entries
+
+
+@dataclass(frozen=True)
+class PersistenceDiagram:
+    """Birth-death pairs of sublevel components, sorted by birth.
+
+    Exactly one pair per connected domain has infinite death.
+    """
+
+    pairs: tuple[tuple[float, float], ...]
+
+    def to_text(self) -> str:
+        """One `birth death` pair per line, `inf` for infinite death."""
+        lines = []
+        for birth, death in self.pairs:
+            shown = "inf" if death == math.inf else format_value(death)
+            lines.append(f"{format_value(birth)} {shown}")
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
 class MorseFunction:
     """A discrete Morse function on a tree.
 
@@ -89,7 +143,7 @@ class MorseFunction:
     def __call__(self, simplex: Simplex) -> float:
         return self.values[simplex]
 
-    @cached_property
+    @_cached
     def _partition(self) -> tuple[list, dict[float, Simplex], frozenset]:
         """The one sorted pass that checks the values and decides criticality.
 
@@ -162,7 +216,7 @@ class MorseFunction:
             pairs.add((a, b))
         return entries, critical, frozenset(pairs)
 
-    @cached_property
+    @_cached
     def sweep(self) -> Sweep:
         """The joins of one increasing sublevel sweep; see :class:`Sweep`.
 
@@ -217,16 +271,29 @@ class MorseFunction:
         ((global_min, _),) = state.values()
         return Sweep(joins, global_min)
 
-    @cached_property
+    @_cached
+    def _betti(self) -> HomologicalSequence:
+        """The Betti sequence; see :func:`treemorse.homological_sequence`."""
+        joins = self.sweep.joins
+        return HomologicalSequence(tuple(accumulate(-1 if x in joins else 1 for x in self.critical_values)))
+
+    @_cached
+    def _diagram(self) -> PersistenceDiagram:
+        """The persistence diagram; see :func:`treemorse.persistence_diagram`."""
+        joins, global_min = self.sweep
+        pairs = [(born, value) for value, (_, _, born) in joins.items()] + [(global_min, math.inf)]
+        return PersistenceDiagram(tuple(sorted(pairs)))
+
+    @_cached
     def critical_simplices(self) -> frozenset[Simplex]:
         """Simplices whose value is shared with no other simplex."""
         return frozenset(self._partition[1].values())
 
-    @cached_property
+    @_cached
     def critical_values(self) -> tuple[float, ...]:
         return tuple(self._partition[1])
 
-    @cached_property
+    @_cached
     def gradient_vector_field(self) -> GradientVectorField:
         return GradientVectorField(self._partition[2])
 

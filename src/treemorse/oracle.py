@@ -32,8 +32,8 @@ from typing import Callable, Iterator
 
 from .complexes import Simplex, SimplicialTree, is_edge
 from .errors import BudgetExceededError
-from .merge_tree import LEAF_GLYPH, format_value
-from .morse import MorseFunction
+from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH
+from .morse import MorseFunction, format_value
 
 DEFAULT_SIMPLEX_BUDGET = 11
 
@@ -321,6 +321,9 @@ def check_invariants(
     - critical vertices = edges + 1: every simplex is placed, and the
       vertex placements outnumber the edge placements, N minus them, by one.
 
+    "full binary" and "critical vertices = edges + 1" hold by construction
+    on the tally, yet the report counts every labeling as checked for them.
+
     A check's witnesses are at most WITNESS_CAP labelings, one per failing
     entry of the tally, (root shape code, on_impasse), in the tally's
     order. Each is a labeling by 0..N-1 that ends in its entry, built by
@@ -342,7 +345,6 @@ def check_invariants(
     n = tree.simplex_count
     vertices = len(tree.vertices)
     simplices = list(tree.simplices())
-    impasse_code = f"({LEAF_GLYPH}{LEAF_GLYPH})"
     splits, memo = _final_tally(tree, budget)
     whole = next(iter(splits))
     total = passed = 0
@@ -350,7 +352,7 @@ def check_invariants(
     for key, count in memo[whole].items():
         root, on_impasse = key
         total += count
-        k = root.count(impasse_code)
+        k = root.count(_IMPASSE_CODE)
         impasse_counts.add(k)
         nodes = len(root) - root.count(")")
         verdicts = (

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,9 @@ from hypothesis import strategies as st
 
 import helpers
 from treemorse import (
+    MergeTree,
+    MorseFunction,
+    SimplicialTree,
     build_tree,
     forman_equivalent,
     homological_sequence,
@@ -16,7 +22,8 @@ from treemorse import (
     persistence_equivalent,
     validate,
 )
-from treemorse.errors import DomainMismatchError
+from treemorse.errors import DomainMismatchError, MorseValidationError
+from treemorse.morse import _cached
 
 INF = math.inf
 
@@ -273,3 +280,94 @@ def test_diagram_consistency_on_random_functions(data):
             f, lambda k: data.draw(st.integers(min_value=0, max_value=k - 1))
         )
     )
+
+
+# ---------------------------------------------------- cached readings
+
+def test_readings_are_taken_once():
+    f = helpers.deep_function()
+    assert persistence_diagram(f) is persistence_diagram(f)
+    assert homological_sequence(f) is homological_sequence(f)
+
+
+def count_readings(monkeypatch) -> Counter:
+    """Counts, by name, each time a cached reading of a MorseFunction or a
+    MergeTree is computed rather than found."""
+    counts = Counter()
+    for cls in (MorseFunction, MergeTree):
+        for name, reading in list(vars(cls).items()):
+            if isinstance(reading, _cached):
+                def counted(self, compute=reading.func, name=name):
+                    counts[name] += 1
+                    return compute(self)
+
+                counted.__name__ = name
+                monkeypatch.setattr(cls, name, _cached(counted))
+    return counts
+
+
+def test_relations_compare_cached_readings(monkeypatch):
+    counts = count_readings(monkeypatch)
+    f, g = lower_pair_function(), upper_pair_function()
+    a, b = induce_merge_tree(f), induce_merge_tree(g)
+    verdicts = []
+    for _ in range(3):
+        verdicts.append((
+            merge_equivalent(a, b),
+            forman_equivalent(f, g),
+            homologically_equivalent(f, g),
+            persistence_equivalent(f, g),
+        ))
+        readings = (persistence_diagram(f), homological_sequence(g), a.shape_code(), b.impasse_count())
+        # one computation of each reading per function or tree, the first time
+        assert counts == {name: 2 for name in (
+            "_partition", "sweep", "critical_values", "gradient_vector_field", "_betti", "_diagram",
+            "_shape_code",
+        )}
+    assert verdicts == [(True, False, True, True)] * 3
+    diagram, sequence, code, impasses = readings
+    assert (diagram.pairs, sequence.b0_values, code, impasses) == (((0, INF), (2, 5)), (1, 2, 1), "(••)", 1)
+
+
+def test_a_failed_reading_caches_nothing():
+    # a domain built by hand with two components: every value is fine, so
+    # the sorted pass succeeds and the sweep itself raises
+    tree = SimplicialTree(frozenset({"a", "b"}), frozenset())
+    f = MorseFunction(tree, {"a": 0, "b": 1})
+    for read in (lambda: f.sweep, lambda: persistence_diagram(f)):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(MorseValidationError) as raised:
+                read()
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors == [(MorseValidationError, "the sweep ends with 2 components")] * 2
+    assert "_partition" in vars(f)
+    assert not {"sweep", "_diagram"} & vars(f).keys()
+
+
+def test_threads_racing_to_a_first_read_get_one_object():
+    # the cache takes no lock: threads may all compute a first reading, but
+    # every one of them must get the object stored first
+    *_, functions = helpers.small_corpus()[-1]
+    functions = [MorseFunction(f.domain, f.values) for f, _, _ in functions[:300]]
+    seen = [[] for _ in range(6)]
+    start = threading.Barrier(len(seen))
+
+    def read(out: list) -> None:
+        start.wait(timeout=30)
+        out.extend((persistence_diagram(f), homological_sequence(f), f.sweep) for f in functions)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == len(functions) for out in seen)
+    for first, *others in zip(*seen):
+        assert all(a is b for other in others for a, b in zip(other, first))

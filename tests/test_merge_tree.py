@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -301,6 +302,48 @@ def test_parse_shape_code_of_a_deep_tree():
         tree = parse_shape_code(code)
         assert tree.shape_code() == code
         assert len(tree.leaves()) == 3001
+
+
+def test_shape_code_is_taken_once():
+    tree = induce_merge_tree(helpers.deep_function())
+    assert tree.shape_code() is tree.shape_code()
+
+
+def caterpillar_function(n: int, seed: int) -> MorseFunction:
+    """A spine of n // 3 vertices with the rest hung on it; every simplex
+    critical, each edge above every vertex, in a random order."""
+    rng = random.Random(seed)
+    spine = n // 3
+    pairs = [(f"v{i - 1}", f"v{i}") for i in range(1, spine)]
+    pairs += [(f"v{rng.randrange(spine)}", f"v{i}") for i in range(spine, n)]
+    tree = build_tree([f"v{i}" for i in range(n)], pairs)
+    values = dict(zip(sorted(tree.vertices), rng.sample(range(n), n)))
+    values.update(zip(sorted(tree.edges), rng.sample(range(n, 2 * n - 1), n - 1)))
+    return validate(tree, values)
+
+
+@functools.cache
+def impasse_cases() -> tuple:
+    """(merge tree, its function or None, len(tree.impasses())) for the
+    reference tree of every function in the shared small corpus and the
+    induced tree of its collapsed twin, every shape with up to seven leaves
+    parsed from its code, and a 10^5-simplex caterpillar's tree."""
+    cases = [(reference, f) for *_, functions in helpers.small_corpus() for f, _, reference in functions]
+    cases += [(induce_merge_tree(g), g) for *_, functions in helpers.small_corpus() for _, g, _ in functions]
+    cases += [(parse_shape_code(code), None) for leaves in range(1, 8) for code in all_shape_codes(leaves)]
+    big = caterpillar_function(50_000, 27)
+    cases.append((induce_merge_tree(big), big))
+    return tuple((tree, f, len(tree.impasses())) for tree, f in cases)
+
+
+def test_impasse_count_reads_the_shape_code():
+    def mismatches(count) -> list:
+        return [tree for tree, _, expected in impasse_cases() if count(tree) != expected]
+
+    assert mismatches(MergeTree.impasse_count) == []
+    assert [f for _, f, expected in impasse_cases() if f and f.sweep.impasse_count() != expected] == []
+    # doctored: a join whose left child alone is a leaf is no impasse
+    assert mismatches(lambda tree: tree.shape_code().count("(•")) != []
 
 
 def test_parse_shape_code_rejects_malformed():

@@ -52,6 +52,22 @@ def test_package_raises_no_bare_value_error():
     assert found == []
 
 
+def test_package_does_not_use_functools_cached_property():
+    # up to Python 3.11 it takes a lock on every first read; morse._cached
+    # takes none
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = {node.attr} if node.value.id == "functools" else set()
+        else:
+            continue
+        if "cached_property" in names:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_readme_tour_runs():
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
