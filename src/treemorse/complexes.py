@@ -113,7 +113,7 @@ def keyed_tree(vertices: Iterable[str], edge_pairs: Iterable) -> tuple[Simplicia
     for u, v in edge_pairs:
         if u not in vs or v not in vs:
             raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex")
-        e = (u, v) if u < v else edge(v, u)  # edge refuses a loop
+        e = (u, v) if u < v else (v, u) if v < u else edge(u, v)  # edge refuses a loop
         if e in distinct:
             raise MultiEdgeError(f"edge {e} appears more than once")
         distinct.add(e)

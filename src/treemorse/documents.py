@@ -71,12 +71,13 @@ def parse_morse_document(text: str) -> MorseFunction:
     if None in vertices.values():
         name = next(name for name, value in vertices.items() if value is None)
         raise ParseError(f"vertex {name!r} needs a value")
-    tree, edges = keyed_tree(vertices, [(u, v) for u, v, _ in triples])
-    for u, v, value in triples:
-        if value is None:
-            raise ParseError(f"edge [{u!r}, {v!r}] needs a value")
+    us, vs, edge_values = zip(*triples) if triples else ((), (), ())
+    tree, edges = keyed_tree(vertices, zip(us, vs))
+    if None in edge_values:
+        i = edge_values.index(None)
+        raise ParseError(f"edge [{us[i]!r}, {vs[i]!r}] needs a value")
     values = dict(vertices)
-    values.update(zip(edges, [value for _, _, value in triples]))
+    values.update(zip(edges, edge_values))
     return validate(tree, values)
 
 

@@ -4,8 +4,9 @@ Merge equivalence lives with the merge tree itself; this module provides the
 other three relations: equal gradient fields (Forman), equal Betti-number
 sequences along the sublevel filtration, and equal sublevel persistence
 diagrams. The last two, like the merge tree, are read off the one sweep
-cached on the function and are cached on it too, so a relation compares
-cached readings. None of the three implies another, and none coincides
+cached on the function, which records the joins and the Betti sequence in
+the same pass, and are cached on it too, so a relation compares cached
+readings. None of the three implies another, and none coincides
 with merge equivalence; the test suite pins down witnesses for each
 separation.
 """
@@ -26,10 +27,11 @@ def forman_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
 def homological_sequence(f: MorseFunction) -> HomologicalSequence:
     """Running b0 over the sublevel sweep cached on f, taken once and cached on f.
 
-    On a forest b0 is #vertices - #edges, so walking the critical values in
-    order, a critical vertex adds a component and a critical edge, exactly a
-    join of :attr:`MorseFunction.sweep`, removes one. A gradient pair enters
-    at one value and leaves b0 as it was.
+    On a forest b0 is #vertices - #edges, so in increasing value order a
+    critical vertex adds a component and a critical edge, exactly a join of
+    :attr:`MorseFunction.sweep`, removes one. The sweep counts the
+    components as it goes (:attr:`Sweep.b0`); a gradient pair enters at one
+    value and leaves b0 as it was.
 
     Raises:
         MorseValidationError: f was built without :func:`validate` and the

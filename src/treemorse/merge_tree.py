@@ -4,7 +4,9 @@ As the threshold rises past a critical edge, two components of the strict
 sublevel complex join. The node recording that join is labeled by the edge
 value and has one child per component, each labeled by the largest critical
 value its component held just below the join. Recursing downward ends in
-leaves labeled by critical vertex values.
+leaves labeled by critical vertex values. The joins are those of the one
+sublevel sweep (:class:`~treemorse.morse.Sweep`) that also gives the
+persistence pairs and the Betti sequence.
 
 Direction tags make child order canonical: the root is tagged L; at every
 join the child whose component holds the smaller minimum keeps its parent's
@@ -57,7 +59,7 @@ class MergeTree:
 
     def __post_init__(self) -> None:
         stack = [self.root]
-        while stack:  # plain loop: this runs on every construction
+        while stack:
             node = stack.pop()
             if not isinstance(node, MergeNode):
                 raise MalformedMergeTreeError(f"a node must be a MergeNode, not {type(node).__name__}")
@@ -159,6 +161,13 @@ class MergeTree:
         return "\n".join(lines)
 
 
+def _unchecked(root: MergeNode) -> MergeTree:
+    """A MergeTree without the full-binary walk, for a root this package built."""
+    tree = object.__new__(MergeTree)
+    tree.__dict__["root"] = root
+    return tree
+
+
 def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
     """Same shape and directions; node values are ignored."""
     return a.shape_code() == b.shape_code()
@@ -190,7 +199,7 @@ def parse_shape_code(code: str) -> MergeTree:
         open_joins[-1] = node
     if i != len(code):
         raise MalformedMergeTreeError(f"trailing characters after position {i}")
-    return MergeTree(node)
+    return _unchecked(node)
 
 
 def induce_merge_tree(f: MorseFunction) -> MergeTree:
@@ -211,9 +220,9 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
     """
-    joins, global_min = f.sweep
+    joins, global_min, _ = f.sweep
     if not joins:
-        return MergeTree(MergeNode(global_min))
+        return _unchecked(MergeNode(global_min))
     top = next(reversed(joins))
     # whether each label is tagged R; only a join's is read
     flipped = {top: False}
@@ -230,4 +239,4 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
             built[value] = node((value, other_node, heir_node))
         else:
             built[value] = node((value, heir_node, other_node))
-    return MergeTree(built[top])
+    return _unchecked(built[top])

@@ -11,8 +11,8 @@ decides which simplices are critical. Everything derived from the values
 reads it first, so a function built directly runs the same checks, with the
 same errors, as :func:`validate`, which only forces it. The increasing sweep
 of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that order
-and adds only the joins of two components; the merge tree, its impasses, and
-the persistence diagram and Betti sequence, both also cached, come from it.
+once: its joins give the merge tree, its impasses and the persistence diagram,
+its component counts the Betti sequence, and the last two are cached too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
@@ -84,11 +83,13 @@ class Sweep(NamedTuple):
     heir is the component with the smaller minimum, which keeps its
     parent's direction in the merge tree and outlives the other in the
     persistence diagram. ``global_min`` is the smallest vertex value of the
-    whole tree.
+    whole tree. ``b0`` counts the components at each critical value, in
+    increasing order: on a forest, the whole Betti sequence.
     """
 
     joins: dict[float, tuple[float, float, float]]
     global_min: float
+    b0: tuple[int, ...]
 
     def impasse_count(self) -> int:
         """The merge tree's impasses: joins of two critical vertex labels."""
@@ -218,16 +219,16 @@ class MorseFunction:
 
     @_cached
     def sweep(self) -> Sweep:
-        """The joins of one increasing sublevel sweep; see :class:`Sweep`.
+        """The joins and b0 of one increasing sublevel sweep; see :class:`Sweep`.
 
         The sweep walks :attr:`_partition`'s sorted items, where the values
         are checked, criticality is decided and every edge comes after both
-        its endpoints; it adds only the joins. It tracks, for every
-        component of the growing complex, its minimum value and the largest
-        critical value it has reached (its label). A paired vertex comes
-        right before its edge, which attaches it to an older, labeled
-        component; a critical edge joins two labeled components, whose
-        minima differ because no two vertices share a value.
+        its endpoints; it adds only the joins and the component counts. It
+        tracks, for every component of the growing complex, its minimum
+        value and the largest critical value it has reached (its label). A
+        paired vertex comes right before its edge, which attaches it to an
+        older, labeled component; a critical edge joins two labeled
+        components, whose minima differ because no two vertices share a value.
 
         Raises:
             MorseValidationError: the values break a Morse condition (see
@@ -240,11 +241,13 @@ class MorseFunction:
         parent: dict = {}
         state: dict = {}
         joins: dict = {}
+        b0: list = []
         last = None
         for simplex, value in self._partition[0]:
             if type(simplex) is not tuple:
                 parent[simplex] = simplex
                 state[simplex] = (value, value)
+                b0.append(len(state))
                 last = value
                 continue
             root_u, root_v = parent[simplex[0]], parent[simplex[1]]
@@ -255,32 +258,33 @@ class MorseFunction:
             (min_u, crit_u), (min_v, crit_v) = state[root_u], state[root_v]
             # u becomes the heir; a paired edge shares its value with the
             # last vertex, just placed, and only attaches it to an older
-            # component, whose label stands
+            # component, whose label stands, and takes back the vertex's count
             if min_v < min_u:
                 root_u, root_v, min_u, min_v, crit_u, crit_v = root_v, root_u, min_v, min_u, crit_v, crit_u
             if value != last:
                 joins[value] = (crit_u, crit_v, min_v)
-                crit_u = value
+                state[root_u] = (min_u, value)
+                b0.append(len(state) - 1)  # less root_v's entry, dropped below
+            else:
+                b0.pop()
             parent[root_v] = root_u
-            state[root_u] = (min_u, crit_u)
             del state[root_v]
         # every simplex has a value, so only a domain built by hand, not
         # through build_tree, can leave more than one component
         if len(state) != 1:
             raise MorseValidationError(f"the sweep ends with {len(state)} components")
         ((global_min, _),) = state.values()
-        return Sweep(joins, global_min)
+        return tuple.__new__(Sweep, (joins, global_min, tuple(b0)))  # not NamedTuple's Python __new__
 
     @_cached
     def _betti(self) -> HomologicalSequence:
         """The Betti sequence; see :func:`treemorse.homological_sequence`."""
-        joins = self.sweep.joins
-        return HomologicalSequence(tuple(accumulate(-1 if x in joins else 1 for x in self.critical_values)))
+        return HomologicalSequence(self.sweep.b0)
 
     @_cached
     def _diagram(self) -> PersistenceDiagram:
         """The persistence diagram; see :func:`treemorse.persistence_diagram`."""
-        joins, global_min = self.sweep
+        joins, global_min, _ = self.sweep
         pairs = [(born, value) for value, (_, _, born) in joins.items()] + [(global_min, math.inf)]
         return PersistenceDiagram(tuple(sorted(pairs)))
 

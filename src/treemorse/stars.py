@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialTree, Vertex, build_tree, edge
 from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
-from .merge_tree import MergeNode, MergeTree
+from .merge_tree import MergeNode, MergeTree, _unchecked
 from .morse import MorseFunction, validate
 
 
@@ -46,14 +46,9 @@ def _itinerary(tree: MergeTree) -> str:
     count = tree.impasse_count()
     if count != 1:
         raise NotThinError(f"tree has {count} impasses, need exactly 1")
-    node, steps = tree.root, ["L"]
-    while not node.is_impasse:
-        # one impasse means at most one child can head a subtree with one,
-        # so exactly one child of every non-impasse internal node is internal
-        side = "R" if node.left.is_leaf else "L"
-        steps.append(side)
-        node = node.right if side == "R" else node.left
-    return "".join(steps)
+    # every "(" of the shape code opens the next path node, the last one the
+    # impasse; the path turns L where a "(" follows, R where a leaf does
+    return "L" + "".join("R" if p else "L" for p in tree.shape_code().split("(")[1:-1])
 
 
 def lr_sequence(tree: MergeTree) -> str:
@@ -78,7 +73,7 @@ def thin_from_lr(seq: str) -> MergeTree:
     for step in reversed(seq):
         leaf = MergeNode(None)
         node = MergeNode(None, node, leaf) if step == "L" else MergeNode(None, leaf, node)
-    return MergeTree(node)
+    return _unchecked(node)
 
 
 def enumerate_thin(n: int) -> list[MergeTree]:

@@ -321,8 +321,7 @@ def test_relations_compare_cached_readings(monkeypatch):
         readings = (persistence_diagram(f), homological_sequence(g), a.shape_code(), b.impasse_count())
         # one computation of each reading per function or tree, the first time
         assert counts == {name: 2 for name in (
-            "_partition", "sweep", "critical_values", "gradient_vector_field", "_betti", "_diagram",
-            "_shape_code",
+            "_partition", "sweep", "gradient_vector_field", "_betti", "_diagram", "_shape_code",
         )}
     assert verdicts == [(True, False, True, True)] * 3
     diagram, sequence, code, impasses = readings

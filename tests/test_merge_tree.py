@@ -1,4 +1,6 @@
 import functools
+import gc
+import json
 import math
 import random
 
@@ -17,8 +19,10 @@ from treemorse import (
     homological_sequence,
     induce_merge_tree,
     merge_equivalent,
+    parse_morse_document,
     parse_shape_code,
     persistence_diagram,
+    thin_from_lr,
     validate,
 )
 from treemorse.errors import (
@@ -323,6 +327,84 @@ def caterpillar_function(n: int, seed: int) -> MorseFunction:
 
 
 @functools.cache
+def big_caterpillar() -> MorseFunction:
+    """The 10^5-simplex caterpillar, every simplex critical."""
+    return caterpillar_function(50_000, 27)
+
+
+def random_recursive_document(n: int, seed: int) -> str:
+    """A document on a random recursive tree with n vertices: random 50-bit
+    values, each edge above its endpoints, and a random quarter of the
+    vertices raised onto their lowest edge, where no other vertex took it,
+    as gradient pairs."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    values = {v: rng.getrandbits(50) for v in names}
+    edges = []
+    for i in range(1, n):
+        u, v = names[int(rng.random() * i)], names[i]
+        edges.append([u, v, max(values[u], values[v]) + 1 + rng.getrandbits(50)])
+    lowest = {}
+    for u, v, x in sorted(edges, key=lambda e: e[2], reverse=True):  # the lowest edge writes last
+        lowest[u] = lowest[v] = x
+    taken = set()
+    for v in rng.sample(names, n // 4):
+        if lowest[v] not in taken:
+            taken.add(lowest[v])
+            values[v] = lowest[v]
+    return json.dumps({"vertices": values, "edges": edges})
+
+
+def diagram_off_the_merge_tree(tree: MergeTree) -> tuple:
+    """The elder rule read off a merge tree's positions: at a join tagged t
+    the child on side t is the heir; the other child's least leaf dies at
+    the join's value, and the least leaf of all lives forever."""
+    order, stack = [], [(tree.root, "L")]
+    while stack:
+        node, tag = stack.pop()
+        order.append((node, tag))
+        if node.left is not None:
+            stack.append((node.left, "L"))
+            stack.append((node.right, "R"))
+    # the preorder above visits the right subtree before the left, so its
+    # reverse meets the left subtree, then the right, then the node: each
+    # join finds its children's least leaves on top of the stack
+    least, pairs = [], []
+    for node, tag in reversed(order):
+        if node.left is None:
+            least.append(node.value)
+            continue
+        right, left = least.pop(), least.pop()
+        heir, other = (left, right) if tag == "L" else (right, left)
+        pairs.append((other, node.value))
+        least.append(min(heir, other))
+    pairs.append((least.pop(), math.inf))
+    return tuple(sorted(pairs))
+
+
+def test_one_sweep_agrees_with_itself_at_a_hundred_thousand_simplices():
+    # two laws that need no oracle: b0 is the running count of critical
+    # vertices less critical edges, and the elder rule on the merge tree's
+    # tags gives the persistence diagram. Nothing here makes a reference
+    # cycle, so the cyclic collector, which would walk every object again
+    # and again, is off
+    gc.disable()
+    try:
+        document = parse_morse_document(random_recursive_document(50_000, 28))
+        assert len(document.gradient_vector_field) > 5_000
+        for f in (big_caterpillar(), document):
+            assert f.domain.simplex_count >= 99_999
+            count, running = 0, []
+            for simplex in sorted(f.critical_simplices, key=f.values.__getitem__):
+                count += -1 if type(simplex) is tuple else 1
+                running.append(count)
+            assert f.sweep.b0 == tuple(running)
+            assert diagram_off_the_merge_tree(induce_merge_tree(f)) == persistence_diagram(f).pairs
+    finally:
+        gc.enable()
+
+
+@functools.cache
 def impasse_cases() -> tuple:
     """(merge tree, its function or None, len(tree.impasses())) for the
     reference tree of every function in the shared small corpus and the
@@ -331,7 +413,7 @@ def impasse_cases() -> tuple:
     cases = [(reference, f) for *_, functions in helpers.small_corpus() for f, _, reference in functions]
     cases += [(induce_merge_tree(g), g) for *_, functions in helpers.small_corpus() for _, g, _ in functions]
     cases += [(parse_shape_code(code), None) for leaves in range(1, 8) for code in all_shape_codes(leaves)]
-    big = caterpillar_function(50_000, 27)
+    big = big_caterpillar()
     cases.append((induce_merge_tree(big), big))
     return tuple((tree, f, len(tree.impasses())) for tree, f in cases)
 
@@ -367,6 +449,22 @@ def test_malformed_merge_trees_are_refused():
     with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not tuple"):
         MergeTree((0, None, None))
     assert issubclass(MalformedMergeTreeError, ValueError)
+
+
+def test_library_builders_skip_the_full_binary_check(monkeypatch):
+    checks = []
+    check = MergeTree.__post_init__
+    monkeypatch.setattr(MergeTree, "__post_init__", lambda tree: checks.append(tree) or check(tree))
+    point = validate(build_tree(["a"], []), {"a": 0})
+    for f in (point, helpers.deep_function(), helpers.narrow_function(), helpers.star_function()):
+        induce_merge_tree(f)
+    parse_shape_code("((••)(••))")
+    thin_from_lr("LRRL")
+    assert checks == []
+    # built by hand, the tree is still checked
+    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
+        MergeTree(MergeNode(1, MergeNode(2), None))
+    assert len(checks) == 1
 
 
 def test_merge_nodes_are_immutable_and_compared_by_identity():

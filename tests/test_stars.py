@@ -88,6 +88,29 @@ def test_lr_round_trip_on_all_short_sequences():
             assert lr_sequence(tree) == seq
 
 
+def test_lr_sequence_matches_a_node_walk():
+    # lr_sequence reads the turns off the shape code; this walks the nodes
+    def walk(tree) -> str:
+        node, steps = tree.root, []
+        while not node.is_impasse:
+            # the one internal child continues the path
+            node, step = (node.right, "R") if node.left.is_leaf else (node.left, "L")
+            steps.append(step)
+        return "".join(steps)
+
+    thin = [tree for k in range(1, 11) for tree in enumerate_thin(k)]
+    assert len(thin) == 2 ** 10 - 1
+    induced = [
+        tree
+        for *_, functions in helpers.small_corpus()
+        for f, g, _ in functions
+        for tree in (induce_merge_tree(f), induce_merge_tree(g))
+        if tree.impasse_count() == 1
+    ]
+    assert induced
+    assert [tree for tree in thin + induced if lr_sequence(tree) != walk(tree)] == []
+
+
 def test_round_trip_through_a_valued_tree():
     narrow = induce_merge_tree(helpers.narrow_function())
     rebuilt = thin_from_lr(lr_sequence(narrow))
