@@ -7,7 +7,6 @@ simplex is either a vertex name or such a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -34,16 +33,49 @@ def is_edge(simplex: Simplex) -> bool:
     return isinstance(simplex, tuple)
 
 
-@dataclass(frozen=True)
-class SimplicialTree:
+class _Record:
+    """An immutable record of the fields ``_fields`` names, which a subclass's
+    ``__init__`` stores with ``object.__setattr__``: compared, hashed, shown
+    and matched by them, as a frozen dataclass is, without importing
+    dataclasses, which loads inspect and ast: a third of the import time.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        if "__eq__" in vars(cls):  # MergeTree compares by identity
+            return
+        # spelled out per class, as namedtuple and dataclasses do, so that each
+        # field is a plain attribute load, which the interpreter specializes
+        mine, theirs = (", ".join(f"{side}.{name}" for name in cls._fields) for side in ("self", "other"))
+        cls.__eq__ = eval(f"lambda self, other: ({mine},) == ({theirs},) "
+                          "if other.__class__ is self.__class__ else NotImplemented")
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimplicialTree(_Record):
     """A finite tree, the domain of a discrete Morse function. Immutable.
 
     Construct through :func:`build_tree`, which refuses anything that is not
     a connected, acyclic graph with at least one vertex.
     """
 
-    vertices: frozenset[str]
-    edges: frozenset[Edge]
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[str], edges: frozenset[Edge]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def simplex_count(self) -> int:

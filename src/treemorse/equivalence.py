@@ -36,6 +36,7 @@ def homological_sequence(f: MorseFunction) -> HomologicalSequence:
     Raises:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
+        CycleDetectedError: f's domain, built by hand, has a cycle.
     """
     return f._betti
 
@@ -59,6 +60,7 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
     Raises:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
+        CycleDetectedError: f's domain, built by hand, has a cycle.
     """
     return f._diagram
 

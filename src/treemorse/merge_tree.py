@@ -17,10 +17,10 @@ and every left child, R for every right child, and no node stores it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
+from .complexes import _Record
 from .errors import MalformedMergeTreeError
 from .morse import MorseFunction, _cached, format_value
 
@@ -51,11 +51,15 @@ class MergeNode(NamedTuple):
         return self.left is not None and self.left.is_leaf and self.right.is_leaf
 
 
-@dataclass(frozen=True, eq=False)
-class MergeTree:
+class MergeTree(_Record):
     """A full binary tree of MergeNodes, each tagged by its position; the shape code is cached."""
 
-    root: MergeNode
+    _fields = ("root",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, root: MergeNode) -> None:
+        object.__setattr__(self, "root", root)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         stack = [self.root]
@@ -219,6 +223,7 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     Raises:
         MorseValidationError: f was built without :func:`validate` and the
             sweep cannot make sense of it.
+        CycleDetectedError: f's domain, built by hand, has a cycle.
     """
     joins, global_min, _ = f.sweep
     if not joins:

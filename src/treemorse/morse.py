@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .complexes import Edge, Simplex, SimplicialTree, Vertex
+from .complexes import Edge, Simplex, SimplicialTree, Vertex, _Record
 from .errors import (
+    CycleDetectedError,
     MissingValueError,
     MorseValidationError,
     MoreThanTwoShareValueError,
@@ -57,11 +57,13 @@ def format_value(value: float) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class GradientVectorField:
+class GradientVectorField(_Record):
     """The vertex-to-edge arrows given by equal-value incident pairs."""
 
-    pairs: frozenset[tuple[Vertex, Edge]]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: frozenset[tuple[Vertex, Edge]]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -97,28 +99,32 @@ class Sweep(NamedTuple):
         return sum(1 for heir, other, _ in joins.values() if heir not in joins and other not in joins)
 
 
-@dataclass(frozen=True)
-class HomologicalSequence:
+class HomologicalSequence(_Record):
     """b0 of the sublevel set at each critical value, in increasing order.
 
     On a forest b1 is always 0, so b0 is the whole Betti sequence.
     """
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @property
     def b0_values(self) -> tuple[int, ...]:
         return self.entries
 
 
-@dataclass(frozen=True)
-class PersistenceDiagram:
+class PersistenceDiagram(_Record):
     """Birth-death pairs of sublevel components, sorted by birth.
 
     Exactly one pair per connected domain has infinite death.
     """
 
-    pairs: tuple[tuple[float, float], ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[float, float], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     def to_text(self) -> str:
         """One `birth death` pair per line, `inf` for infinite death."""
@@ -129,17 +135,19 @@ class PersistenceDiagram:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class MorseFunction:
-    """A discrete Morse function on a tree.
+class MorseFunction(_Record):
+    """A discrete Morse function on a tree; unhashable, as its values are a dict.
 
     The constructor checks nothing. The Morse conditions are checked, as
     :func:`validate` documents, the first time anything derived from the
     values is read; :func:`validate` forces that check.
     """
 
-    domain: SimplicialTree
-    values: Mapping[Simplex, float]
+    _fields = ("domain", "values")
+
+    def __init__(self, domain: SimplicialTree, values: Mapping[Simplex, float]) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
 
     def __call__(self, simplex: Simplex) -> float:
         return self.values[simplex]
@@ -234,6 +242,7 @@ class MorseFunction:
             MorseValidationError: the values break a Morse condition (see
                 :attr:`_partition`), or the domain, built by hand rather
                 than by build_tree, is not connected.
+            CycleDetectedError: a hand-built domain has a cycle, closed by the edge named.
         """
         # union-find with path halving, as in complexes.keyed_tree; a root
         # maps to (component minimum, label), and a vertex starts labeled by
@@ -255,6 +264,8 @@ class MorseFunction:
                 parent[root_u] = root_u = parent[up]
             while (up := parent[root_v]) is not root_v:
                 parent[root_v] = root_v = parent[up]
+            if root_u is root_v:  # only a domain built by hand, not through build_tree
+                raise CycleDetectedError(f"edge {simplex} closes a cycle")
             (min_u, crit_u), (min_v, crit_v) = state[root_u], state[root_v]
             # u becomes the heir; a paired edge shares its value with the
             # last vertex, just placed, and only attaches it to an older

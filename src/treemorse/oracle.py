@@ -25,12 +25,11 @@ witnesses. All refuse trees over budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 from typing import Callable, Iterator
 
-from .complexes import Simplex, SimplicialTree, is_edge
+from .complexes import Simplex, SimplicialTree, _Record, is_edge
 from .errors import BudgetExceededError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH
 from .morse import MorseFunction, format_value
@@ -228,14 +227,15 @@ def _describe(f: MorseFunction) -> str:
     return " ".join(f"{name(s)}={format_value(x)}" for s, x in ordered)
 
 
-@dataclass
-class PropertyCheck:
-    """Pass/fail tally for one invariant, with witnessing labelings."""
+class PropertyCheck(_Record):
+    """Pass/fail tally for one invariant, with witnessing labelings. Mutable."""
 
-    name: str
-    checked: int = 0
-    failed: int = 0
-    witnesses: list[str] = field(default_factory=list)
+    _fields = ("name", "checked", "failed", "witnesses")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, checked: int = 0, failed: int = 0, witnesses: list[str] | None = None) -> None:
+        self.name, self.checked, self.failed = name, checked, failed
+        self.witnesses = [] if witnesses is None else witnesses
 
     def record(self, ok: bool, f: MorseFunction | None, count: int = 1) -> None:
         """Tally count labelings with one verdict; f witnesses a failure.
@@ -249,15 +249,17 @@ class PropertyCheck:
                 self.witnesses.append(_describe(f))
 
 
-@dataclass
-class InvariantReport:
-    """Result of running the invariant suite over a full enumeration."""
+class InvariantReport(_Record):
+    """Result of running the invariant suite over a full enumeration. Mutable."""
 
-    function_count: int
-    checks: list[PropertyCheck]
-    min_impasse_count: int
-    max_impasse_count: int
-    matching_number: int
+    _fields = ("function_count", "checks", "min_impasse_count", "max_impasse_count", "matching_number")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, function_count: int, checks: list[PropertyCheck],
+                 min_impasse_count: int, max_impasse_count: int, matching_number: int) -> None:
+        self.function_count, self.checks = function_count, checks
+        self.min_impasse_count, self.max_impasse_count = min_impasse_count, max_impasse_count
+        self.matching_number = matching_number
 
     @property
     def ok(self) -> bool:

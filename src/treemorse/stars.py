@@ -11,20 +11,21 @@ nodes is induced by an injective function on the star with k edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .complexes import SimplicialTree, Vertex, build_tree, edge
+from .complexes import SimplicialTree, Vertex, _Record, build_tree, edge
 from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
 from .merge_tree import MergeNode, MergeTree, _unchecked
 from .morse import MorseFunction, validate
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class StarGraph(_Record):
     """A tree with one hub: every edge touches the center vertex."""
 
-    tree: SimplicialTree
-    center: Vertex
+    _fields = ("tree", "center")
+
+    def __init__(self, tree: SimplicialTree, center: Vertex) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "center", center)
 
     @property
     def edge_count(self) -> int:

@@ -14,6 +14,7 @@ from treemorse import (
     MergeTree,
     MorseFunction,
     build_tree,
+    edge,
     enumerate_critical_dmfs,
     forman_equivalent,
     homological_sequence,
@@ -355,6 +356,12 @@ def random_recursive_document(n: int, seed: int) -> str:
     return json.dumps({"vertices": values, "edges": edges})
 
 
+@functools.cache
+def big_recursive_function() -> MorseFunction:
+    """The seeded 10^5-simplex random recursive document, with gradient pairs."""
+    return parse_morse_document(random_recursive_document(50_000, 28))
+
+
 def diagram_off_the_merge_tree(tree: MergeTree) -> tuple:
     """The elder rule read off a merge tree's positions: at a join tagged t
     the child on side t is the heir; the other child's least leaf dies at
@@ -390,7 +397,7 @@ def test_one_sweep_agrees_with_itself_at_a_hundred_thousand_simplices():
     # and again, is off
     gc.disable()
     try:
-        document = parse_morse_document(random_recursive_document(50_000, 28))
+        document = big_recursive_function()
         assert len(document.gradient_vector_field) > 5_000
         for f in (big_caterpillar(), document):
             assert f.domain.simplex_count >= 99_999
@@ -400,6 +407,40 @@ def test_one_sweep_agrees_with_itself_at_a_hundred_thousand_simplices():
                 running.append(count)
             assert f.sweep.b0 == tuple(running)
             assert diagram_off_the_merge_tree(induce_merge_tree(f)) == persistence_diagram(f).pairs
+    finally:
+        gc.enable()
+
+
+def test_contracting_the_gradient_pairs_keeps_the_joins():
+    # a third law with no oracle: a gradient pair (v, e) acts like
+    # contracting e into its other endpoint u. v comes right before e and
+    # joins u's older component, and f(u) < f(v), or three simplices would
+    # share a value, so no minimum and no label changes: the contracted
+    # document has the same joins, and so the same merge tree
+    gc.disable()
+    try:
+        f = big_recursive_function()
+        into = {v: v for v in f.domain.vertices}  # a vertex's contraction target
+        paired_edges = set()
+        for v, e in f.gradient_vector_field.pairs:
+            into[v] = e[1] if e[0] == v else e[0]
+            paired_edges.add(e)
+        assert len(paired_edges) > 5_000
+
+        def find(v: str) -> str:  # union-find with path halving
+            while into[v] != v:
+                into[v] = into[into[v]]
+                v = into[v]
+            return v
+
+        vertices = [v for v in f.domain.vertices if into[v] == v]
+        edges = [((find(u), find(v)), f.values[u, v]) for u, v in f.domain.edges - paired_edges]
+        tree = build_tree(vertices, [pair for pair, _ in edges])
+        values = {v: f.values[v] for v in vertices}
+        values.update((edge(*pair), x) for pair, x in edges)
+        contracted = validate(tree, values)
+        assert len(contracted.gradient_vector_field) == 0
+        assert contracted.sweep.joins == f.sweep.joins
     finally:
         gc.enable()
 

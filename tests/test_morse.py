@@ -12,11 +12,13 @@ from treemorse import (
     SimplicialTree,
     build_tree,
     homological_sequence,
+    induce_merge_tree,
     is_edge,
     persistence_diagram,
     validate,
 )
 from treemorse.errors import (
+    CycleDetectedError,
     MissingValueError,
     MoreThanTwoShareValueError,
     NotFiniteRealError,
@@ -72,6 +74,20 @@ def test_an_edge_endpoint_outside_a_hand_built_tree_is_named():
         validate(tree, values)
     with pytest.raises(UnknownVertexError, match=message):
         persistence_diagram(MorseFunction(tree, values))
+
+
+@pytest.mark.parametrize("pendant", [True, False], ids=["with a pendant edge", "triangle"])
+def test_a_cycle_in_a_hand_built_tree_is_named(pendant):
+    # build_tree refuses a cycle; a SimplicialTree built directly does not,
+    # and the sweep names the edge that closes it, ac, the first in value order
+    edges = [("a", "b"), ("b", "c"), ("a", "c")] + [("c", "d")] * pendant
+    vertices = sorted({v for e in edges for v in e})
+    values = {v: i for i, v in enumerate(vertices)}
+    values.update((e, len(vertices) + i) for i, e in enumerate(edges))
+    tree = SimplicialTree(frozenset(vertices), frozenset(edges))
+    for read in (lambda f: f.sweep, induce_merge_tree, persistence_diagram, homological_sequence):
+        with pytest.raises(CycleDetectedError, match=r"^edge \('a', 'c'\) closes a cycle$"):
+            read(MorseFunction(tree, values))
 
 
 def test_decreasing_along_face_rejected():

@@ -1,8 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
-import dataclasses
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import treemorse
@@ -68,6 +69,35 @@ def test_package_does_not_use_functools_cached_property():
     assert found == []
 
 
+def test_package_does_not_import_dataclasses():
+    # importing it loads inspect and ast too, a third of the package's
+    # import time, which every command pays; the records are plain classes
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # -S: no site directory, so no .pth file can load these modules first
+    source = str(Path(treemorse.__file__).resolve().parent.parent)
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (
+        f"import sys; sys.path.insert(0, {source!r}); import treemorse, treemorse.cli; "
+        f"print(' '.join(name for name in {unwanted!r} if name in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
+
+
 def test_readme_tour_runs():
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
@@ -123,7 +153,7 @@ def test_oracles_stay_independent_of_the_package():
     helpers = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
     assert ORACLES <= helpers.keys()
     assert ORACLE_IMPORTS <= package
-    fields = {f.name for cls in (MorseFunction, MergeTree) for f in dataclasses.fields(cls)}
+    fields = {name for cls in (MorseFunction, MergeTree) for name in cls._fields}
     derived = {
         name for cls in (MorseFunction, Sweep, MergeTree) for name in vars(cls)
         if not name.startswith("__")
