@@ -59,20 +59,12 @@ class MergeTree(_Record):
 
     def __init__(self, root: MergeNode) -> None:
         object.__setattr__(self, "root", root)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        # nodes() reads a node's children only after this has checked it
+        for node in self.nodes():
             if not isinstance(node, MergeNode):
                 raise MalformedMergeTreeError(f"a node must be a MergeNode, not {type(node).__name__}")
-            left, right = node.left, node.right
-            if (left is None) != (right is None):
+            if (node.left is None) != (node.right is None):
                 raise MalformedMergeTreeError("every node needs zero or two children")
-            if left is not None:
-                stack.append(right)
-                stack.append(left)
 
     def nodes(self) -> Iterator[MergeNode]:
         """Preorder: node, left subtree, right subtree."""

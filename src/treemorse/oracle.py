@@ -6,9 +6,8 @@ An injective function on a tree with N simplices is, up to order-preserving
 relabeling, a bijection onto 0..N-1 that respects the face order: every
 vertex below each of its edges. Those are exactly the linear extensions of
 the face poset. LabelingSweep generates them one by one, depth first over
-the candidates that one placement rule (_placement) offers for each label;
-their number grows factorially, so enumerate_critical_dmfs takes a simplex
-budget.
+the candidates that its placement rule offers for each label; their number
+grows factorially, so enumerate_critical_dmfs takes a simplex budget.
 
 On two or more vertices the largest label is on an edge, the top edge, so
 the merge tree's root joins the merge trees of the two sides of the tree
@@ -27,61 +26,48 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .complexes import Simplex, SimplicialTree, _Record, is_edge
+from .complexes import Simplex, SimplicialTree, _Record
 from .errors import BudgetExceededError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH
-from .morse import MorseFunction, format_value
+from .morse import MorseFunction
 
 DEFAULT_SIMPLEX_BUDGET = 11
 
 WITNESS_CAP = 5
 
 
-def _placement(tree: SimplicialTree, budget: int) -> tuple[list[Simplex], Callable[[int], list[tuple]]]:
-    """The placement rule LabelingSweep follows, and the simplex ids.
-
-    Simplex ids put the vertices first, then the edges, each in sorted
-    order; _splits names simplices by the same ids. Returns the simplices
-    by id and steps(placed). steps(placed) lists the simplices that may
-    take the next label once the ids in the bitmask placed hold labels, in
-    the order they are tried: the unplaced vertices, then the unplaced
-    edges whose endpoints are both placed, each in id order. Each candidate
-    is (id, placed after it). The list is memoized per placed mask; the
-    memo belongs to the returned function, so it lasts one enumeration.
-
-    Raises:
-        BudgetExceededError: the tree has more than budget simplices.
-    """
+def _vertex_ids(tree: SimplicialTree, budget: int) -> dict[Simplex, int]:
+    """{vertex: id} in sorted order, once the tree is within budget; edges take the next ids."""
     if tree.simplex_count > budget:
         raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
-    vertices = sorted(tree.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    # (id, its bit, the bits of its faces) per simplex, in id order
-    faces = [(v, 1 << v, 0) for v in range(len(vertices))]
-    faces += [
-        (s, 1 << s, 1 << index[a] | 1 << index[b])
-        for s, (a, b) in enumerate(sorted(tree.edges), len(vertices))
-    ]
-
-    @cache
-    def steps(placed: int) -> list[tuple[int, int]]:
-        return [(s, placed | bit) for s, bit, below in faces if not placed & bit and placed & below == below]
-
-    return list(tree.simplices()), steps
+    return {v: i for i, v in enumerate(sorted(tree.vertices))}
 
 
 class LabelingSweep:
     """Every injective labeling of a tree by 0..N-1, one per iteration.
 
     Each labeling is a dict from simplex to label, simplices in label
-    order. The sweep goes depth first, trying each label's candidates in
-    the order of the placement rule (_placement).
+    order. Simplex ids put the vertices first, then the edges, each in
+    sorted order, as in _splits. Depth first, the placement rule tries as
+    each label the unplaced vertices, then the unplaced edges whose
+    endpoints hold labels, each in id order; the candidates are memoized
+    per set of placed ids. A tree over budget raises BudgetExceededError.
     """
 
     def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
-        self._simplices, self._steps = _placement(tree, budget)
+        index = _vertex_ids(tree, budget)
+        # (id, its bit, the bits of its faces) per simplex, in id order
+        faces = [(v, 1 << v, 0) for v in range(len(index))]
+        faces += [(s, 1 << s, 1 << index[a] | 1 << index[b])
+                  for s, (a, b) in enumerate(sorted(tree.edges), len(index))]
+
+        @cache
+        def steps(placed: int) -> list[tuple[int, int]]:  # each candidate's (id, placed after it)
+            return [(s, placed | bit) for s, bit, below in faces if not placed & bit and placed & below == below]
+
+        self._simplices, self._steps = list(tree.simplices()), steps
 
     def __iter__(self) -> Iterator[dict[Simplex, int]]:
         simplices, steps = self._simplices, self._steps
@@ -103,7 +89,7 @@ def enumerate_critical_dmfs(
     """Yield every injective labeling of tree by 0..N-1, all simplices critical.
 
     Deterministic: LabelingSweep's order, depth first over the candidates
-    of the placement rule (_placement).
+    of its placement rule.
     """
     return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
 
@@ -143,18 +129,18 @@ def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int,
     ends, s) cuts it there: the sides, the edge's endpoint bits, then the
     edge's simplex id. Splits come in edge id order.
     """
-    simplices, _ = _placement(tree, budget)
+    index = _vertex_ids(tree, budget)
     # sorted, as ids are, so no order here follows string hashing
-    edges = [(simplices.index(a), simplices.index(b)) for a, b in sorted(tree.edges)]
+    edges = [(index[a], index[b]) for a, b in sorted(tree.edges)]
     cuts = []
-    for s, e in enumerate(edges, len(tree.vertices)):
+    for s, e in enumerate(edges, len(index)):
         side = 1 << e[0]  # e[0]'s side, grown at least one edge further per pass
         for a, b in edges * len(edges):
             if (a, b) != e and (side >> a | side >> b) & 1:
                 side |= 1 << a | 1 << b
         cuts.append((side, 1 << e[0] | 1 << e[1], s))
     splits: dict[int, list[tuple[int, int, int, int]]] = {}
-    todo = [(1 << len(tree.vertices)) - 1]  # the whole tree first
+    todo = [(1 << len(index)) - 1]  # the whole tree first
     for part in todo:  # todo grows while it is walked
         if part not in splits:
             splits[part] = [(part & cut, part & ~cut, ends, s)
@@ -219,14 +205,6 @@ def _witness(splits: dict, memo: dict, part: int, key: tuple[str, int]) -> tuple
     return (part.bit_length() - 1,)  # a single vertex, which has no split
 
 
-def _describe(f: MorseFunction) -> str:
-    def name(s: Simplex) -> str:
-        return "-".join(s) if is_edge(s) else s
-
-    ordered = sorted(f.values.items(), key=lambda item: item[1])
-    return " ".join(f"{name(s)}={format_value(x)}" for s, x in ordered)
-
-
 class PropertyCheck(_Record):
     """Pass/fail tally for one invariant, with witnessing labelings. Mutable."""
 
@@ -236,17 +214,6 @@ class PropertyCheck(_Record):
     def __init__(self, name: str, checked: int = 0, failed: int = 0, witnesses: list[str] | None = None) -> None:
         self.name, self.checked, self.failed = name, checked, failed
         self.witnesses = [] if witnesses is None else witnesses
-
-    def record(self, ok: bool, f: MorseFunction | None, count: int = 1) -> None:
-        """Tally count labelings with one verdict; f witnesses a failure.
-
-        f may be None once the check holds WITNESS_CAP witnesses.
-        """
-        self.checked += count
-        if not ok:
-            self.failed += count
-            if len(self.witnesses) < WITNESS_CAP:
-                self.witnesses.append(_describe(f))
 
 
 class InvariantReport(_Record):
@@ -324,15 +291,22 @@ def check_invariants(
       vertex placements outnumber the edge placements, N minus them, by one.
 
     "full binary" and "critical vertices = edges + 1" hold by construction
-    on the tally, yet the report counts every labeling as checked for them.
+    on the tally; every check counts every labeling as checked.
 
     A check's witnesses are at most WITNESS_CAP labelings, one per failing
     entry of the tally, (root shape code, on_impasse), in the tally's
-    order. Each is a labeling by 0..N-1 that ends in its entry, built by
-    _witness only while some check the entry fails has room for it.
+    order. Each is a labeling by 0..N-1 that ends in its entry, walked back
+    by _witness only while some check the entry fails has room for it, and
+    named from its ids in label order: "a=0 b=1 a-b=2".
     """
+    nu = tree.matching_number()
+    n = tree.simplex_count
+    vertices = len(tree.vertices)
+    splits, memo = _final_tally(tree, budget)
+    whole = next(iter(splits))
+    total = sum(memo[whole].values())
     checks = [
-        PropertyCheck(name)
+        PropertyCheck(name, total)
         for name in (
             "full binary",
             "node count = critical values",
@@ -342,18 +316,11 @@ def check_invariants(
             "critical vertices = edges + 1",
         )
     ]
-
-    nu = tree.matching_number()
-    n = tree.simplex_count
-    vertices = len(tree.vertices)
-    simplices = list(tree.simplices())
-    splits, memo = _final_tally(tree, budget)
-    whole = next(iter(splits))
-    total = passed = 0
+    # simplex names by id: the vertices, then the edges, each sorted
+    names = sorted(tree.vertices) + ["-".join(e) for e in sorted(tree.edges)]
     impasse_counts = set()
     for key, count in memo[whole].items():
         root, on_impasse = key
-        total += count
         k = root.count(_IMPASSE_CODE)
         impasse_counts.add(k)
         nodes = len(root) - root.count(")")
@@ -366,16 +333,15 @@ def check_invariants(
             vertices == (n - vertices) + 1,
         )
         if all(verdicts):
-            passed += count
             continue
-        f = None
-        if any(not ok and len(check.witnesses) < WITNESS_CAP for check, ok in zip(checks, verdicts)):
-            order = _witness(splits, memo, whole, key)
-            f = MorseFunction(tree, {simplices[s]: label for label, s in enumerate(order)})
+        witness = None
         for check, ok in zip(checks, verdicts):
-            check.record(ok, f, count)
-    # entries that passed everything are tallied once, not per check
-    for check in checks:
-        check.checked += passed
+            if not ok:
+                check.failed += count
+                if len(check.witnesses) < WITNESS_CAP:
+                    if witness is None:
+                        order = _witness(splits, memo, whole, key)
+                        witness = " ".join(f"{names[s]}={label}" for label, s in enumerate(order))
+                    check.witnesses.append(witness)
 
     return InvariantReport(total, checks, min(impasse_counts), max(impasse_counts), nu)

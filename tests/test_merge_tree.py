@@ -411,6 +411,33 @@ def test_one_sweep_agrees_with_itself_at_a_hundred_thousand_simplices():
         gc.enable()
 
 
+@functools.cache
+def contracted_recursive_function() -> MorseFunction:
+    """big_recursive_function() with each gradient pair's edge contracted
+    into its other endpoint, chains followed by a union-find: every simplex
+    of what is left is critical."""
+    f = big_recursive_function()
+    into = {v: v for v in f.domain.vertices}  # a vertex's contraction target
+    paired_edges = set()
+    for v, e in f.gradient_vector_field.pairs:
+        into[v] = e[1] if e[0] == v else e[0]
+        paired_edges.add(e)
+    assert len(paired_edges) > 5_000
+
+    def find(v: str) -> str:  # union-find with path halving
+        while into[v] != v:
+            into[v] = into[into[v]]
+            v = into[v]
+        return v
+
+    vertices = [v for v in f.domain.vertices if into[v] == v]
+    edges = [((find(u), find(v)), f.values[u, v]) for u, v in f.domain.edges - paired_edges]
+    tree = build_tree(vertices, [pair for pair, _ in edges])
+    values = {v: f.values[v] for v in vertices}
+    values.update((edge(*pair), x) for pair, x in edges)
+    return validate(tree, values)
+
+
 def test_contracting_the_gradient_pairs_keeps_the_joins():
     # a third law with no oracle: a gradient pair (v, e) acts like
     # contracting e into its other endpoint u. v comes right before e and
@@ -419,28 +446,47 @@ def test_contracting_the_gradient_pairs_keeps_the_joins():
     # document has the same joins, and so the same merge tree
     gc.disable()
     try:
-        f = big_recursive_function()
-        into = {v: v for v in f.domain.vertices}  # a vertex's contraction target
-        paired_edges = set()
-        for v, e in f.gradient_vector_field.pairs:
-            into[v] = e[1] if e[0] == v else e[0]
-            paired_edges.add(e)
-        assert len(paired_edges) > 5_000
-
-        def find(v: str) -> str:  # union-find with path halving
-            while into[v] != v:
-                into[v] = into[into[v]]
-                v = into[v]
-            return v
-
-        vertices = [v for v in f.domain.vertices if into[v] == v]
-        edges = [((find(u), find(v)), f.values[u, v]) for u, v in f.domain.edges - paired_edges]
-        tree = build_tree(vertices, [pair for pair, _ in edges])
-        values = {v: f.values[v] for v in vertices}
-        values.update((edge(*pair), x) for pair, x in edges)
-        contracted = validate(tree, values)
+        contracted = contracted_recursive_function()
         assert len(contracted.gradient_vector_field) == 0
-        assert contracted.sweep.joins == f.sweep.joins
+        assert contracted.sweep.joins == big_recursive_function().sweep.joins
+    finally:
+        gc.enable()
+
+
+def mirror(code: str) -> str:
+    """The code of the same merge tree with its top node tagged R: read
+    backwards, with its parentheses swapped."""
+    return "".join({"(": ")", ")": "("}.get(c, c) for c in reversed(code))
+
+
+def test_removing_the_top_edge_splits_the_shape_code():
+    # a fourth law with no oracle: without the top edge, the largest
+    # simplex of an injective function, the tree falls into two sides, and
+    # the root joins their merge trees. The heir, the side that holds the
+    # global minimum, keeps the root's tag L; the other side is tagged R,
+    # which mirrors its code
+    gc.disable()
+    try:
+        for f in (big_caterpillar(), contracted_recursive_function()):
+            assert f.domain.simplex_count > 75_000 and len(f.gradient_vector_field) == 0
+            top = max(f.domain.edges, key=f.values.__getitem__)
+            rest = f.domain.edges - {top}
+            neighbours = {v: [] for v in f.domain.vertices}
+            for u, v in rest:
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+            codes = {}
+            for start in top:
+                side, seen = [start], {start}
+                for u in side:  # side grows while it is walked
+                    fresh = [v for v in neighbours[u] if v not in seen]
+                    seen.update(fresh)
+                    side += fresh
+                edges = [e for e in rest if e[0] in seen]
+                g = validate(build_tree(side, edges), {s: f.values[s] for s in [*side, *edges]})
+                codes[min(g.values.values())] = induce_merge_tree(g).shape_code()
+            (_, heir), (_, other) = sorted(codes.items())
+            assert induce_merge_tree(f).shape_code() == "(" + heir + mirror(other) + ")"
     finally:
         gc.enable()
 
@@ -494,8 +540,8 @@ def test_malformed_merge_trees_are_refused():
 
 def test_library_builders_skip_the_full_binary_check(monkeypatch):
     checks = []
-    check = MergeTree.__post_init__
-    monkeypatch.setattr(MergeTree, "__post_init__", lambda tree: checks.append(tree) or check(tree))
+    init = MergeTree.__init__
+    monkeypatch.setattr(MergeTree, "__init__", lambda tree, root: checks.append(tree) or init(tree, root))
     point = validate(build_tree(["a"], []), {"a": 0})
     for f in (point, helpers.deep_function(), helpers.narrow_function(), helpers.star_function()):
         induce_merge_tree(f)

@@ -24,8 +24,6 @@ from treemorse.errors import BudgetExceededError
 from treemorse.complexes import SimplicialTree
 from treemorse.oracle import (
     WITNESS_CAP,
-    PropertyCheck,
-    _describe,
     _final_tally,
     _merge_shapes,
     _witness,
@@ -278,18 +276,6 @@ def test_merge_class_counts():
         assert count_merge_classes(path, budget=2 * n - 1) == catalan, n
 
 
-def test_property_check_records_witnesses():
-    check = PropertyCheck("demo")
-    f = helpers.left_path_function()
-    check.record(True, f)
-    assert (check.checked, check.failed, check.witnesses) == (1, 0, [])
-    for _ in range(WITNESS_CAP + 2):
-        check.record(False, f)
-    assert check.failed == WITNESS_CAP + 2
-    assert len(check.witnesses) == WITNESS_CAP
-    assert check.witnesses[0] == "a=0 b=1 c=2 a-b=3 b-c=4"
-
-
 def test_invariant_report_on_single_edge():
     report = check_invariants(single_edge())
     assert report.function_count == 2
@@ -344,10 +330,15 @@ def test_report_text_and_dict():
 
 def _impasse_witnesses(tree):
     """Labelings and impasse-check witnesses when nu reads 0."""
-    labelings = {_describe(f) for f in enumerate_critical_dmfs(tree)}
+    # "a=0 b=1 a-b=2": each simplex and its label, in label order, as f.values is
+    labelings = {
+        " ".join(f"{'-'.join(s) if isinstance(s, tuple) else s}={x}" for s, x in f.values.items())
+        for f in enumerate_critical_dmfs(tree)
+    }
     report = check_invariants(tree)
     assert not report.ok
     assert report.function_count == len(labelings)
+    assert [check.checked for check in report.checks] == [report.function_count] * 6
     for check in report.checks:
         if check.name != "impasse count <= matching number":
             assert check.failed == 0, check.name
@@ -382,7 +373,9 @@ def test_labeling_counts_match_the_down_set_count():
         for edges in helpers.trees_up_to_iso(n):
             tree = helpers.tree_from_edges(n, edges)
             report = check_invariants(tree, budget=2 * n - 1)
+            assert report.ok, edges
             assert report.function_count == helpers.extension_count(tree), edges
+            assert all(check.checked == report.function_count for check in report.checks), edges
     # on the 7-vertex path and star the impasses range over 1..matching number
     path7 = helpers.tree_from_edges(7, [(f"v{i}", f"v{i + 1}") for i in range(6)])
     star7 = helpers.tree_from_edges(7, [("v0", f"v{i}") for i in range(1, 7)])
@@ -390,5 +383,6 @@ def test_labeling_counts_match_the_down_set_count():
         report = check_invariants(tree, budget=13)
         assert report.ok
         assert report.function_count == helpers.extension_count(tree)
+        assert all(check.checked == report.function_count for check in report.checks)
         assert (report.min_impasse_count, report.max_impasse_count) == (1, nu)
         assert report.matching_number == nu

@@ -53,6 +53,21 @@ def test_package_raises_no_bare_value_error():
     assert found == []
 
 
+def test_no_function_calls_itself_but_the_witness_walk():
+    # a recursion's depth follows its input, and the package must work at
+    # 10^5 simplices; _witness recurses once per vertex, which the simplex
+    # budget bounds. A call in a function's own body, by its name or by an
+    # attribute of that name, counts
+    found = {
+        f"{path.stem}.{fn.name}"
+        for path, fn in _package_nodes() if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and fn.name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert found == {"oracle._witness"}
+
+
 def test_package_does_not_use_functools_cached_property():
     # up to Python 3.11 it takes a lock on every first read; morse._cached
     # takes none
