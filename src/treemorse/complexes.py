@@ -64,6 +64,21 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _cached:
+    """functools.cached_property without the per-property lock it takes on
+    every first read up to Python 3.11: the value goes into the instance's
+    __dict__, which later reads find first; a read that raises stores nothing.
+    """
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
+
+
 class SimplicialTree(_Record):
     """A finite tree, the domain of a discrete Morse function. Immutable.
 
@@ -94,7 +109,13 @@ class SimplicialTree(_Record):
     def matching_number(self) -> int:
         """Size of a maximum set of pairwise vertex-disjoint edges.
 
-        Greedy from the leaves inward, exact on trees: peel the leaves one
+        Cached on the tree: every function on it reads the same number.
+        """
+        return self._matching_number
+
+    @_cached
+    def _matching_number(self) -> int:
+        """Greedy from the leaves inward, exact on trees: peel the leaves one
         by one, matching each to its one remaining neighbour whenever both
         are still free. A vertex keeps only its count of remaining
         neighbours and the XOR of their ids, which for a leaf is the id of

@@ -20,9 +20,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
-from .complexes import _Record
+from .complexes import _cached, _Record
 from .errors import MalformedMergeTreeError
-from .morse import MorseFunction, _cached, format_value
+from .morse import MorseFunction, format_value
 
 LEAF_GLYPH = "•"
 _IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves

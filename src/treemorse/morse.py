@@ -22,7 +22,7 @@ import numbers
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .complexes import Edge, Simplex, SimplicialTree, Vertex, _Record
+from .complexes import Edge, Simplex, SimplicialTree, Vertex, _cached, _Record
 from .errors import (
     CycleDetectedError,
     MissingValueError,
@@ -33,21 +33,6 @@ from .errors import (
     UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
-
-
-class _cached:
-    """functools.cached_property without the per-property lock it takes on
-    every first read up to Python 3.11: the value goes into the instance's
-    __dict__, which later reads find first; a read that raises stores nothing.
-    """
-
-    def __init__(self, func) -> None:
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 def format_value(value: float) -> str:

@@ -299,10 +299,10 @@ def check_invariants(
     by _witness only while some check the entry fails has room for it, and
     named from its ids in label order: "a=0 b=1 a-b=2".
     """
+    splits, memo = _final_tally(tree, budget)  # refuses a tree over budget first
     nu = tree.matching_number()
     n = tree.simplex_count
     vertices = len(tree.vertices)
-    splits, memo = _final_tally(tree, budget)
     whole = next(iter(splits))
     total = sum(memo[whole].values())
     checks = [

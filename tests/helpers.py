@@ -1,5 +1,5 @@
-"""Shared test material: worked examples, brute-force oracles, tree generators
-and the small-tree corpus."""
+"""Shared test material: worked examples, brute-force oracles, tree generators,
+the small-tree corpus and a counter of cached readings."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from treemorse import (
     is_edge,
     validate,
 )
+from treemorse.complexes import _cached
 
 
 # ---------------------------------------------------------------- examples
@@ -408,3 +409,21 @@ def small_corpus() -> tuple:
             corpus.append((n, edges, tree, tuple(functions)))
     gc.freeze()
     return tuple(corpus)
+
+
+# -------------------------------------------------------- cached readings
+
+def count_readings(monkeypatch) -> Counter:
+    """Counts, by name, each time a cached reading of a SimplicialTree, a
+    MorseFunction or a MergeTree is computed rather than found."""
+    counts = Counter()
+    for cls in (SimplicialTree, MorseFunction, MergeTree):
+        for name, reading in list(vars(cls).items()):
+            if isinstance(reading, _cached):
+                def counted(self, compute=reading.func, name=name):
+                    counts[name] += 1
+                    return compute(self)
+
+                counted.__name__ = name
+                monkeypatch.setattr(cls, name, _cached(counted))
+    return counts

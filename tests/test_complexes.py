@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treemorse import build_tree, edge, is_edge
+from treemorse import build_tree, check_invariants, edge, is_edge
 from treemorse.errors import (
     CycleDetectedError,
     LoopEdgeError,
@@ -102,6 +105,48 @@ def test_matching_number_matches_brute_force(data):
     edges = [(f"v{u}", f"v{v}") for u, v in helpers.prufer_edges(seq)]
     tree = helpers.tree_from_edges(n, edges)
     assert tree.matching_number() == helpers.brute_matching_number(tree)
+
+
+def test_matching_number_is_computed_once_per_tree(monkeypatch):
+    counts = helpers.count_readings(monkeypatch)
+    tree, twin = helpers.path3_tree(), helpers.path3_tree()
+    before = (tree == twin, hash(tree), repr(tree))
+    for _ in range(3):
+        assert tree.matching_number() == check_invariants(tree).matching_number == 1
+    assert counts == {"_matching_number": 1}
+    # an equal tree built on its own takes its own reading, and a cached
+    # reading shows in no comparison, hash or repr
+    assert twin.matching_number() == 1
+    assert counts == {"_matching_number": 2}
+    assert (tree == twin, hash(tree), repr(tree)) == before == (True, hash(twin), repr(twin))
+
+
+def test_threads_racing_to_a_first_read_all_get_the_matching_number():
+    # the cache takes no lock: threads may all compute a first reading, and
+    # each must get the tree's matching number
+    shapes = [(n, edges) for n in range(1, 8) for edges in helpers.trees_up_to_iso(n)]
+    expected = [helpers.brute_matching_number(helpers.tree_from_edges(n, edges)) for n, edges in shapes] * 40
+    trees = [helpers.tree_from_edges(n, edges) for _ in range(40) for n, edges in shapes]
+    seen = [[] for _ in range(6)]
+    start = threading.Barrier(len(seen))
+
+    def read(out: list) -> None:
+        start.wait(timeout=30)
+        out.extend(tree.matching_number() for tree in trees)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * len(seen)
+    assert [vars(tree)["_matching_number"] for tree in trees] == expected
 
 
 def test_tree_census_counts():

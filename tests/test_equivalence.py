@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 import helpers
 from treemorse import (
-    MergeTree,
     MorseFunction,
     SimplicialTree,
     build_tree,
@@ -23,7 +21,6 @@ from treemorse import (
     validate,
 )
 from treemorse.errors import DomainMismatchError, MorseValidationError
-from treemorse.morse import _cached
 
 INF = math.inf
 
@@ -290,24 +287,8 @@ def test_readings_are_taken_once():
     assert homological_sequence(f) is homological_sequence(f)
 
 
-def count_readings(monkeypatch) -> Counter:
-    """Counts, by name, each time a cached reading of a MorseFunction or a
-    MergeTree is computed rather than found."""
-    counts = Counter()
-    for cls in (MorseFunction, MergeTree):
-        for name, reading in list(vars(cls).items()):
-            if isinstance(reading, _cached):
-                def counted(self, compute=reading.func, name=name):
-                    counts[name] += 1
-                    return compute(self)
-
-                counted.__name__ = name
-                monkeypatch.setattr(cls, name, _cached(counted))
-    return counts
-
-
 def test_relations_compare_cached_readings(monkeypatch):
-    counts = count_readings(monkeypatch)
+    counts = helpers.count_readings(monkeypatch)
     f, g = lower_pair_function(), upper_pair_function()
     a, b = induce_merge_tree(f), induce_merge_tree(g)
     verdicts = []

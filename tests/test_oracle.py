@@ -236,6 +236,21 @@ def test_budget_is_enforced_eagerly():
         check_invariants(path7)
 
 
+def test_an_over_budget_tree_is_refused_before_its_matching_number(monkeypatch):
+    # at 10^5 simplices the matching number takes tens of milliseconds,
+    # and the tree would keep it cached
+    calls = []
+    matching_number = SimplicialTree.matching_number
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: calls.append(self) or matching_number(self))
+    path7 = helpers.tree_from_edges(7, [(f"v{i}", f"v{i + 1}") for i in range(6)])
+    with pytest.raises(BudgetExceededError):
+        check_invariants(path7)
+    assert calls == []
+    assert "_matching_number" not in vars(path7)
+    assert check_invariants(path7, budget=13).matching_number == 3
+    assert calls == [path7]
+
+
 def test_state_search_matches_the_sweep():
     # count_merge_classes recurses on the top edge; the sweep visits every
     # labeling, so the reference shapes of its labelings are the oracle for
@@ -366,6 +381,18 @@ def test_witnesses_are_distinct_labelings_of_the_failing_entries(monkeypatch):
     star3 = build_tree(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])
     count, witnesses = _impasse_witnesses(star3)
     assert (count, len(witnesses)) == (288, WITNESS_CAP)
+
+
+def test_a_patched_matching_number_holds_over_a_cached_one(monkeypatch):
+    # the failing-path tests patch the public method, so a tree whose
+    # matching number is already cached reports through the patch
+    tree = helpers.path3_tree()
+    assert check_invariants(tree).ok
+    assert vars(tree)["_matching_number"] == 1
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
+    report = check_invariants(tree)
+    assert (report.ok, report.matching_number) == (False, 0)
+    assert [check.failed for check in report.checks if check.failed] == [16]
 
 
 def test_labeling_counts_match_the_down_set_count():

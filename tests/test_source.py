@@ -1,13 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import treemorse
-from treemorse import MergeTree, MorseFunction, cli
+from treemorse import MergeTree, MorseFunction, SimplicialTree, cli
+from treemorse.complexes import _cached
 from treemorse.morse import Sweep
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,7 +71,7 @@ def test_no_function_calls_itself_but_the_witness_walk():
 
 
 def test_package_does_not_use_functools_cached_property():
-    # up to Python 3.11 it takes a lock on every first read; morse._cached
+    # up to Python 3.11 it takes a lock on every first read; complexes._cached
     # takes none
     found = []
     for path, node in _package_nodes():
@@ -82,6 +84,32 @@ def test_package_does_not_use_functools_cached_property():
         if "cached_property" in names:
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_class_with_a_cached_reading_refuses_assignment():
+    # a cached reading goes stale once a field changes, so only a record
+    # that refuses assignment, to its fields and to the cache, may hold one
+    holders = {}
+    for path in sorted(Path(treemorse.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"treemorse.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                readings = [name for name, member in vars(cls).items() if isinstance(member, _cached)]
+                if readings:
+                    holders[cls.__name__] = (cls, readings)
+    assert {"SimplicialTree", "MorseFunction", "MergeTree"} <= holders.keys()
+    assignable = []
+    for name, (cls, readings) in sorted(holders.items()):
+        bare = object.__new__(cls)
+        for attr in (*getattr(cls, "_fields", ()), *readings):
+            try:
+                setattr(bare, attr, None)
+            except AttributeError:
+                continue
+            assignable.append(f"{name}.{attr}")
+    assert assignable == []
 
 
 def test_package_does_not_import_dataclasses():
@@ -156,8 +184,9 @@ def test_readme_cli_transcript(tmp_path, capsys):
 def test_oracles_stay_independent_of_the_package():
     # an oracle answers for the code it checks, so it loads only the
     # package's data types and is_edge, calls no other helper, and reads no
-    # member the package derives from the values (SimplicialTree's
-    # matching_number included)
+    # member the package derives from the values or the tree, such as
+    # SimplicialTree's matching_number and its cache; the tree's simplices
+    # and simplex_count only list its fields
     module = ast.parse(HELPERS.read_text(encoding="utf-8"))
     package = {  # the names helpers.py binds to the package
         alias.asname or alias.name.split(".")[0]
@@ -170,10 +199,11 @@ def test_oracles_stay_independent_of_the_package():
     assert ORACLE_IMPORTS <= package
     fields = {name for cls in (MorseFunction, MergeTree) for name in cls._fields}
     derived = {
-        name for cls in (MorseFunction, Sweep, MergeTree) for name in vars(cls)
+        name for cls in (SimplicialTree, MorseFunction, Sweep, MergeTree) for name in vars(cls)
         if not name.startswith("__")
-    } - fields | {"matching_number"}
+    } - fields - {"simplices", "simplex_count"}
     assert {"sweep", "_partition", "critical_values", "gradient_vector_field", "joins"} <= derived
+    assert {"matching_number", "_matching_number", "degree"} <= derived
     found = []
     for name in sorted(ORACLES):
         for node in ast.walk(helpers[name]):
