@@ -13,11 +13,13 @@ join the child whose component holds the smaller minimum keeps its parent's
 tag while the sibling takes the opposite one; and the L-tagged child is
 stored on the left. A node's tag is therefore its position, L for the root
 and every left child, R for every right child, and no node stores it.
+
+A MergeTree stores its shape code and its values in preorder, all that comparing,
+counting and rendering read, and builds MergeNodes on the first read of its root.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 from .complexes import _cached, _Record
@@ -52,19 +54,38 @@ class MergeNode(NamedTuple):
 
 
 class MergeTree(_Record):
-    """A full binary tree of MergeNodes, each tagged by its position; the shape code is cached."""
+    """A full binary tree of MergeNodes tagged by position, stored as ``_code`` and ``_values``."""
 
     _fields = ("root",)
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, root: MergeNode) -> None:
-        object.__setattr__(self, "root", root)
-        # nodes() reads a node's children only after this has checked it
-        for node in self.nodes():
+        # one preorder walk checks each node before it reads the node's
+        # children, and records the code and the values; close ends a join
+        code, values, seen, close, stack = [], [], set(), object(), [root]
+        while stack:
+            node = stack.pop()
+            if node is close:
+                code.append(")")
+                continue
             if not isinstance(node, MergeNode):
                 raise MalformedMergeTreeError(f"a node must be a MergeNode, not {type(node).__name__}")
             if (node.left is None) != (node.right is None):
                 raise MalformedMergeTreeError("every node needs zero or two children")
+            if id(node) in seen:  # each node is alive in root, so ids stay unique
+                raise MalformedMergeTreeError("a node appears twice: merge trees share no node")
+            seen.add(id(node))
+            values.append(node.value)
+            if node.left is None:
+                code.append(LEAF_GLYPH)
+            else:
+                code.append("(")
+                stack += (close, node.right, node.left)
+        self.__dict__.update(root=root, _code="".join(code), _values=values)
+
+    @_cached
+    def root(self) -> MergeNode:
+        return _build(self._code, self._values)
 
     def nodes(self) -> Iterator[MergeNode]:
         """Preorder: node, left subtree, right subtree."""
@@ -81,14 +102,14 @@ class MergeTree(_Record):
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return len(self._values)
 
     def impasses(self) -> list[MergeNode]:
         return [n for n in self.nodes() if n.is_impasse]
 
     def impasse_count(self) -> int:
-        """The impasses, each a "(••)" in the cached shape code."""
-        return self._shape_code.count(_IMPASSE_CODE)
+        """The impasses, each a "(••)" in the shape code."""
+        return self._code.count(_IMPASSE_CODE)
 
     def is_thin(self) -> bool:
         return self.impasse_count() == 1
@@ -96,36 +117,27 @@ class MergeTree(_Record):
     def shape_code(self) -> str:
         """Parenthesized leaf pattern: "•" for a leaf, "(LR)" for a join.
 
-        Equal codes mean equal shapes, and so equal tags. Cached on the tree.
+        Equal codes mean equal shapes, and so equal tags. Stored on the tree.
         """
-        return self._shape_code
-
-    @_cached
-    def _shape_code(self) -> str:
-        out = []
-        stack: list = [self.root]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-            elif item.left is None:
-                out.append(LEAF_GLYPH)
-            else:
-                out.append("(")
-                stack.extend((")", item.right, item.left))
-        return "".join(out)
+        return self._code
 
     def to_text(self) -> str:
         """A "value tag" line per node in preorder, two spaces per level; "?" for no value."""
         lines: list[str] = []
-        stack = [(self.root, 0, "L")]
-        while stack:
-            node, depth, tag = stack.pop()
-            label = "?" if node.value is None else format_value(node.value)
+        depth, tag, values = 0, "L", iter(self._values)
+        # a join's first child is tagged L; whatever follows a leaf or a
+        # closed join is a right child
+        for c in self._code:
+            if c == ")":
+                depth -= 1
+                continue
+            value = next(values)
+            label = "?" if value is None else format_value(value)
             lines.append("  " * depth + f"{label} {tag}")
-            if node.left is not None:
-                stack.append((node.right, depth + 1, "R"))
-                stack.append((node.left, depth + 1, "L"))
+            if c == "(":
+                depth, tag = depth + 1, "L"
+            else:
+                tag = "R"
         return "\n".join(lines)
 
     def to_dot(self) -> str:
@@ -133,35 +145,64 @@ class MergeTree(_Record):
         node_lines: list[str] = []
         edge_lines: list[str] = []
         # nodes are numbered in preorder; the edge into a node follows every
-        # edge of the node's subtree, so it waits on the stack beneath the
-        # node's children
-        stack: list = [(self.root, None, "L")]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                edge_lines.append(item)
+        # edge of the node's subtree, so an open join's waits for its ")"
+        open_joins: list = []  # (name, the edge into it)
+        tag, values = "L", iter(self._values)
+        for c in self._code:
+            if c == ")":
+                edge_lines.append(open_joins.pop()[1])
                 continue
-            node, parent, tag = item
+            value = next(values)
             name = f"n{len(node_lines)}"
-            label = "" if node.value is None else format_value(node.value)
+            label = "" if value is None else format_value(value)
             node_lines.append(f'  {name} [label="{label}"];')
-            if parent is not None:
-                stack.append(f'  {parent} -> {name} [label="{tag}"];')
-            if node.left is not None:
-                stack.append((node.right, name, "R"))
-                stack.append((node.left, name, "L"))
-        lines = ["digraph merge_tree {", "  node [shape=circle];"]
-        lines.extend(node_lines)
-        lines.extend(edge_lines)
-        lines.append("}")
-        return "\n".join(lines)
+            into = f'  {open_joins[-1][0]} -> {name} [label="{tag}"];' if open_joins else ""
+            if c == "(":
+                open_joins.append((name, into))
+                tag = "L"
+            else:
+                edge_lines.append(into)
+                tag = "R"
+        # the root's "" comes last: its ")" ends the code, or it is the one leaf
+        return "\n".join(["digraph merge_tree {", "  node [shape=circle];", *node_lines, *edge_lines[:-1], "}"])
 
 
-def _unchecked(root: MergeNode) -> MergeTree:
-    """A MergeTree without the full-binary walk, for a root this package built."""
+def _stored(code: str, values: list) -> MergeTree:
+    """A MergeTree from the shape code and preorder values of a tree this package built."""
     tree = object.__new__(MergeTree)
-    tree.__dict__["root"] = root
+    tree.__dict__["_code"], tree.__dict__["_values"] = code, values
     return tree
+
+
+def _build(code: str, values) -> MergeNode:
+    """The root a shape code and its preorder values describe; None past the last value."""
+    # each open join's value and, once parsed, its left child; an explicit
+    # stack, so depth is bounded by memory, not the recursion limit
+    open_joins: list[list] = []
+    values = iter(values)
+    i = 0
+    while True:
+        if i >= len(code):
+            raise MalformedMergeTreeError("truncated shape code")
+        if code[i] == "(":
+            open_joins.append([next(values, None), None])
+            i += 1
+            continue
+        if code[i] != LEAF_GLYPH:
+            raise MalformedMergeTreeError(f"unexpected character {code[i]!r} at position {i}")
+        node, i = MergeNode(next(values, None)), i + 1
+        # a finished right child closes its join, which may finish another
+        while open_joins and open_joins[-1][1] is not None:
+            if i >= len(code) or code[i] != ")":
+                raise MalformedMergeTreeError(f"unbalanced parentheses at position {i}")
+            value, left = open_joins.pop()
+            node, i = MergeNode(value, left, node), i + 1
+        if not open_joins:
+            break
+        open_joins[-1][1] = node
+    if i != len(code):
+        raise MalformedMergeTreeError(f"trailing characters after position {i}")
+    return node
 
 
 def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
@@ -171,43 +212,21 @@ def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
 
 def parse_shape_code(code: str) -> MergeTree:
     """Inverse of shape_code, producing a value-free tree."""
-    # the left child of each open join once parsed, None before; an explicit
-    # stack, so depth is bounded by memory, not the recursion limit
-    open_joins: list[Optional[MergeNode]] = []
-    i = 0
-    while True:
-        if i >= len(code):
-            raise MalformedMergeTreeError("truncated shape code")
-        if code[i] == "(":
-            open_joins.append(None)
-            i += 1
-            continue
-        if code[i] != LEAF_GLYPH:
-            raise MalformedMergeTreeError(f"unexpected character {code[i]!r} at position {i}")
-        node, i = MergeNode(None), i + 1
-        # a finished right child closes its join, which may finish another
-        while open_joins and open_joins[-1] is not None:
-            if i >= len(code) or code[i] != ")":
-                raise MalformedMergeTreeError(f"unbalanced parentheses at position {i}")
-            node, i = MergeNode(None, open_joins.pop(), node), i + 1
-        if not open_joins:
-            break
-        open_joins[-1] = node
-    if i != len(code):
-        raise MalformedMergeTreeError(f"trailing characters after position {i}")
-    return _unchecked(node)
+    root = _build(code, ())
+    tree = _stored(code, [None] * (2 * code.count("(") + 1))
+    tree.__dict__["root"] = root
+    return tree
 
 
 def induce_merge_tree(f: MorseFunction) -> MergeTree:
     """The merge tree of the sublevel filtration of f.
 
-    Assembled from the joins of the sweep cached on f
+    Read off the joins of the sweep cached on f
     (:attr:`MorseFunction.sweep`), which :func:`persistence_diagram` reads
     too: each critical edge is a node whose children are the labels of the
-    two components it joins, the heir keeping the parent's tag. A join's
-    children are joins of smaller value or leaves, so tags go top down in
-    decreasing value and nodes bottom up in increasing value; a join tagged
-    R stores its heir on the right.
+    two components it joins. One walk goes down from the top join, writing
+    the shape code and the values in preorder; the heir keeps its parent's
+    tag, so a join tagged R has its heir on the right.
 
     With no critical edge at all (exactly one critical vertex), the merge
     tree is the single node carrying that vertex value.
@@ -219,21 +238,29 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     """
     joins, global_min, _ = f.sweep
     if not joins:
-        return _unchecked(MergeNode(global_min))
-    top = next(reversed(joins))
-    # whether each label is tagged R; only a join's is read
-    flipped = {top: False}
-    for value, (heir, other, _) in reversed(joins.items()):
-        flipped[heir] = flipped[value]
-        flipped[other] = not flipped[value]
-    # a label that no join produced is a critical vertex: a leaf
-    node = partial(tuple.__new__, MergeNode)  # bypasses the Python-level __new__ of NamedTuple
-    built: dict = {}
-    for value, (heir, other, _) in joins.items():
-        heir_node = built.pop(heir) if heir in joins else node((heir, None, None))
-        other_node = built.pop(other) if other in joins else node((other, None, None))
-        if flipped[value]:
-            built[value] = node((value, other_node, heir_node))
+        return _stored(LEAF_GLYPH, [global_min])
+    code, values, stack = [], [], []
+    # the walk goes down left children, each tagged L, and leaves on the
+    # stack each join's ")" under its right child, tagged R; a label that
+    # no join produced is a critical vertex: a leaf
+    label, tagged_r = next(reversed(joins)), False
+    while True:
+        values.append(label)
+        join = joins.get(label)
+        if join is not None:
+            code.append("(")
+            left, right, _ = join  # heir first
+            if tagged_r:  # the heir keeps R, on the right
+                left, right, tagged_r = right, left, False
+            stack += (")", right)
+            label = left
+            continue
+        code.append(LEAF_GLYPH)
+        while stack:
+            label = stack.pop()
+            if type(label) is not str:  # labels are real numbers
+                tagged_r = True
+                break
+            code.append(")")
         else:
-            built[value] = node((value, heir_node, other_node))
-    return _unchecked(built[top])
+            return _stored("".join(code), values)

@@ -14,7 +14,7 @@ import itertools
 
 from .complexes import SimplicialTree, Vertex, _Record, build_tree, edge
 from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
-from .merge_tree import MergeNode, MergeTree, _unchecked
+from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH, MergeTree, _stored
 from .morse import MorseFunction, validate
 
 
@@ -68,13 +68,11 @@ def thin_from_lr(seq: str) -> MergeTree:
     if bad:
         raise MalformedSequenceError(f"sequence may only contain L and R, got {sorted(bad)}")
 
-    # built from the impasse up; entry i of seq says on which side internal
-    # node i + 1 hangs below node i, node 0 being the root
-    node = MergeNode(None, MergeNode(None), MergeNode(None))
-    for step in reversed(seq):
-        leaf = MergeNode(None)
-        node = MergeNode(None, node, leaf) if step == "L" else MergeNode(None, leaf, node)
-    return _unchecked(node)
+    # entry i of seq says on which side internal node i + 1 hangs below
+    # node i, node 0 being the root, and the other side is a leaf
+    prefix = "".join("(" if step == "L" else "(" + LEAF_GLYPH for step in seq)
+    suffix = "".join(LEAF_GLYPH + ")" if step == "L" else ")" for step in reversed(seq))
+    return _stored(prefix + _IMPASSE_CODE + suffix, [None] * (2 * len(seq) + 3))
 
 
 def enumerate_thin(n: int) -> list[MergeTree]:

@@ -261,6 +261,69 @@ def reference_b0_sequence(f: MorseFunction) -> tuple:
     return tuple(counts)
 
 
+def reference_shape_code(root: MergeNode) -> str:
+    """A node walk over MergeNode fields: "•" for a leaf, "(LR)" for a join."""
+    out = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item.left is None:
+            out.append("•")
+        else:
+            out.append("(")
+            stack.extend((")", item.right, item.left))
+    return "".join(out)
+
+
+def reference_text(root: MergeNode) -> str:
+    """A node walk over MergeNode fields: a "value tag" line per node in
+    preorder, two spaces per level, "?" for no value, an integer-valued
+    float without its ".0"."""
+    lines: list[str] = []
+    stack = [(root, 0, "L")]
+    while stack:
+        node, depth, tag = stack.pop()
+        value = node.value
+        if value is None:
+            label = "?"
+        else:
+            label = str(int(value)) if isinstance(value, float) and value.is_integer() else str(value)
+        lines.append("  " * depth + f"{label} {tag}")
+        if node.left is not None:
+            stack.append((node.right, depth + 1, "R"))
+            stack.append((node.left, depth + 1, "L"))
+    return "\n".join(lines)
+
+
+def reference_dot(root: MergeNode) -> str:
+    """A node walk over MergeNode fields: Graphviz, nodes numbered in
+    preorder, the edge into a node after every edge of its subtree."""
+    node_lines: list[str] = []
+    edge_lines: list[str] = []
+    stack: list = [(root, None, "L")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            edge_lines.append(item)
+            continue
+        node, parent, tag = item
+        name = f"n{len(node_lines)}"
+        value = node.value
+        if value is None:
+            label = ""
+        else:
+            label = str(int(value)) if isinstance(value, float) and value.is_integer() else str(value)
+        node_lines.append(f'  {name} [label="{label}"];')
+        if parent is not None:
+            stack.append(f'  {parent} -> {name} [label="{tag}"];')
+        if node.left is not None:
+            stack.append((node.right, name, "R"))
+            stack.append((node.left, name, "L"))
+    return "\n".join(["digraph merge_tree {", "  node [shape=circle];", *node_lines, *edge_lines, "}"])
+
+
 def values_preorder(tree: MergeTree) -> list:
     return [node.value for node in tree.nodes()]
 

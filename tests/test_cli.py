@@ -267,6 +267,17 @@ def test_merge_tree_dot_output(tmp_path, capsys):
     assert out.rstrip().endswith("}")
 
 
+def test_merge_tree_commands_build_no_nodes(tmp_path, capsys, monkeypatch):
+    # every format and the merge comparison read the stored code and values
+    counts = helpers.count_readings(monkeypatch)
+    deep, narrow = deep_doc(tmp_path), narrow_doc(tmp_path)
+    for fmt in ("text", "shape", "dot"):
+        assert main(["merge-tree", deep, "--format", fmt]) == 0
+    assert main(["compare", deep, narrow, "--relation", "merge"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "not-equivalent"
+    assert counts["sweep"] == 5 and counts["root"] == 0
+
+
 def test_merge_tree_of_a_deep_path(tmp_path, capsys):
     # each edge joins the growing component to one more vertex, so the
     # merge tree is a 2,999-level chain; every renderer must walk it

@@ -300,10 +300,12 @@ def test_relations_compare_cached_readings(monkeypatch):
             persistence_equivalent(f, g),
         ))
         readings = (persistence_diagram(f), homological_sequence(g), a.shape_code(), b.impasse_count())
-        # one computation of each reading per function or tree, the first time
+        # one computation of each reading per function, the first time; a
+        # merge tree's code is stored, and no reading builds its root
         assert counts == {name: 2 for name in (
-            "_partition", "sweep", "gradient_vector_field", "_betti", "_diagram", "_shape_code",
+            "_partition", "sweep", "gradient_vector_field", "_betti", "_diagram",
         )}
+        assert counts["root"] == 0
     assert verdicts == [(True, False, True, True)] * 3
     diagram, sequence, code, impasses = readings
     assert (diagram.pairs, sequence.b0_values, code, impasses) == (((0, INF), (2, 5)), (1, 2, 1), "(••)", 1)
@@ -328,14 +330,20 @@ def test_a_failed_reading_caches_nothing():
 def test_threads_racing_to_a_first_read_get_one_object():
     # the cache takes no lock: threads may all compute a first reading, but
     # every one of them must get the object stored first
-    *_, functions = helpers.small_corpus()[-1]
-    functions = [MorseFunction(f.domain, f.values) for f, _, _ in functions[:300]]
+    *_, corpus = helpers.small_corpus()[-1]
+    functions = [MorseFunction(f.domain, f.values) for f, _, _ in corpus[:300]]
+    # merge trees whose root, built on its first read, no one has read yet
+    trees = [induce_merge_tree(f) for f, _, _ in corpus[:300]]
+    assert not any("root" in vars(tree) for tree in trees)
     seen = [[] for _ in range(6)]
     start = threading.Barrier(len(seen))
 
     def read(out: list) -> None:
         start.wait(timeout=30)
-        out.extend((persistence_diagram(f), homological_sequence(f), f.sweep) for f in functions)
+        out.extend(
+            (persistence_diagram(f), homological_sequence(f), f.sweep, tree.root)
+            for f, tree in zip(functions, trees)
+        )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

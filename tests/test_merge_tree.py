@@ -1,8 +1,11 @@
 import functools
 import gc
+import importlib.util
+import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from treemorse import (
     forman_equivalent,
     homological_sequence,
     induce_merge_tree,
+    lr_sequence,
     merge_equivalent,
     parse_morse_document,
     parse_shape_code,
@@ -535,6 +539,15 @@ def test_malformed_merge_trees_are_refused():
         MergeTree(MergeNode(None, "L", MergeNode(0)))
     with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not tuple"):
         MergeTree((0, None, None))
+    # a node object used twice makes a DAG, whose walk doubles per shared level
+    leaf = MergeNode(0)
+    with pytest.raises(MalformedMergeTreeError, match="appears twice"):
+        MergeTree(MergeNode(1, leaf, leaf))
+    x = MergeNode(0)
+    for i in range(1, 61):
+        x = MergeNode(i, x, x)
+    with pytest.raises(MalformedMergeTreeError, match="appears twice"):
+        MergeTree(x)
     assert issubclass(MalformedMergeTreeError, ValueError)
 
 
@@ -639,6 +652,82 @@ def test_text_and_dot_renderings_read_tags_off_positions():
     value_free = parse_shape_code("((••)•)")
     assert value_free.to_text() == VALUE_FREE_TEXT
     assert value_free.to_dot() == VALUE_FREE_DOT
+
+
+def assert_renders_as(tree: MergeTree, root: MergeNode, text: bool = True) -> None:
+    """The tree's code and renderings equal the node-walk oracles' on root."""
+    assert tree.shape_code() == helpers.reference_shape_code(root)
+    assert tree.to_dot() == helpers.reference_dot(root)
+    if text:
+        assert tree.to_text() == helpers.reference_text(root)
+
+
+def thin_root(seq: str) -> MergeNode:
+    """The thin tree of an LR string built from MergeNodes, impasse first:
+    entry i says on which side internal node i + 1 hangs below node i."""
+    node = MergeNode(None, MergeNode(None), MergeNode(None))
+    for step in reversed(seq):
+        node = MergeNode(None, node, MergeNode(None)) if step == "L" else MergeNode(None, MergeNode(None), node)
+    return node
+
+
+def bench_documents(seed: int) -> list:
+    """The large_documents workload's 2,000-vertex documents of a seed, made
+    by the benchmark's own input module, which imports only the standard
+    library."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [doc["original"] for doc in module.workload_inputs("large_documents", seed)["documents"]]
+
+
+def test_renderings_match_the_node_walk_oracles():
+    # the code, text and DOT read off the stored code and values equal what
+    # a walk over the nodes of an independently built tree gives
+    for *_, functions in helpers.small_corpus():
+        for f, g, reference in functions:
+            assert_renders_as(induce_merge_tree(f), reference.root)
+            assert_renders_as(induce_merge_tree(g), helpers.reference_merge_tree(g).root)
+    for leaves in range(1, 8):
+        for code in all_shape_codes(leaves):
+            tree = parse_shape_code(code)
+            assert_renders_as(tree, tree.root)
+    for length in range(9):
+        for steps in itertools.product("LR", repeat=length):
+            assert_renders_as(thin_from_lr("".join(steps)), thin_root("".join(steps)))
+    # at 2,000 vertices and at 10^5 simplices the nodes are the ones root
+    # builds from the code and values; text is left out at 10^5, where it
+    # grows with the square of the depth
+    gc.disable()
+    try:
+        for doc in bench_documents(1):
+            tree = induce_merge_tree(parse_morse_document(json.dumps(doc)))
+            assert tree.node_count > 1_000
+            assert_renders_as(tree, tree.root)
+        tree = induce_merge_tree(big_caterpillar())
+        assert_renders_as(tree, tree.root, text=False)
+        by_hand = MergeTree(tree.root)
+        assert (by_hand.shape_code(), by_hand.to_dot()) == (tree.shape_code(), tree.to_dot())
+    finally:
+        gc.enable()
+
+
+def test_no_library_reading_builds_nodes():
+    # comparing, counting and rendering read the stored code and values;
+    # only root, nodes(), leaves() and impasses() build MergeNodes
+    trees = [induce_merge_tree(f) for f in (
+        helpers.deep_function(), helpers.narrow_function(), validate(build_tree(["a"], []), {"a": 0}),
+    )]
+    trees += [thin_from_lr(seq) for seq in ("", "L", "RRL", "LRLR")]
+    for tree in trees:
+        tree.shape_code(), tree.impasse_count(), tree.node_count, tree.to_text(), tree.to_dot()
+        merge_equivalent(tree, trees[0])
+        if tree.is_thin():
+            lr_sequence(tree)
+        assert "root" not in vars(tree)
+    assert [lr_sequence(tree) for tree in trees[3:]] == ["", "L", "RRL", "LRLR"]
+    assert trees[0].root is trees[0].root and "root" in vars(trees[0])
 
 
 def assert_same_merge_tree(actual: MergeTree, expected: MergeTree) -> None:

@@ -20,6 +20,7 @@ ORACLES = {
     "brute_matching_number", "brute_extensions", "extension_count",
     "strict_sublevel_component", "literal_critical", "reference_merge_tree",
     "reference_persistence_diagram", "reference_b0_sequence",
+    "reference_shape_code", "reference_text", "reference_dot",
 }
 ORACLE_IMPORTS = {"MergeNode", "MergeTree", "MorseFunction", "SimplicialTree", "is_edge"}
 
