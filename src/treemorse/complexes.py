@@ -82,15 +82,48 @@ class _cached:
 class SimplicialTree(_Record):
     """A finite tree, the domain of a discrete Morse function. Immutable.
 
-    Construct through :func:`build_tree`, which refuses anything that is not
-    a connected, acyclic graph with at least one vertex.
+    The constructor takes any iterables of vertex names and endpoint pairs,
+    stores frozensets, each edge as its canonical pair, and refuses anything
+    that is not a connected, acyclic graph with at least one vertex, so no
+    reader checks it again. The fault reported is the first of: no vertex
+    (NotConnectedError); pair by pair, in the order given, an endpoint that
+    is not a vertex, the pair's first (UnknownVertexError), a loop
+    (LoopEdgeError), a repeated edge (MultiEdgeError); as many edges as
+    vertices (CycleDetectedError); more than one component (NotConnectedError).
     """
 
     _fields = ("vertices", "edges")
 
-    def __init__(self, vertices: frozenset[str], edges: frozenset[Edge]) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
+        vs = frozenset(vertices)
+        if not vs:
+            raise NotConnectedError("a tree needs at least one vertex")
+        distinct: set[Edge] = set()
+        # union-find with path halving (Tarjan and van Leeuwen 1984); parents are
+        # the dict's own key objects, so a root is the vertex that is its parent
+        parent = {v: v for v in vs}
+        components = len(vs)
+        for u, v in edges:
+            if u not in vs or v not in vs:
+                raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex")
+            e = (u, v) if u < v else (v, u) if v < u else edge(u, v)  # edge refuses a loop
+            if e in distinct:
+                raise MultiEdgeError(f"edge {e} appears more than once")
+            distinct.add(e)
+            root_u, root_v = parent[u], parent[v]
+            while (up := parent[root_u]) is not root_u:
+                parent[root_u] = root_u = parent[up]
+            while (up := parent[root_v]) is not root_v:
+                parent[root_v] = root_v = parent[up]
+            if root_u is not root_v:
+                parent[root_v] = root_u
+                components -= 1
+        if len(distinct) >= len(vs):
+            raise CycleDetectedError(f"{len(distinct)} edges on {len(vs)} vertices cannot be acyclic")
+        if components != 1:
+            raise NotConnectedError(f"graph has {components} components")
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", frozenset(distinct))
 
     @property
     def simplex_count(self) -> int:
@@ -147,40 +180,5 @@ class SimplicialTree(_Record):
         return count
 
 
-def build_tree(vertices: Iterable[str], edge_pairs: Iterable[tuple[str, str]]) -> SimplicialTree:
-    """Validated tree: connected, acyclic, at least one vertex."""
-    return keyed_tree(vertices, edge_pairs)[0]
-
-
-def keyed_tree(vertices: Iterable[str], edge_pairs: Iterable) -> tuple[SimplicialTree, list[Edge]]:
-    """:func:`build_tree`, with each pair's canonical edge in the order given."""
-    vs = frozenset(vertices)
-    if not vs:
-        raise NotConnectedError("a tree needs at least one vertex")
-    edges: list[Edge] = []
-    distinct: set[Edge] = set()
-    # union-find with path halving (Tarjan and van Leeuwen 1984); parents are
-    # the dict's own key objects, so a root is the vertex that is its parent
-    parent = {v: v for v in vs}
-    components = len(vs)
-    for u, v in edge_pairs:
-        if u not in vs or v not in vs:
-            raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex")
-        e = (u, v) if u < v else (v, u) if v < u else edge(u, v)  # edge refuses a loop
-        if e in distinct:
-            raise MultiEdgeError(f"edge {e} appears more than once")
-        distinct.add(e)
-        edges.append(e)
-        root_u, root_v = parent[u], parent[v]
-        while (up := parent[root_u]) is not root_u:
-            parent[root_u] = root_u = parent[up]
-        while (up := parent[root_v]) is not root_v:
-            parent[root_v] = root_v = parent[up]
-        if root_u is not root_v:
-            parent[root_v] = root_u
-            components -= 1
-    if len(edges) >= len(vs):
-        raise CycleDetectedError(f"{len(edges)} edges on {len(vs)} vertices cannot be acyclic")
-    if components != 1:
-        raise NotConnectedError(f"graph has {components} components")
-    return SimplicialTree(vs, frozenset(distinct)), edges
+# the package's name for the validated constructor
+build_tree = SimplicialTree

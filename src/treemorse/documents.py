@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
-from .complexes import SimplicialTree, build_tree, keyed_tree
+from .complexes import SimplicialTree, build_tree
 from .errors import ParseError
 from .morse import MorseFunction, validate
 from .stars import StarGraph
@@ -72,12 +72,13 @@ def parse_morse_document(text: str) -> MorseFunction:
         name = next(name for name, value in vertices.items() if value is None)
         raise ParseError(f"vertex {name!r} needs a value")
     us, vs, edge_values = zip(*triples) if triples else ((), (), ())
-    tree, edges = keyed_tree(vertices, zip(us, vs))
+    tree = build_tree(vertices, zip(us, vs))
     if None in edge_values:
         i = edge_values.index(None)
         raise ParseError(f"edge [{us[i]!r}, {vs[i]!r}] needs a value")
     values = dict(vertices)
-    values.update(zip(edges, edge_values))
+    # each pair's canonical edge, complexes.edge inlined: the tree refused every loop
+    values.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
     return validate(tree, values)
 
 

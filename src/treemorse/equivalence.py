@@ -34,9 +34,8 @@ def homological_sequence(f: MorseFunction) -> HomologicalSequence:
     value and leaves b0 as it was.
 
     Raises:
-        MorseValidationError: f was built without :func:`validate` and the
-            sweep cannot make sense of it.
-        CycleDetectedError: f's domain, built by hand, has a cycle.
+        MorseValidationError: f was built without :func:`validate`, and its
+            values break a Morse condition.
     """
     return f._betti
 
@@ -58,9 +57,8 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
     component standing is (global minimum, infinity).
 
     Raises:
-        MorseValidationError: f was built without :func:`validate` and the
-            sweep cannot make sense of it.
-        CycleDetectedError: f's domain, built by hand, has a cycle.
+        MorseValidationError: f was built without :func:`validate`, and its
+            values break a Morse condition.
     """
     return f._diagram
 

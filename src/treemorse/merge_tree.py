@@ -87,6 +87,19 @@ class MergeTree(_Record):
     def root(self) -> MergeNode:
         return _build(self._code, self._values)
 
+    def __repr__(self) -> str:
+        """root's NamedTuple repr, which recurses once per level, written in one loop."""
+        parts, values, last = ["MergeTree(root="], iter(self._values), "("
+        for c in self._code:
+            if c == ")":
+                parts.append(")")
+            else:  # a node after a finished subtree is its sibling, a right child
+                parts.append(f"{'' if last == '(' else ', right='}MergeNode(value={next(values)!r}, left="
+                             + ("" if c == "(" else "None, right=None)"))
+            last = c
+        parts.append(")")
+        return "".join(parts)
+
     def nodes(self) -> Iterator[MergeNode]:
         """Preorder: node, left subtree, right subtree."""
         stack = [self.root]
@@ -232,9 +245,8 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     tree is the single node carrying that vertex value.
 
     Raises:
-        MorseValidationError: f was built without :func:`validate` and the
-            sweep cannot make sense of it.
-        CycleDetectedError: f's domain, built by hand, has a cycle.
+        MorseValidationError: f was built without :func:`validate`, and its
+            values break a Morse condition.
     """
     joins, global_min, _ = f.sweep
     if not joins:

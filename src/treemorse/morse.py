@@ -24,13 +24,10 @@ from typing import Mapping, NamedTuple
 
 from .complexes import Edge, Simplex, SimplicialTree, Vertex, _cached, _Record
 from .errors import (
-    CycleDetectedError,
     MissingValueError,
-    MorseValidationError,
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
-    UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
 
@@ -152,7 +149,6 @@ class MorseFunction(_Record):
         Raises:
             MorseValidationError: the first fault, with the type and the
                 message that :func:`validate` documents.
-            UnknownVertexError: as :func:`validate` documents.
         """
         tree, values = self.domain, self.values
         vertices, edges, keys = tree.vertices, tree.edges, values.keys()
@@ -174,10 +170,7 @@ class MorseFunction(_Record):
                     or not (isinstance(value, numbers.Rational) or math.isfinite(value))
                 ):
                     raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
-        try:
-            late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
-        except KeyError as exc:  # only a tree built by hand, not by build_tree
-            raise UnknownVertexError(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
+        late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
         if late:
             e = min(late)
             endpoint = e[0] if values[e[0]] > values[e] else e[1]
@@ -225,11 +218,9 @@ class MorseFunction(_Record):
 
         Raises:
             MorseValidationError: the values break a Morse condition (see
-                :attr:`_partition`), or the domain, built by hand rather
-                than by build_tree, is not connected.
-            CycleDetectedError: a hand-built domain has a cycle, closed by the edge named.
+                :attr:`_partition`).
         """
-        # union-find with path halving, as in complexes.keyed_tree; a root
+        # union-find with path halving, as in SimplicialTree.__init__; a root
         # maps to (component minimum, label), and a vertex starts labeled by
         # its own value, which is read only if it is critical
         parent: dict = {}
@@ -249,8 +240,6 @@ class MorseFunction(_Record):
                 parent[root_u] = root_u = parent[up]
             while (up := parent[root_v]) is not root_v:
                 parent[root_v] = root_v = parent[up]
-            if root_u is root_v:  # only a domain built by hand, not through build_tree
-                raise CycleDetectedError(f"edge {simplex} closes a cycle")
             (min_u, crit_u), (min_v, crit_v) = state[root_u], state[root_v]
             # u becomes the heir; a paired edge shares its value with the
             # last vertex, just placed, and only attaches it to an older
@@ -265,11 +254,7 @@ class MorseFunction(_Record):
                 b0.pop()
             parent[root_v] = root_u
             del state[root_v]
-        # every simplex has a value, so only a domain built by hand, not
-        # through build_tree, can leave more than one component
-        if len(state) != 1:
-            raise MorseValidationError(f"the sweep ends with {len(state)} components")
-        ((global_min, _),) = state.values()
+        ((global_min, _),) = state.values()  # a tree ends in one component
         return tuple.__new__(Sweep, (joins, global_min, tuple(b0)))  # not NamedTuple's Python __new__
 
     @_cached
@@ -303,20 +288,18 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
 
     The fault reported is the first in this order: a simplex of the tree
     without a value, vertices before edges, each in sorted order; a value
-    for a simplex the tree does not have, a value that is not a finite
-    real, then an edge endpoint that is not a vertex, in the order the
-    values are given; an edge valued below an endpoint, the first such edge
-    in sorted order and on it the first such endpoint; a broken sharing
-    rule, in increasing value order. The checks are the function's one
-    sorted pass, which this forces; the sweep itself is not run.
+    for a simplex the tree does not have, or a value that is not a finite
+    real, in the order the values are given; an edge valued below an
+    endpoint, the first such edge in sorted order and on it the first such
+    endpoint; a broken sharing rule, in increasing value order. The checks
+    are the function's one sorted pass, which this forces; the sweep itself
+    is not run.
 
     Raises:
         MissingValueError: a simplex of the tree has no value, or a value
             names a simplex the tree does not have.
         NotFiniteRealError: a value is a boolean, not a real number at all,
             NaN or an infinity.
-        UnknownVertexError: an edge of a tree built by hand, not by
-            :func:`build_tree`, has an endpoint that is not a vertex.
         NotWeaklyIncreasingError: an edge value is below an endpoint value.
         MoreThanTwoShareValueError: a value is taken three or more times.
         ValueSharedByNonIncidentError: a value is shared by two simplices

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import helpers
 from treemorse import (
     MorseFunction,
-    SimplicialTree,
     build_tree,
     forman_equivalent,
     homological_sequence,
@@ -20,7 +19,7 @@ from treemorse import (
     persistence_equivalent,
     validate,
 )
-from treemorse.errors import DomainMismatchError, MorseValidationError
+from treemorse.errors import DomainMismatchError, MorseValidationError, NotWeaklyIncreasingError
 
 INF = math.inf
 
@@ -312,19 +311,18 @@ def test_relations_compare_cached_readings(monkeypatch):
 
 
 def test_a_failed_reading_caches_nothing():
-    # a domain built by hand with two components: every value is fine, so
-    # the sorted pass succeeds and the sweep itself raises
-    tree = SimplicialTree(frozenset({"a", "b"}), frozenset())
-    f = MorseFunction(tree, {"a": 0, "b": 1})
-    for read in (lambda: f.sweep, lambda: persistence_diagram(f)):
+    # built directly, with its edge valued below an endpoint: the sorted pass
+    # raises, and so does every reading taken from it, each time it is read
+    f = MorseFunction(build_tree(["a", "b"], [("a", "b")]), {"a": 0, "b": 2, ("a", "b"): 1})
+    reads = (lambda: f.sweep, lambda: persistence_diagram(f), lambda: homological_sequence(f))
+    for read in reads:
         errors = []
         for _ in range(2):
             with pytest.raises(MorseValidationError) as raised:
                 read()
             errors.append((type(raised.value), str(raised.value)))
-        assert errors == [(MorseValidationError, "the sweep ends with 2 components")] * 2
-    assert "_partition" in vars(f)
-    assert not {"sweep", "_diagram"} & vars(f).keys()
+        assert errors == [(NotWeaklyIncreasingError, "f('b') = 2 exceeds f(('a', 'b')) = 1")] * 2
+    assert not {"_partition", "sweep", "_diagram", "_betti"} & vars(f).keys()
 
 
 def test_threads_racing_to_a_first_read_get_one_object():

@@ -313,6 +313,31 @@ def test_parse_shape_code_of_a_deep_tree():
         assert len(tree.leaves()) == 3001
 
 
+def test_repr_of_a_deep_merge_tree_needs_no_recursion():
+    # the n-vertex path valued in vertex order, then edge order: a left
+    # chain of joins, each with a new right leaf, n - 1 levels deep
+    def path_merge_tree(n: int) -> MergeTree:
+        names = [f"v{i:04d}" for i in range(n)]
+        tree = build_tree(names, zip(names, names[1:]))
+        values = dict(zip(names, range(n)))
+        values.update(zip(sorted(tree.edges), range(n, 2 * n - 1)))
+        return induce_merge_tree(validate(tree, values))
+
+    def leaf(value) -> str:
+        return f"MergeNode(value={value!r}, left=None, right=None)"
+
+    shallow = path_merge_tree(50)
+    assert repr(shallow) == f"MergeTree(root={shallow.root!r})"
+    deep = path_merge_tree(2_000)
+    assert repr(deep) == "".join([
+        "MergeTree(root=", *(f"MergeNode(value={2_000 + k}, left=" for k in reversed(range(1_999))),
+        leaf(0), *(f", right={leaf(i)})" for i in range(1, 2_000)), ")",
+    ])
+    assert "root" not in vars(deep)
+    for tree in (MergeTree(deep.root), parse_shape_code("(•" * 3000 + "•" + ")" * 3000)):
+        assert repr(tree).count("MergeNode(") == tree.node_count
+
+
 def test_shape_code_is_taken_once():
     tree = induce_merge_tree(helpers.deep_function())
     assert tree.shape_code() is tree.shape_code()
@@ -714,14 +739,14 @@ def test_renderings_match_the_node_walk_oracles():
 
 
 def test_no_library_reading_builds_nodes():
-    # comparing, counting and rendering read the stored code and values;
-    # only root, nodes(), leaves() and impasses() build MergeNodes
+    # comparing, counting, rendering and repr read the stored code and
+    # values; only root, nodes(), leaves() and impasses() build MergeNodes
     trees = [induce_merge_tree(f) for f in (
         helpers.deep_function(), helpers.narrow_function(), validate(build_tree(["a"], []), {"a": 0}),
     )]
     trees += [thin_from_lr(seq) for seq in ("", "L", "RRL", "LRLR")]
     for tree in trees:
-        tree.shape_code(), tree.impasse_count(), tree.node_count, tree.to_text(), tree.to_dot()
+        tree.shape_code(), tree.impasse_count(), tree.node_count, tree.to_text(), tree.to_dot(), repr(tree)
         merge_equivalent(tree, trees[0])
         if tree.is_thin():
             lr_sequence(tree)

@@ -8,21 +8,22 @@ from hypothesis import strategies as st
 
 import helpers
 from treemorse import (
-    MorseFunction,
     SimplicialTree,
     build_tree,
     homological_sequence,
-    induce_merge_tree,
     is_edge,
     persistence_diagram,
     validate,
 )
 from treemorse.errors import (
     CycleDetectedError,
+    LoopEdgeError,
     MissingValueError,
     MoreThanTwoShareValueError,
+    NotConnectedError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
+    TreemorseError,
     UnknownVertexError,
     ValueSharedByNonIncidentError,
 )
@@ -66,28 +67,32 @@ def test_a_rational_too_big_for_a_float_is_finite():
 
 
 def test_an_edge_endpoint_outside_a_hand_built_tree_is_named():
-    # build_tree refuses this edge; a SimplicialTree built directly does not
-    tree = SimplicialTree(frozenset({"a"}), frozenset({("a", "b")}))
-    values = {"a": 0, ("a", "b"): 1}
-    message = "edge endpoint 'b' is not a declared vertex"
-    with pytest.raises(UnknownVertexError, match=message):
-        validate(tree, values)
-    with pytest.raises(UnknownVertexError, match=message):
-        persistence_diagram(MorseFunction(tree, values))
+    # a SimplicialTree built directly is checked where it is built, with
+    # build_tree's errors, so no reading ever sees a graph that is not a tree
+    cases = [
+        ({"a"}, {("a", "b")}, UnknownVertexError, "edge endpoint 'b' is not a declared vertex"),
+        ({"a", "b"}, set(), NotConnectedError, "graph has 2 components"),
+        (set(), set(), NotConnectedError, "a tree needs at least one vertex"),
+        ({"a", "b"}, {("a", "a"), ("a", "b")}, LoopEdgeError, "loop edge at vertex 'a'"),
+    ]
+    for vertices, edges, error, message in cases:
+        with pytest.raises(TreemorseError) as raised:
+            SimplicialTree(frozenset(vertices), frozenset(edges))
+        assert (type(raised.value), str(raised.value)) == (error, message)
+    # a reversed pair is stored as its canonical edge, as validate keys it
+    tree = SimplicialTree(frozenset({"a", "b"}), frozenset({("b", "a")}))
+    assert tree.edges == frozenset({("a", "b")}) and tree == build_tree(["a", "b"], [("a", "b")])
+    assert validate(tree, {"a": 0, "b": 1, ("a", "b"): 2}).critical_values == (0, 1, 2)
 
 
 @pytest.mark.parametrize("pendant", [True, False], ids=["with a pendant edge", "triangle"])
 def test_a_cycle_in_a_hand_built_tree_is_named(pendant):
-    # build_tree refuses a cycle; a SimplicialTree built directly does not,
-    # and the sweep names the edge that closes it, ac, the first in value order
     edges = [("a", "b"), ("b", "c"), ("a", "c")] + [("c", "d")] * pendant
     vertices = sorted({v for e in edges for v in e})
-    values = {v: i for i, v in enumerate(vertices)}
-    values.update((e, len(vertices) + i) for i, e in enumerate(edges))
-    tree = SimplicialTree(frozenset(vertices), frozenset(edges))
-    for read in (lambda f: f.sweep, induce_merge_tree, persistence_diagram, homological_sequence):
-        with pytest.raises(CycleDetectedError, match=r"^edge \('a', 'c'\) closes a cycle$"):
-            read(MorseFunction(tree, values))
+    with pytest.raises(TreemorseError) as raised:
+        SimplicialTree(frozenset(vertices), frozenset(edges))
+    assert type(raised.value) is CycleDetectedError
+    assert str(raised.value) == f"{len(edges)} edges on {len(vertices)} vertices cannot be acyclic"
 
 
 def test_decreasing_along_face_rejected():

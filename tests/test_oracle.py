@@ -20,7 +20,7 @@ from treemorse import (
     induce_merge_tree,
     validate,
 )
-from treemorse.errors import BudgetExceededError
+from treemorse.errors import BudgetExceededError, TreemorseError
 from treemorse.complexes import SimplicialTree
 from treemorse.oracle import (
     WITNESS_CAP,
@@ -32,6 +32,29 @@ from treemorse.oracle import (
 
 def single_edge():
     return build_tree(["u", "v"], [("u", "v")])
+
+
+NON_TREES = {
+    "triangle": ({"a", "b", "c"}, {("a", "b"), ("b", "c"), ("a", "c")}),
+    "two isolated vertices": ({"a", "b"}, set()),
+    "dangling edge": ({"a"}, {("a", "b")}),
+}
+
+
+@pytest.mark.parametrize("vertices, edges", NON_TREES.values(), ids=NON_TREES)
+def test_a_hand_built_non_tree_never_reaches_a_reading(vertices, edges):
+    # the leaf greedy behind the matching number and the top-edge recursion
+    # behind the counts are exact only on trees; the constructor must raise
+    # before any of them runs, where they would answer wrongly or KeyError
+    readings = (
+        lambda tree: tree.matching_number(),
+        count_merge_classes,
+        check_invariants,
+        lambda tree: list(enumerate_critical_dmfs(tree)),
+    )
+    for read in readings:
+        with pytest.raises(TreemorseError):
+            read(SimplicialTree(frozenset(vertices), frozenset(edges)))
 
 
 def test_counts_on_smallest_trees():

@@ -18,7 +18,7 @@ from treemorse.morse import HomologicalSequence, PersistenceDiagram
 from treemorse.oracle import InvariantReport, PropertyCheck
 
 POINT = SimplicialTree(frozenset({"a"}), frozenset())
-EDGE = SimplicialTree(frozenset({"a"}), frozenset({("a", "b")}))
+EDGE = SimplicialTree(frozenset({"a", "b"}), frozenset({("a", "b")}))
 POINT_REPR = "SimplicialTree(vertices=frozenset({'a'}), edges=frozenset())"
 
 # class, field names, the fields of one record, the fields of a different
@@ -28,7 +28,7 @@ RECORDS = [
     (
         SimplicialTree, ("vertices", "edges"),
         lambda: (frozenset({"a"}), frozenset()),
-        lambda: (frozenset({"a"}), frozenset({("a", "b")})),
+        lambda: (frozenset({"a", "b"}), frozenset({("a", "b")})),
         POINT_REPR,
     ),
     (

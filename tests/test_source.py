@@ -56,6 +56,19 @@ def test_package_raises_no_bare_value_error():
     assert found == []
 
 
+def test_only_complexes_decides_what_is_a_tree():
+    # every SimplicialTree is checked where it is built, so no other module
+    # raises the errors that refuse a graph as a tree
+    refusals = {"CycleDetectedError", "NotConnectedError", "MultiEdgeError"}
+    raisers: dict = {}
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in refusals:
+                raisers.setdefault(exc.id, set()).add(path.name)
+    assert raisers == {name: {"complexes.py"} for name in refusals}
+
+
 def test_no_function_calls_itself_but_the_witness_walk():
     # a recursion's depth follows its input, and the package must work at
     # 10^5 simplices; _witness recurses once per vertex, which the simplex
