@@ -103,14 +103,15 @@ class SimplicialTree(_Record):
         # the dict's own key objects, so a root is the vertex that is its parent
         parent = {v: v for v in vs}
         components = len(vs)
-        for u, v in edges:
-            if u not in vs or v not in vs:
-                raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex")
+        for i, (u, v) in enumerate(edges, 1):
+            try:  # the parent lookup is the test for an undeclared endpoint
+                root_u, root_v = parent[u], parent[v]
+            except KeyError:
+                raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex") from None
             e = (u, v) if u < v else (v, u) if v < u else edge(u, v)  # edge refuses a loop
-            if e in distinct:
-                raise MultiEdgeError(f"edge {e} appears more than once")
             distinct.add(e)
-            root_u, root_v = parent[u], parent[v]
+            if len(distinct) != i:
+                raise MultiEdgeError(f"edge {e} appears more than once")
             while (up := parent[root_u]) is not root_u:
                 parent[root_u] = root_u = parent[up]
             while (up := parent[root_v]) is not root_v:

@@ -12,11 +12,12 @@ from typing import Any, Sequence
 
 from .complexes import SimplicialTree, build_tree
 from .errors import ParseError
-from .morse import MorseFunction, validate
+from .morse import MorseFunction
 from .stars import StarGraph
 
 
-def _load(text: str) -> tuple[dict[str, Any], list[Sequence]]:
+def _load(text: str) -> tuple[dict[str, Any], Sequence, Sequence, Sequence]:
+    """The vertex dict and the edge columns: first endpoints, second endpoints, values."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON or too many digits; deep nesting
@@ -44,7 +45,7 @@ def _load(text: str) -> tuple[dict[str, Any], list[Sequence]]:
     if edges and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}:
         us, vs, values = zip(*edges)
         if {*map(type, us), *map(type, vs)} <= {str} and set(map(type, values)) <= numeric:
-            return vertices, edges
+            return vertices, us, vs, values
     triples = []
     for item in edges:
         if not isinstance(item, list) or len(item) not in (2, 3):
@@ -56,22 +57,21 @@ def _load(text: str) -> tuple[dict[str, Any], list[Sequence]]:
         if value is not None and not isinstance(value, (int, float)):
             raise ParseError(f"edge {item!r} has non-numeric value")
         triples.append((u, v, value))
-    return vertices, triples
+    return vertices, *(zip(*triples) if triples else ((), (), ()))
 
 
 def parse_tree_document(text: str) -> SimplicialTree:
     """Just the tree; values (and missing edge values) are ignored."""
-    vertices, triples = _load(text)
-    return build_tree(vertices, [(u, v) for u, v, _ in triples])
+    vertices, us, vs, _ = _load(text)
+    return build_tree(vertices, zip(us, vs))
 
 
 def parse_morse_document(text: str) -> MorseFunction:
     """Tree plus fully valued discrete Morse function."""
-    vertices, triples = _load(text)
+    vertices, us, vs, edge_values = _load(text)
     if None in vertices.values():
         name = next(name for name, value in vertices.items() if value is None)
         raise ParseError(f"vertex {name!r} needs a value")
-    us, vs, edge_values = zip(*triples) if triples else ((), (), ())
     tree = build_tree(vertices, zip(us, vs))
     if None in edge_values:
         i = edge_values.index(None)
@@ -79,7 +79,9 @@ def parse_morse_document(text: str) -> MorseFunction:
     values = dict(vertices)
     # each pair's canonical edge, complexes.edge inlined: the tree refused every loop
     values.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
-    return validate(tree, values)
+    f = MorseFunction(tree, values)  # validate, without its copy of the values
+    f._partition  # the sorted pass raises on the first fault
+    return f
 
 
 def star_document(star: StarGraph, f: MorseFunction) -> str:

@@ -28,6 +28,7 @@ from .morse import MorseFunction, format_value
 
 LEAF_GLYPH = "•"
 _IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves
+_CLOSE = object()  # ends a join in a preorder walk
 
 
 class MergeNode(NamedTuple):
@@ -42,6 +43,21 @@ class MergeNode(NamedTuple):
     right: Optional["MergeNode"] = None
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __repr__(self) -> str:
+        """The NamedTuple repr, which recurses once per level, written by :func:`_repr` from one walk."""
+        code, values, stack = [], [], [self]
+        while stack:
+            node = stack.pop()
+            if node is _CLOSE:
+                code.append(")")
+                continue
+            kind = "?" if not isinstance(node, MergeNode) else LEAF_GLYPH if node.left is node.right is None else "("
+            code.append(kind)
+            values.append(node if kind == "?" else node.value)
+            if kind == "(":
+                stack += (_CLOSE, node.right, node.left)
+        return _repr("".join(code), values)
 
     @property
     def is_leaf(self) -> bool:
@@ -61,11 +77,11 @@ class MergeTree(_Record):
 
     def __init__(self, root: MergeNode) -> None:
         # one preorder walk checks each node before it reads the node's
-        # children, and records the code and the values; close ends a join
-        code, values, seen, close, stack = [], [], set(), object(), [root]
+        # children, and records the code and the values
+        code, values, seen, stack = [], [], set(), [root]
         while stack:
             node = stack.pop()
-            if node is close:
+            if node is _CLOSE:
                 code.append(")")
                 continue
             if not isinstance(node, MergeNode):
@@ -80,7 +96,7 @@ class MergeTree(_Record):
                 code.append(LEAF_GLYPH)
             else:
                 code.append("(")
-                stack += (close, node.right, node.left)
+                stack += (_CLOSE, node.right, node.left)
         self.__dict__.update(root=root, _code="".join(code), _values=values)
 
     @_cached
@@ -88,17 +104,8 @@ class MergeTree(_Record):
         return _build(self._code, self._values)
 
     def __repr__(self) -> str:
-        """root's NamedTuple repr, which recurses once per level, written in one loop."""
-        parts, values, last = ["MergeTree(root="], iter(self._values), "("
-        for c in self._code:
-            if c == ")":
-                parts.append(")")
-            else:  # a node after a finished subtree is its sibling, a right child
-                parts.append(f"{'' if last == '(' else ', right='}MergeNode(value={next(values)!r}, left="
-                             + ("" if c == "(" else "None, right=None)"))
-            last = c
-        parts.append(")")
-        return "".join(parts)
+        """root's repr, read off the stored code and values."""
+        return f"MergeTree(root={_repr(self._code, self._values)})"
 
     def nodes(self) -> Iterator[MergeNode]:
         """Preorder: node, left subtree, right subtree."""
@@ -137,16 +144,15 @@ class MergeTree(_Record):
     def to_text(self) -> str:
         """A "value tag" line per node in preorder, two spaces per level; "?" for no value."""
         lines: list[str] = []
-        depth, tag, values = 0, "L", iter(self._values)
+        labels = [str(x) if type(x) is int else "?" if x is None else format_value(x) for x in self._values]
+        depth, tag, labels = 0, "L", iter(labels)
         # a join's first child is tagged L; whatever follows a leaf or a
         # closed join is a right child
         for c in self._code:
             if c == ")":
                 depth -= 1
                 continue
-            value = next(values)
-            label = "?" if value is None else format_value(value)
-            lines.append("  " * depth + f"{label} {tag}")
+            lines.append("  " * depth + f"{next(labels)} {tag}")
             if c == "(":
                 depth, tag = depth + 1, "L"
             else:
@@ -160,15 +166,14 @@ class MergeTree(_Record):
         # nodes are numbered in preorder; the edge into a node follows every
         # edge of the node's subtree, so an open join's waits for its ")"
         open_joins: list = []  # (name, the edge into it)
-        tag, values = "L", iter(self._values)
+        labels = [str(x) if type(x) is int else "" if x is None else format_value(x) for x in self._values]
+        tag, labels = "L", iter(labels)
         for c in self._code:
             if c == ")":
                 edge_lines.append(open_joins.pop()[1])
                 continue
-            value = next(values)
             name = f"n{len(node_lines)}"
-            label = "" if value is None else format_value(value)
-            node_lines.append(f'  {name} [label="{label}"];')
+            node_lines.append(f'  {name} [label="{next(labels)}"];')
             into = f'  {open_joins[-1][0]} -> {name} [label="{tag}"];' if open_joins else ""
             if c == "(":
                 open_joins.append((name, into))
@@ -178,6 +183,15 @@ class MergeTree(_Record):
                 tag = "R"
         # the root's "" comes last: its ")" ends the code, or it is the one leaf
         return "\n".join(["digraph merge_tree {", "  node [shape=circle];", *node_lines, *edge_lines[:-1], "}"])
+
+
+def _repr(code, values) -> str:
+    """The repr of the node a shape code and its preorder values give; a "?" is a child that is no node."""
+    shown = {"(": "MergeNode(value={}, left=", LEAF_GLYPH: "MergeNode(value={}, left=None, right=None)", "?": "{}"}
+    values = iter(values)
+    # each character with the one before it: a node after a finished subtree is a right child
+    return "".join(")" if c == ")" else ("" if last == "(" else ", right=") + shown[c].format(repr(next(values)))
+                   for c, last in zip(code, "(" + code))
 
 
 def _stored(code: str, values: list) -> MergeTree:

@@ -135,12 +135,12 @@ class MorseFunction(_Record):
         return self.values[simplex]
 
     @_cached
-    def _partition(self) -> tuple[list, dict[float, Simplex], frozenset]:
+    def _partition(self) -> tuple[list, frozenset]:
         """The one sorted pass that checks the values and decides criticality.
 
         Returns the ``(simplex, value)`` items in increasing value order, a
-        gradient pair's vertex right before its edge, the critical simplex
-        by value in that same order, and the gradient pairs. It runs
+        gradient pair's vertex right before its edge, and the gradient
+        pairs; every simplex in no pair is critical. It runs
         :func:`validate`'s checks in the order validate documents: before
         the sort, sorting nothing but the simplices at fault, then the two
         sharing rules while walking the sorted items. An unshared value is
@@ -176,17 +176,15 @@ class MorseFunction(_Record):
             endpoint = e[0] if values[e[0]] > values[e] else e[1]
             raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
         entries = sorted(values.items(), key=itemgetter(1))
-        critical: dict[float, Simplex] = {}
         pairs = set()
         last = object()  # equal to no value, None included
         # a run of equal values is settled at its second item, so the walk
         # never reaches a third; the tuple test is is_edge inlined
         for i, (b, value) in enumerate(entries):
             if value != last:
-                critical[value] = b
                 last = value
                 continue
-            a = critical.pop(value)
+            a = entries[i - 1][0]
             if type(a) is tuple:
                 a, b = b, a
                 entries[i - 1], entries[i] = entries[i], entries[i - 1]
@@ -201,7 +199,7 @@ class MorseFunction(_Record):
                     f"value {first} shared by non-incident simplices {a!r} and {b!r}"
                 )
             pairs.add((a, b))
-        return entries, critical, frozenset(pairs)
+        return entries, frozenset(pairs)
 
     @_cached
     def sweep(self) -> Sweep:
@@ -220,42 +218,37 @@ class MorseFunction(_Record):
             MorseValidationError: the values break a Morse condition (see
                 :attr:`_partition`).
         """
-        # union-find with path halving, as in SimplicialTree.__init__; a root
-        # maps to (component minimum, label), and a vertex starts labeled by
-        # its own value, which is read only if it is critical
-        parent: dict = {}
-        state: dict = {}
-        joins: dict = {}
-        b0: list = []
-        last = None
-        for simplex, value in self._partition[0]:
+        # union-find with path halving, as in SimplicialTree.__init__; low and
+        # label hold a vertex's value, then a root's component minimum and label;
+        # the first item, the least value, is a vertex: the tree's minimum
+        parent, low, label, joins = {}, {}, {}, {}
+        entries, b0, live, last = self._partition[0], [], 0, None
+        for simplex, value in entries:
             if type(simplex) is not tuple:
                 parent[simplex] = simplex
-                state[simplex] = (value, value)
-                b0.append(len(state))
-                last = value
+                last = low[simplex] = label[simplex] = value
+                live += 1
+                b0.append(live)
                 continue
             root_u, root_v = parent[simplex[0]], parent[simplex[1]]
             while (up := parent[root_u]) is not root_u:
                 parent[root_u] = root_u = parent[up]
             while (up := parent[root_v]) is not root_v:
                 parent[root_v] = root_v = parent[up]
-            (min_u, crit_u), (min_v, crit_v) = state[root_u], state[root_v]
             # u becomes the heir; a paired edge shares its value with the
             # last vertex, just placed, and only attaches it to an older
             # component, whose label stands, and takes back the vertex's count
-            if min_v < min_u:
-                root_u, root_v, min_u, min_v, crit_u, crit_v = root_v, root_u, min_v, min_u, crit_v, crit_u
+            if low[root_v] < low[root_u]:
+                root_u, root_v = root_v, root_u
             if value != last:
-                joins[value] = (crit_u, crit_v, min_v)
-                state[root_u] = (min_u, value)
-                b0.append(len(state) - 1)  # less root_v's entry, dropped below
+                joins[value] = (label[root_u], label[root_v], low[root_v])
+                label[root_u] = value
+                b0.append(live - 1)
             else:
                 b0.pop()
+            live -= 1
             parent[root_v] = root_u
-            del state[root_v]
-        ((global_min, _),) = state.values()  # a tree ends in one component
-        return tuple.__new__(Sweep, (joins, global_min, tuple(b0)))  # not NamedTuple's Python __new__
+        return tuple.__new__(Sweep, (joins, entries[0][1], tuple(b0)))  # not NamedTuple's Python __new__
 
     @_cached
     def _betti(self) -> HomologicalSequence:
@@ -267,20 +260,20 @@ class MorseFunction(_Record):
         """The persistence diagram; see :func:`treemorse.persistence_diagram`."""
         joins, global_min, _ = self.sweep
         pairs = [(born, value) for value, (_, _, born) in joins.items()] + [(global_min, math.inf)]
-        return PersistenceDiagram(tuple(sorted(pairs)))
+        return PersistenceDiagram(tuple(sorted(pairs, key=itemgetter(0))))  # births are distinct vertex values
 
     @_cached
     def critical_simplices(self) -> frozenset[Simplex]:
         """Simplices whose value is shared with no other simplex."""
-        return frozenset(self._partition[1].values())
+        return frozenset(self.values).difference(*self._partition[1])  # less each pair's vertex and edge
 
     @_cached
     def critical_values(self) -> tuple[float, ...]:
-        return tuple(self._partition[1])
+        return tuple(x for s, x in self._partition[0] if s in self.critical_simplices)
 
     @_cached
     def gradient_vector_field(self) -> GradientVectorField:
-        return GradientVectorField(self._partition[2])
+        return GradientVectorField(self._partition[1])
 
 
 def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:

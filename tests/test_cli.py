@@ -7,8 +7,10 @@ interpreter to cover `python -m treemorse`.
 
 import gc
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +224,26 @@ def _path3(b=1, second=("b", "c", 4)):
         pytest.param(["validate"], *_path3(second={"u": "b"}), "",
                      "ParseError: edge entry {'u': 'b'} is not [u, v, value]\n", 2, id="non-list-edge-item"),
         pytest.param(["validate"], {"a": 0}, [], "valid\n", "", 0, id="empty-edges"),
+        # the tree's faults, which the tree's constructor reports, and the
+        # values' faults the sorted pass reports, as parse_morse_document meets them
+        pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3], ["y", "x", 4]], "",
+                     "UnknownVertexError: edge endpoint 'y' is not a declared vertex\n", 1,
+                     id="two-undeclared-endpoints"),
+        pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3], ["c", "c", 4]], "",
+                     "LoopEdgeError: loop edge at vertex 'c'\n", 1, id="loop"),
+        pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["b", "c", 4], ["a", "b", 3], ["c", "b", 5]], "",
+                     "MultiEdgeError: edge ('b', 'c') appears more than once\n", 1, id="repeated-edge"),
+        pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3], ["b", "c", 4], ["c", "a", 5]], "",
+                     "CycleDetectedError: 3 edges on 3 vertices cannot be acyclic\n", 1, id="cycle"),
+        pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3]], "",
+                     "NotConnectedError: graph has 2 components\n", 1, id="two-components"),
+        pytest.param(["validate"], *_path3(b=math.nan), "",
+                     "NotFiniteRealError: f('b') = nan is not a finite real number\n", 1, id="nan-vertex"),
+        pytest.param(["validate"], *_path3(second=["b", "c", math.inf]), "",
+                     "NotFiniteRealError: f(('b', 'c')) = inf is not a finite real number\n", 1,
+                     id="infinite-edge-value"),
+        pytest.param(["validate"], *_path3(second=["b", "c", None]), "",
+                     "ParseError: edge ['b', 'c'] needs a value\n", 2, id="null-edge-value"),
     ],
 )
 def test_document_messages_name_the_first_bad_item(tmp_path, capsys, argv, vertices, edges, out, err, code):
@@ -665,16 +687,34 @@ def test_library_calls_leave_the_gc_alone(gc_restored, enabled):
 # --- interpreter entry point ------------------------------------------------
 
 
-def test_module_entry_point(tmp_path):
-    # the child interpreter imports the same treemorse package as this one,
-    # installed or not
+def run_module(argv: list[str], options: tuple[str, ...] = ()) -> tuple[str, str, int]:
+    """`python [options] -m treemorse argv` in a child interpreter that imports
+    the same treemorse package as this one, installed or not."""
     path = [str(Path(treemorse.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     result = subprocess.run(
-        [sys.executable, "-m", "treemorse", "validate", narrow_doc(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, *options, "-m", "treemorse", *argv], capture_output=True, text=True, env=env,
     )
-    assert result.returncode == 0
-    assert result.stdout == "valid\n"
+    return result.stdout, result.stderr, result.returncode
+
+
+def test_module_entry_point(tmp_path):
+    assert run_module(["validate", narrow_doc(tmp_path)]) == ("valid\n", "", 0)
+
+
+def test_optimized_interpreter_answers_alike(tmp_path):
+    # python -O strips every assert statement; the package checks with
+    # explicit tests, so each command answers byte for byte as without -O
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (document,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    example = tmp_path / "example.json"
+    example.write_text(document, encoding="utf-8")
+    repeated = write_doc(tmp_path, "repeated.json", {"a": 0, "b": 1}, [["a", "b", 2], ["b", "a", 3]])
+    refused = "MultiEdgeError: edge ('a', 'b') appears more than once\n"
+    for argv, answer in [
+        (["validate", str(example)], ("valid\n", "", 0)),
+        (["merge-tree", str(example), "--format", "shape"], ("((•(••))•)\n", "", 0)),
+        (["validate", repeated], ("", refused, 1)),
+        (["merge-tree", repeated, "--format", "shape"], ("", refused, 2)),
+    ]:
+        assert run_module(argv) == run_module(argv, ("-O",)) == answer

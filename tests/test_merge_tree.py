@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -336,6 +338,52 @@ def test_repr_of_a_deep_merge_tree_needs_no_recursion():
     assert "root" not in vars(deep)
     for tree in (MergeTree(deep.root), parse_shape_code("(•" * 3000 + "•" + ")" * 3000)):
         assert repr(tree).count("MergeNode(") == tree.node_count
+    # a node's repr is the text its tree's repr shows, at 2,000 levels too
+    assert repr(deep.root) == repr(deep)[len("MergeTree(root="):-1]
+
+
+# the NamedTuple that MergeNode is, with the repr NamedTuple gives it
+PlainNode = namedtuple("MergeNode", ["value", "left", "right"], defaults=(None, None))
+
+
+def plain(node):
+    """node rebuilt from PlainNodes, one level per call; anything else as it is."""
+    if not isinstance(node, MergeNode):
+        return node
+    return PlainNode(node.value, plain(node.left), plain(node.right))
+
+
+def relabel(node: MergeNode, values) -> MergeNode:
+    """node's shape with the next of values at each node, in preorder."""
+    value = next(values)
+    if node.left is None:
+        return MergeNode(value)
+    left = relabel(node.left, values)
+    return MergeNode(value, left, relabel(node.right, values))
+
+
+def test_repr_of_a_merge_node_is_the_namedtuple_repr():
+    odd = [2.0, 2.5, Fraction(7, 3), 10**400, None, "{}", True, -0.0]
+    roots = [relabel(parse_shape_code(code).root, itertools.cycle(odd[k:] + odd[:k]))
+             for leaves in range(1, 6) for code in all_shape_codes(leaves) for k in range(len(odd))]
+    roots += [induce_merge_tree(f).root for f in (helpers.deep_function(), helpers.narrow_function())]
+    roots.append(MergeNode("•", MergeNode(")"), MergeNode("(")))
+    for root in roots:
+        assert repr(root) == repr(MergeTree(root))[len("MergeTree(root="):-1] == repr(plain(root))
+    leaf = MergeNode(1)
+    for node in (  # hand-built nodes no MergeTree accepts: one child, a child that is no node, a shared node
+        MergeNode(0, leaf), MergeNode(0, None, leaf), MergeNode(0, MergeNode(1, "(", [")"]), leaf),
+        MergeNode(0, "?", MergeNode(2, leaf, None)), MergeNode(3, leaf, leaf),
+    ):
+        assert repr(node) == repr(plain(node))
+    # 2,000 levels of one-child nodes, each walked once without recursion
+    chain = MergeNode(0)
+    for value in range(1, 2_000):
+        chain = MergeNode(value, chain)
+    assert repr(chain) == "".join([
+        *(f"MergeNode(value={value}, left=" for value in reversed(range(1, 2_000))),
+        "MergeNode(value=0, left=None, right=None)", ", right=None)" * 1_999,
+    ])
 
 
 def test_shape_code_is_taken_once():
@@ -721,6 +769,21 @@ def test_renderings_match_the_node_walk_oracles():
     for length in range(9):
         for steps in itertools.product("LR", repeat=length):
             assert_renders_as(thin_from_lr("".join(steps)), thin_root("".join(steps)))
+    # values that are no int, which the renderings format one by one: floats,
+    # integral or not, a Fraction, an int past a float's range, and None
+    odd = [2.0, 2.5, Fraction(7, 3), 10**400, None]
+    for leaves in range(1, 5):
+        for code in all_shape_codes(leaves):
+            for k in range(len(odd)):
+                root = relabel(parse_shape_code(code).root, itertools.cycle(odd[k:] + odd[:k]))
+                assert_renders_as(MergeTree(root), root)
+    names = ["a", "b", "c", "d"]
+    f = validate(build_tree(names, zip(names, names[1:])), {
+        "a": 2.0, "b": Fraction(1, 3), "c": 2.5, "d": 10**400,
+        ("a", "b"): Fraction(7, 3), ("b", "c"): 3.0, ("c", "d"): 10**400 + 1,
+    })
+    assert_renders_as(induce_merge_tree(f), helpers.reference_merge_tree(f).root)
+    assert induce_merge_tree(f).to_text().splitlines()[:2] == [f"{10**400 + 1} L", "  3 L"]
     # at 2,000 vertices and at 10^5 simplices the nodes are the ones root
     # builds from the code and values; text is left out at 10^5, where it
     # grows with the square of the depth

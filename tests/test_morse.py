@@ -274,3 +274,13 @@ def test_random_functions_validate_and_partition(data):
     assert not (paired & set(g.critical_simplices))
     vertex_count = sum(1 for s in g.critical_simplices if not is_edge(s))
     assert vertex_count == len(g.critical_simplices) - vertex_count + 1
+    # both readings derived from the sorted pass equal the critical simplices
+    # counted straight from the assignment; the hand-built dict lists a
+    # paired edge before its vertex, which the stable sort keeps first
+    path = build_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    edge_first = validate(path, {("b", "c"): 3, ("a", "b"): 2, "c": 3, "b": 1, "a": 0})
+    for function in (f, g, edge_first):
+        literal = helpers.literal_critical(function)
+        assert function.critical_simplices == frozenset(literal.values())
+        assert function.critical_values == tuple(sorted(literal))
+    assert edge_first.critical_values == (0, 1, 2)
