@@ -16,10 +16,10 @@ order. A component's shape code is the MergeTree.shape_code of its merge
 tree with the top node tagged L; tagged R, the same tree is its mirror
 image, so one code per component serves both places a join can put it.
 count_merge_classes recurses on the top edge over the connected vertex
-sets it reaches (_splits). check_invariants weights that recursion by the
-labelings that end in each shape code and set of impasse vertices
-(_final_tally), and walks it backwards (_witness) for a failed check's
-witnesses. All refuse trees over budget.
+sets it reaches (_splits), smallest first (_fold). check_invariants
+weights that fold by the labelings that end in each shape code and set of
+impasse vertices (_final_tally), and walks it backwards (_witness) for a
+failed check's witnesses. All refuse trees over budget.
 """
 
 from __future__ import annotations
@@ -94,17 +94,15 @@ def enumerate_critical_dmfs(
     return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
 
 
-_MIRROR = str.maketrans("()", ")(")
-
-
 def _mirror(code: str) -> str:
     """The shape code of the same component with its top node tagged R.
 
     A child keeps its parent's tag exactly when it holds the smaller
     minimum, so retagging the top flips every tag below it and with it
-    every pair of children: the code read backwards, parentheses swapped.
+    every pair of children: the code read backwards, parentheses swapped,
+    through "|", which no code holds (translate is slower on non-ASCII text).
     """
-    return code[::-1].translate(_MIRROR)
+    return code[::-1].replace("(", "|").replace(")", "(").replace("|", ")")
 
 
 def count_merge_classes(tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET) -> int:
@@ -149,14 +147,25 @@ def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int,
     return splits
 
 
-def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
-    """count_merge_classes' shapes, memoized per set of _splits by increasing size."""
-    splits = _splits(tree, budget)
-    memo: dict[int, set[str]] = {}
+def _fold(splits: dict, leaf, join) -> dict:
+    """The top-edge recursion's memo, {set of _splits: join(set, its splits, memo) or leaf}.
+
+    Sets come smallest first, so memo holds both sides of each split; a
+    single vertex has no split, so join returns nothing and it takes leaf.
+    """
+    memo: dict = {}
     for part in sorted(splits, key=int.bit_count):
-        # memo[o] is closed under _mirror, so it holds every _mirror(other)
-        memo[part] = {"(" + heir + other + ")" for x, y, _, _ in splits[part] for h, o in ((x, y), (y, x))
-                      for heir in memo[h] for other in memo[o]} or {LEAF_GLYPH}
+        memo[part] = join(part, splits[part], memo) or leaf
+    return memo
+
+
+def _merge_shapes(tree: SimplicialTree, budget: int) -> set[str]:
+    """count_merge_classes' shapes: _fold's memo of the whole tree, the first set of _splits."""
+    splits = _splits(tree, budget)
+    # memo[o] is closed under _mirror, so it holds every _mirror(other)
+    memo = _fold(splits, {LEAF_GLYPH}, lambda part, sides, memo: {
+        f"({heir}{other})" for x, y, _, _ in sides for h, o in ((x, y), (y, x))
+        for heir in memo[h] for other in memo[o]})
     return memo[next(iter(splits))]
 
 
@@ -172,19 +181,25 @@ def _final_tally(tree: SimplicialTree, budget: int) -> tuple[dict, dict[int, dic
     C(s - 1, |H| - 1) ways, |H| counting H's simplices, 2v - 1 on v vertices.
     """
     splits = _splits(tree, budget)
-    memo: dict[int, dict[tuple[str, int], int]] = {}
-    for part in sorted(splits, key=int.bit_count):
+    mirrored: dict[int, list] = {}  # a set's entries, codes mirrored, listed when first an other side
+
+    def join(part: int, sides: list, memo: dict) -> dict[tuple[str, int], int]:
         tally: dict[tuple[str, int], int] = {}
-        for x, y, ends, _ in splits[part]:
+        get = tally.get
+        for x, y, ends, _ in sides:
             for h, o in ((x, y), (y, x)):
                 weight = comb(2 * part.bit_count() - 3, 2 * h.bit_count() - 2)
-                others = [(_mirror(b), mb, cb) for (b, mb), cb in memo[o].items()]
+                others = mirrored.get(o)
+                if others is None:
+                    others = mirrored[o] = [(_mirror(b), mb, cb) for (b, mb), cb in memo[o].items()]
                 for (a, ma), ca in memo[h].items():
+                    wa = weight * ca
                     for b, mb, cb in others:
-                        key = ("(" + a + b + ")", ma | mb | ends if a == b == LEAF_GLYPH else ma | mb)
-                        tally[key] = tally.get(key, 0) + weight * ca * cb
-        memo[part] = tally or {(LEAF_GLYPH, 0): 1}
-    return splits, memo
+                        key = (f"({a}{b})", ma | mb | ends if a == b == LEAF_GLYPH else ma | mb)
+                        tally[key] = get(key, 0) + wa * cb
+        return tally
+
+    return splits, _fold(splits, {(LEAF_GLYPH, 0): 1}, join)
 
 
 def _witness(splits: dict, memo: dict, part: int, key: tuple[str, int]) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -22,10 +24,14 @@ from treemorse import (
 )
 from treemorse.errors import BudgetExceededError, TreemorseError
 from treemorse.complexes import SimplicialTree
+from treemorse.merge_tree import LEAF_GLYPH
 from treemorse.oracle import (
     WITNESS_CAP,
     _final_tally,
+    _fold,
     _merge_shapes,
+    _mirror,
+    _splits,
     _witness,
 )
 
@@ -143,6 +149,64 @@ def test_final_states_of_the_three_vertex_path():
         (("((••)•)", 0b011), 6),
         (("(•(••))", 0b011), 2),
     ]
+
+
+def test_mirror_is_the_code_read_backwards_with_parentheses_swapped():
+    # the join puts the other side's code in mirrored, so on every shape of
+    # every tree with up to six vertices _mirror must agree with a mirror
+    # built one character at a time, undo itself, and keep the shapes
+    swap = {"(": ")", ")": "(", LEAF_GLYPH: LEAF_GLYPH}
+    codes = 0
+    for n in range(1, 7):
+        for edges in helpers.trees_up_to_iso(n):
+            shapes = _merge_shapes(helpers.tree_from_edges(n, edges), DEFAULT_SIMPLEX_BUDGET)
+            for code in shapes:
+                assert _mirror(code) == "".join(swap[c] for c in reversed(code)), code
+                assert _mirror(_mirror(code)) == code
+            assert {_mirror(code) for code in shapes} == shapes, edges
+            codes += len(shapes)
+    assert codes == 253
+
+
+def test_fold_joins_each_set_once_smallest_first():
+    # _merge_shapes and _final_tally are two joins on one fold: it must call
+    # join once per set of _splits, by increasing size, with every smaller
+    # set in memo, and give a single vertex, which join leaves empty, leaf
+    leaf = object()
+    for n in range(1, 7):
+        for edges in helpers.trees_up_to_iso(n):
+            splits = _splits(helpers.tree_from_edges(n, edges), DEFAULT_SIMPLEX_BUDGET)
+            calls = []
+
+            def join(part, sides, memo):
+                assert sides is splits[part]
+                assert part not in memo
+                assert {p for p in splits if p.bit_count() < part.bit_count()} <= memo.keys()
+                calls.append(part)
+                return len(sides)
+
+            memo = _fold(splits, leaf, join)
+            assert sorted(calls) == sorted(splits), edges
+            assert [p.bit_count() for p in calls] == sorted(p.bit_count() for p in calls), edges
+            assert list(memo) == calls
+            for part, value in memo.items():
+                assert value is leaf if part.bit_count() == 1 else value == len(splits[part]) > 0, edges
+
+
+def test_the_recursion_answers_as_pinned(monkeypatch):
+    # the report, its witnesses and the class count on the 25 trees with up
+    # to seven vertices, each at budget N; with the matching number patched
+    # to 0 every witness is named, in the tally's order
+    trees = [helpers.tree_from_edges(n, e) for n in range(1, 8) for e in helpers.trees_up_to_iso(n)]
+    assert len(trees) == 25
+    answers = [[check_invariants(t, budget=t.simplex_count).to_dict(), count_merge_classes(t, budget=t.simplex_count)]
+               for t in trees]
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == "c1e17da82cb6e4536b3434c1527cae4ca579c70f74c88234f6f90013d1a4eff8"
+    monkeypatch.setattr(SimplicialTree, "matching_number", lambda self: 0)
+    reports = [check_invariants(t, budget=t.simplex_count).to_dict() for t in trees]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "128a7bea9566deb215a5a4f63b6e67d5051758a7f713338f8a5f9b13c23d1009"
 
 
 def test_every_tally_entry_has_a_witness():

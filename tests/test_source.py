@@ -84,6 +84,21 @@ def test_no_function_calls_itself_but_the_witness_walk():
     assert found == {"oracle._witness"}
 
 
+def test_only_the_fold_orders_the_vertex_sets_by_size():
+    # every reading of the top-edge recursion joins oracle._fold, so no
+    # other function in oracle.py copies its walk by int.bit_count
+    oracle = Path(treemorse.__file__).parent / "oracle.py"
+    found = [
+        fn.name
+        for fn in ast.walk(ast.parse(oracle.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and "sort" in ast.unparse(node.func)
+        and any(k.arg == "key" and "bit_count" in ast.unparse(k.value) for k in node.keywords)
+    ]
+    assert found == ["_fold"]
+
+
 def test_package_does_not_use_functools_cached_property():
     # up to Python 3.11 it takes a lock on every first read; complexes._cached
     # takes none
