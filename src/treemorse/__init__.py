@@ -21,7 +21,6 @@ from .equivalence import (
     persistence_equivalent,
 )
 from .merge_tree import (
-    MergeNode,
     MergeTree,
     induce_merge_tree,
     merge_equivalent,
@@ -52,7 +51,6 @@ __all__ = [
     "GradientVectorField",
     "HomologicalSequence",
     "InvariantReport",
-    "MergeNode",
     "MergeTree",
     "MorseFunction",
     "PersistenceDiagram",

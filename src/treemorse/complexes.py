@@ -42,8 +42,6 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls._fields
-        if "__eq__" in vars(cls):  # MergeTree compares by identity
-            return
         # spelled out per class, as namedtuple and dataclasses do, so that each
         # field is a plain attribute load, which the interpreter specializes
         mine, theirs = (", ".join(f"{side}.{name}" for name in cls._fields) for side in ("self", "other"))

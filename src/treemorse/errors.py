@@ -62,11 +62,11 @@ class MalformedSequenceError(TreemorseError):
 
 
 class MalformedMergeTreeError(TreemorseError, ValueError):
-    """A merge tree has a one-child node or a non-MergeNode, or a shape code is malformed."""
+    """A shape code is not a str or is malformed, or a merge tree's values do not match its node count."""
 
 
 class NonPositiveSizeError(TreemorseError, ValueError):
-    """A count that must be at least one, such as a star's edge count, is not."""
+    """A count that must be a positive integer, such as a star's edge count, is not."""
 
 
 class BudgetExceededError(TreemorseError):

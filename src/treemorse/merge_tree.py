@@ -14,122 +14,47 @@ tag while the sibling takes the opposite one; and the L-tagged child is
 stored on the left. A node's tag is therefore its position, L for the root
 and every left child, R for every right child, and no node stores it.
 
-A MergeTree stores its shape code and its values in preorder, all that comparing,
-counting and rendering read, and builds MergeNodes on the first read of its root.
+A MergeTree is its shape code and its node values in preorder: comparing,
+counting and rendering all read these two flat fields, and no node object
+is built.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
-
-from .complexes import _cached, _Record
+from .complexes import _Record
 from .errors import MalformedMergeTreeError
 from .morse import MorseFunction, format_value
 
 LEAF_GLYPH = "•"
 _IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves
-_CLOSE = object()  # ends a join in a preorder walk
-
-
-class MergeNode(NamedTuple):
-    """A leaf (no children) or a binary join; value is None on hand-built nodes.
-
-    Immutable, and compared and hashed by identity: a thin tree's leaves are
-    equal in value, and NamedTuple equality would compare whole subtrees.
-    """
-
-    value: Optional[float]
-    left: Optional["MergeNode"] = None
-    right: Optional["MergeNode"] = None
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __repr__(self) -> str:
-        """The NamedTuple repr, which recurses once per level, written by :func:`_repr` from one walk."""
-        code, values, stack = [], [], [self]
-        while stack:
-            node = stack.pop()
-            if node is _CLOSE:
-                code.append(")")
-                continue
-            kind = "?" if not isinstance(node, MergeNode) else LEAF_GLYPH if node.left is node.right is None else "("
-            code.append(kind)
-            values.append(node if kind == "?" else node.value)
-            if kind == "(":
-                stack += (_CLOSE, node.right, node.left)
-        return _repr("".join(code), values)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def is_impasse(self) -> bool:
-        """An internal node both of whose children are leaves."""
-        return self.left is not None and self.left.is_leaf and self.right.is_leaf
 
 
 class MergeTree(_Record):
-    """A full binary tree of MergeNodes tagged by position, stored as ``_code`` and ``_values``."""
+    """A full binary tree tagged by position: its shape code and its node
+    values in preorder, None for a node without a value.
 
-    _fields = ("root",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    Raises:
+        MalformedMergeTreeError: code is not a str or not a shape code, or
+            values does not hold one value per node.
+    """
 
-    def __init__(self, root: MergeNode) -> None:
-        # one preorder walk checks each node before it reads the node's
-        # children, and records the code and the values
-        code, values, seen, stack = [], [], set(), [root]
-        while stack:
-            node = stack.pop()
-            if node is _CLOSE:
-                code.append(")")
-                continue
-            if not isinstance(node, MergeNode):
-                raise MalformedMergeTreeError(f"a node must be a MergeNode, not {type(node).__name__}")
-            if (node.left is None) != (node.right is None):
-                raise MalformedMergeTreeError("every node needs zero or two children")
-            if id(node) in seen:  # each node is alive in root, so ids stay unique
-                raise MalformedMergeTreeError("a node appears twice: merge trees share no node")
-            seen.add(id(node))
-            values.append(node.value)
-            if node.left is None:
-                code.append(LEAF_GLYPH)
-            else:
-                code.append("(")
-                stack += (_CLOSE, node.right, node.left)
-        self.__dict__.update(root=root, _code="".join(code), _values=values)
+    _fields = ("code", "values")
 
-    @_cached
-    def root(self) -> MergeNode:
-        return _build(self._code, self._values)
-
-    def __repr__(self) -> str:
-        """root's repr, read off the stored code and values."""
-        return f"MergeTree(root={_repr(self._code, self._values)})"
-
-    def nodes(self) -> Iterator[MergeNode]:
-        """Preorder: node, left subtree, right subtree."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def leaves(self) -> list[MergeNode]:
-        return [n for n in self.nodes() if n.is_leaf]
+    def __init__(self, code: str, values) -> None:
+        values = tuple(values)
+        nodes = _node_count(code)
+        if len(values) != nodes:
+            raise MalformedMergeTreeError(f"a tree of {nodes} nodes needs {nodes} values, not {len(values)}")
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "values", values)
 
     @property
     def node_count(self) -> int:
-        return len(self._values)
-
-    def impasses(self) -> list[MergeNode]:
-        return [n for n in self.nodes() if n.is_impasse]
+        return len(self.values)
 
     def impasse_count(self) -> int:
         """The impasses, each a "(••)" in the shape code."""
-        return self._code.count(_IMPASSE_CODE)
+        return self.code.count(_IMPASSE_CODE)
 
     def is_thin(self) -> bool:
         return self.impasse_count() == 1
@@ -139,16 +64,16 @@ class MergeTree(_Record):
 
         Equal codes mean equal shapes, and so equal tags. Stored on the tree.
         """
-        return self._code
+        return self.code
 
     def to_text(self) -> str:
         """A "value tag" line per node in preorder, two spaces per level; "?" for no value."""
         lines: list[str] = []
-        labels = [str(x) if type(x) is int else "?" if x is None else format_value(x) for x in self._values]
+        labels = [str(x) if type(x) is int else "?" if x is None else format_value(x) for x in self.values]
         depth, tag, labels = 0, "L", iter(labels)
         # a join's first child is tagged L; whatever follows a leaf or a
         # closed join is a right child
-        for c in self._code:
+        for c in self.code:
             if c == ")":
                 depth -= 1
                 continue
@@ -166,9 +91,9 @@ class MergeTree(_Record):
         # nodes are numbered in preorder; the edge into a node follows every
         # edge of the node's subtree, so an open join's waits for its ")"
         open_joins: list = []  # (name, the edge into it)
-        labels = [str(x) if type(x) is int else "" if x is None else format_value(x) for x in self._values]
+        labels = [str(x) if type(x) is int else "" if x is None else format_value(x) for x in self.values]
         tag, labels = "L", iter(labels)
-        for c in self._code:
+        for c in self.code:
             if c == ")":
                 edge_lines.append(open_joins.pop()[1])
                 continue
@@ -185,51 +110,42 @@ class MergeTree(_Record):
         return "\n".join(["digraph merge_tree {", "  node [shape=circle];", *node_lines, *edge_lines[:-1], "}"])
 
 
-def _repr(code, values) -> str:
-    """The repr of the node a shape code and its preorder values give; a "?" is a child that is no node."""
-    shown = {"(": "MergeNode(value={}, left=", LEAF_GLYPH: "MergeNode(value={}, left=None, right=None)", "?": "{}"}
-    values = iter(values)
-    # each character with the one before it: a node after a finished subtree is a right child
-    return "".join(")" if c == ")" else ("" if last == "(" else ", right=") + shown[c].format(repr(next(values)))
-                   for c, last in zip(code, "(" + code))
-
-
-def _stored(code: str, values: list) -> MergeTree:
-    """A MergeTree from the shape code and preorder values of a tree this package built."""
+def _stored(code: str, values: tuple) -> MergeTree:
+    """A MergeTree from the shape code and preorder values of a tree this package built, unchecked."""
     tree = object.__new__(MergeTree)
-    tree.__dict__["_code"], tree.__dict__["_values"] = code, values
+    tree.__dict__.update(code=code, values=values)
     return tree
 
 
-def _build(code: str, values) -> MergeNode:
-    """The root a shape code and its preorder values describe; None past the last value."""
-    # each open join's value and, once parsed, its left child; an explicit
-    # stack, so depth is bounded by memory, not the recursion limit
-    open_joins: list[list] = []
-    values = iter(values)
+def _node_count(code: str) -> int:
+    """The node count of a shape code, walked without recursion: its depth is bounded by memory."""
+    if not isinstance(code, str):
+        raise MalformedMergeTreeError(f"a shape code must be a str, not {type(code).__name__}")
+    # per open join, whether its left child is finished
+    left_done: list[bool] = []
     i = 0
     while True:
         if i >= len(code):
             raise MalformedMergeTreeError("truncated shape code")
         if code[i] == "(":
-            open_joins.append([next(values, None), None])
+            left_done.append(False)
             i += 1
             continue
         if code[i] != LEAF_GLYPH:
             raise MalformedMergeTreeError(f"unexpected character {code[i]!r} at position {i}")
-        node, i = MergeNode(next(values, None)), i + 1
+        i += 1
         # a finished right child closes its join, which may finish another
-        while open_joins and open_joins[-1][1] is not None:
+        while left_done and left_done[-1]:
             if i >= len(code) or code[i] != ")":
                 raise MalformedMergeTreeError(f"unbalanced parentheses at position {i}")
-            value, left = open_joins.pop()
-            node, i = MergeNode(value, left, node), i + 1
-        if not open_joins:
+            left_done.pop()
+            i += 1
+        if not left_done:
             break
-        open_joins[-1][1] = node
+        left_done[-1] = True
     if i != len(code):
         raise MalformedMergeTreeError(f"trailing characters after position {i}")
-    return node
+    return 2 * code.count("(") + 1
 
 
 def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
@@ -239,10 +155,7 @@ def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
 
 def parse_shape_code(code: str) -> MergeTree:
     """Inverse of shape_code, producing a value-free tree."""
-    root = _build(code, ())
-    tree = _stored(code, [None] * (2 * code.count("(") + 1))
-    tree.__dict__["root"] = root
-    return tree
+    return MergeTree(code, (None,) * _node_count(code))
 
 
 def induce_merge_tree(f: MorseFunction) -> MergeTree:
@@ -264,7 +177,7 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     """
     joins, global_min, _ = f.sweep
     if not joins:
-        return _stored(LEAF_GLYPH, [global_min])
+        return _stored(LEAF_GLYPH, (global_min,))
     code, values, stack = [], [], []
     # the walk goes down left children, each tagged L, and leaves on the
     # stack each join's ")" under its right child, tagged R; a label that
@@ -289,4 +202,4 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
                 break
             code.append(")")
         else:
-            return _stored("".join(code), values)
+            return _stored("".join(code), tuple(values))

@@ -32,10 +32,15 @@ class StarGraph(_Record):
         return len(self.tree.edges)
 
 
+def _check_size(k: int, what: str) -> None:
+    """Refuse a size that is a bool, not an int, or below 1."""
+    if type(k) is bool or not isinstance(k, int) or k < 1:
+        raise NonPositiveSizeError(f"{what} must be a positive integer, not {k!r}")
+
+
 def star_graph(k: int) -> StarGraph:
     """The star with k edges: center "c" joined to leaves "l1".."lk"."""
-    if k < 1:
-        raise NonPositiveSizeError("a star needs at least one edge")
+    _check_size(k, "a star's edge count")
     leaves = [f"l{i}" for i in range(1, k + 1)]
     return StarGraph(build_tree(["c", *leaves], [("c", leaf) for leaf in leaves]), "c")
 
@@ -64,6 +69,8 @@ def thin_from_lr(seq: str) -> MergeTree:
     L), so k internal nodes come out of a string of length k-1. Nodes carry
     no values.
     """
+    if not isinstance(seq, str):
+        raise MalformedSequenceError(f"a sequence must be a str, not {type(seq).__name__}")
     bad = set(seq) - {"L", "R"}
     if bad:
         raise MalformedSequenceError(f"sequence may only contain L and R, got {sorted(bad)}")
@@ -72,13 +79,12 @@ def thin_from_lr(seq: str) -> MergeTree:
     # node i, node 0 being the root, and the other side is a leaf
     prefix = "".join("(" if step == "L" else "(" + LEAF_GLYPH for step in seq)
     suffix = "".join(LEAF_GLYPH + ")" if step == "L" else ")" for step in reversed(seq))
-    return _stored(prefix + _IMPASSE_CODE + suffix, [None] * (2 * len(seq) + 3))
+    return _stored(prefix + _IMPASSE_CODE + suffix, (None,) * (2 * len(seq) + 3))
 
 
 def enumerate_thin(n: int) -> list[MergeTree]:
     """All 2^(n-1) thin merge trees with n internal nodes, in LR order."""
-    if n < 1:
-        raise NonPositiveSizeError("need at least one internal node")
+    _check_size(n, "an internal node count")
     return [
         thin_from_lr("".join(steps))
         for steps in itertools.product("LR", repeat=n - 1)
@@ -117,6 +123,5 @@ def realize_on_star(tree: MergeTree) -> tuple[StarGraph, MorseFunction]:
 def count_realizable_on_star(k: int) -> int:
     """Merge-equivalence classes induced by injective functions on the
     k-edge star: one per thin tree with k internal nodes, 2^(k-1) in all."""
-    if k < 1:
-        raise NonPositiveSizeError("a star needs at least one edge")
+    _check_size(k, "a star's edge count")
     return 2 ** (k - 1)

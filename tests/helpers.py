@@ -9,11 +9,9 @@ import heapq
 import itertools
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 
 from treemorse import (
-    MergeNode,
-    MergeTree,
     MorseFunction,
     SimplicialTree,
     build_tree,
@@ -173,18 +171,24 @@ def literal_critical(f: MorseFunction) -> dict:
     return {value: s for s, value in f.values.items() if counts[value] == 1}
 
 
-def reference_merge_tree(f: MorseFunction) -> MergeTree:
+# a merge-tree node of the oracles: a leaf has no children, a join two
+Node = namedtuple("Node", ["value", "left", "right"], defaults=(None, None))
+
+
+def reference_merge_tree(f: MorseFunction) -> Node:
     """Literal reconstruction: strict sublevel forest recomputed per edge.
 
     Independent of the production sweep; shares only the direction rule,
     which the worked examples pin down exactly. It carries each node's tag
-    down its own recursion and stores the L-tagged child on the left.
+    down its own recursion and stores the L-tagged child on the left. The
+    root Node it returns is compared with a MergeTree through
+    reference_shape_code and reference_values.
     """
     critical = literal_critical(f)
     critical_values = sorted(critical)
     edge_values = [v for v in critical_values if is_edge(critical[v])]
     if not edge_values:
-        return MergeTree(MergeNode(critical_values[0]))
+        return Node(critical_values[0])
 
     def component_data(value: float, endpoint: str) -> tuple[float, float]:
         component = strict_sublevel_component(f, value, endpoint)
@@ -193,10 +197,10 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
             min(f(s) for s in component),
         )
 
-    def build(value: float, direction: str) -> MergeNode:
+    def build(value: float, direction: str) -> Node:
         simplex = critical[value]
         if not is_edge(simplex):
-            return MergeNode(value)
+            return Node(value)
         u, v = simplex
         label_u, min_u = component_data(value, u)
         label_v, min_v = component_data(value, v)
@@ -208,10 +212,10 @@ def reference_merge_tree(f: MorseFunction) -> MergeTree:
         first = build(inherits, direction)
         second = build(other, flipped)
         if direction == "L":
-            return MergeNode(value, first, second)
-        return MergeNode(value, second, first)
+            return Node(value, first, second)
+        return Node(value, second, first)
 
-    return MergeTree(build(edge_values[-1], "L"))
+    return build(edge_values[-1], "L")
 
 
 def reference_persistence_diagram(f: MorseFunction) -> tuple:
@@ -261,8 +265,8 @@ def reference_b0_sequence(f: MorseFunction) -> tuple:
     return tuple(counts)
 
 
-def reference_shape_code(root: MergeNode) -> str:
-    """A node walk over MergeNode fields: "•" for a leaf, "(LR)" for a join."""
+def reference_shape_code(root: Node) -> str:
+    """A node walk: "•" for a leaf, "(LR)" for a join."""
     out = []
     stack: list = [root]
     while stack:
@@ -277,8 +281,20 @@ def reference_shape_code(root: MergeNode) -> str:
     return "".join(out)
 
 
-def reference_text(root: MergeNode) -> str:
-    """A node walk over MergeNode fields: a "value tag" line per node in
+def reference_values(root: Node) -> tuple:
+    """A node walk: the node values in preorder, node, left subtree, right subtree."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node.value)
+        if node.left is not None:
+            stack.extend((node.right, node.left))
+    return tuple(out)
+
+
+def reference_text(root: Node) -> str:
+    """A node walk: a "value tag" line per node in
     preorder, two spaces per level, "?" for no value, an integer-valued
     float without its ".0"."""
     lines: list[str] = []
@@ -297,8 +313,8 @@ def reference_text(root: MergeNode) -> str:
     return "\n".join(lines)
 
 
-def reference_dot(root: MergeNode) -> str:
-    """A node walk over MergeNode fields: Graphviz, nodes numbered in
+def reference_dot(root: Node) -> str:
+    """A node walk: Graphviz, nodes numbered in
     preorder, the edge into a node after every edge of its subtree."""
     node_lines: list[str] = []
     edge_lines: list[str] = []
@@ -322,10 +338,6 @@ def reference_dot(root: MergeNode) -> str:
             stack.append((node.right, name, "R"))
             stack.append((node.left, name, "L"))
     return "\n".join(["digraph merge_tree {", "  node [shape=circle];", *node_lines, *edge_lines, "}"])
-
-
-def values_preorder(tree: MergeTree) -> list:
-    return [node.value for node in tree.nodes()]
 
 
 # ------------------------------------------------------- tree generation
@@ -457,7 +469,8 @@ def small_corpus() -> tuple:
 
     One (n, edges, tree, functions) per tree in trees_up_to_iso order, with
     each function as enumerate_critical_dmfs yields it, as (f, its
-    collapse_pairs twin drawn from one Random(7), reference_merge_tree(f)).
+    collapse_pairs twin drawn from one Random(7), the root Node of
+    reference_merge_tree(f)).
     The corpus is shared: a sweep one equivalence test caches on a function
     is the one the other reads. No test may mutate an entry. It lives all
     session, so gc.freeze spares every later full collection its objects.
@@ -477,10 +490,10 @@ def small_corpus() -> tuple:
 # -------------------------------------------------------- cached readings
 
 def count_readings(monkeypatch) -> Counter:
-    """Counts, by name, each time a cached reading of a SimplicialTree, a
-    MorseFunction or a MergeTree is computed rather than found."""
+    """Counts, by name, each time a cached reading of a SimplicialTree or a
+    MorseFunction is computed rather than found."""
     counts = Counter()
-    for cls in (SimplicialTree, MorseFunction, MergeTree):
+    for cls in (SimplicialTree, MorseFunction):
         for name, reading in list(vars(cls).items()):
             if isinstance(reading, _cached):
                 def counted(self, compute=reading.func, name=name):

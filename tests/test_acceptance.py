@@ -46,19 +46,10 @@ def test_criterion_1_six_vertex_construction():
         start = time.perf_counter()
         tree = induce_merge_tree(helpers.deep_function())
         # the figure read by position: the root is tagged L, every left
-        # child L and every right child R
-        root = tree.root
-        assert root.value == 10
-        n9, n3 = root.left, root.right
-        assert (n9.value, n3.value) == (9, 3)
-        n5, n8 = n9.left, n9.right
-        assert (n5.value, n8.value) == (5, 8)
-        # left, right, left, right, left, right
-        leaves = [n5.left, n5.right, n8.left, n8.right, n3.left, n3.right]
-        assert [n.value for n in leaves] == [0, 4, 7, 6, 2, 1]
-        for leaf in leaves:
-            assert leaf.left is None and leaf.right is None
-        assert len(helpers.values_preorder(tree)) == 11
+        # child L and every right child R. Root 10 joins 9 and 3; 9 joins
+        # 5 and 8; 5 joins leaves 0 and 4, 8 leaves 7 and 6, 3 leaves 2 and 1
+        assert tree.shape_code() == "(((••)(••))(••))"
+        assert tree.values == (10, 9, 5, 0, 4, 8, 7, 6, 3, 2, 1)
         assert time.perf_counter() - start < 1.0
 
 

@@ -300,11 +300,10 @@ def test_relations_compare_cached_readings(monkeypatch):
         ))
         readings = (persistence_diagram(f), homological_sequence(g), a.shape_code(), b.impasse_count())
         # one computation of each reading per function, the first time; a
-        # merge tree's code is stored, and no reading builds its root
+        # merge tree is its code and values, and has no reading to compute
         assert counts == {name: 2 for name in (
             "_partition", "sweep", "gradient_vector_field", "_betti", "_diagram",
         )}
-        assert counts["root"] == 0
     assert verdicts == [(True, False, True, True)] * 3
     diagram, sequence, code, impasses = readings
     assert (diagram.pairs, sequence.b0_values, code, impasses) == (((0, INF), (2, 5)), (1, 2, 1), "(••)", 1)
@@ -330,17 +329,14 @@ def test_threads_racing_to_a_first_read_get_one_object():
     # every one of them must get the object stored first
     *_, corpus = helpers.small_corpus()[-1]
     functions = [MorseFunction(f.domain, f.values) for f, _, _ in corpus[:300]]
-    # merge trees whose root, built on its first read, no one has read yet
-    trees = [induce_merge_tree(f) for f, _, _ in corpus[:300]]
-    assert not any("root" in vars(tree) for tree in trees)
     seen = [[] for _ in range(6)]
     start = threading.Barrier(len(seen))
 
     def read(out: list) -> None:
         start.wait(timeout=30)
         out.extend(
-            (persistence_diagram(f), homological_sequence(f), f.sweep, tree.root)
-            for f, tree in zip(functions, trees)
+            (persistence_diagram(f), homological_sequence(f), f.sweep)
+            for f in functions
         )
 
     interval = sys.getswitchinterval()

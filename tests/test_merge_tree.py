@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 import helpers
 from treemorse import (
-    MergeNode,
     MergeTree,
     MorseFunction,
     build_tree,
@@ -24,7 +22,6 @@ from treemorse import (
     forman_equivalent,
     homological_sequence,
     induce_merge_tree,
-    lr_sequence,
     merge_equivalent,
     parse_morse_document,
     parse_shape_code,
@@ -43,41 +40,20 @@ from treemorse.errors import (
 )
 
 
-def expect(node: MergeNode, value) -> MergeNode:
-    # the node's tag is the position it was reached by: L for the root and
-    # every .left, R for every .right
-    assert node.value == value
-    return node
-
-
 def test_deep_example_structure():
     tree = induce_merge_tree(helpers.deep_function())
-    root = expect(tree.root, 10)
-    nine = expect(root.left, 9)
-    three = expect(root.right, 3)
-    five = expect(nine.left, 5)
-    eight = expect(nine.right, 8)
-    expect(five.left, 0)
-    expect(five.right, 4)
-    expect(eight.left, 7)
-    expect(eight.right, 6)
-    expect(three.left, 2)
-    expect(three.right, 1)
+    # read by position: the root and every left child are tagged L, every
+    # right child R
     assert tree.shape_code() == "(((••)(••))(••))"
+    assert tree.values == (10, 9, 5, 0, 4, 8, 7, 6, 3, 2, 1)
     assert tree.impasse_count() == 3
     assert not tree.is_thin()
 
 
 def test_narrow_example_structure():
     tree = induce_merge_tree(helpers.narrow_function())
-    root = expect(tree.root, 6)
-    five = expect(root.left, 5)
-    expect(root.right, 2)
-    expect(five.left, 0)
-    four = expect(five.right, 4)
-    expect(four.left, 3)
-    expect(four.right, 1)
     assert tree.shape_code() == "((•(••))•)"
+    assert tree.values == (6, 5, 0, 4, 3, 1, 2)
     assert tree.impasse_count() == 1
     assert tree.is_thin()
 
@@ -88,28 +64,26 @@ def test_single_edge_merge_tree():
         {"u": 0, "v": 1, ("u", "v"): 2},
     )
     tree = induce_merge_tree(f)
-    root = expect(tree.root, 2)
-    expect(root.left, 0)
-    expect(root.right, 1)
     assert tree.shape_code() == "(••)"
+    assert tree.values == (2, 0, 1)
     assert tree.is_thin()
 
 
 def test_path_functions_lean_by_edge_order():
     left = induce_merge_tree(helpers.left_path_function())
     assert left.shape_code() == "((••)•)"
-    assert helpers.values_preorder(left) == [4, 3, 0, 1, 2]
+    assert left.values == (4, 3, 0, 1, 2)
 
     right = induce_merge_tree(helpers.right_path_function())
     assert right.shape_code() == "(•(••))"
     # at the R-tagged join the min-holding side keeps R, so 1 sits right of 2
-    assert helpers.values_preorder(right) == [4, 0, 3, 2, 1]
+    assert right.values == (4, 0, 3, 2, 1)
 
 
 def test_gapped_path_merge_tree():
     tree = induce_merge_tree(helpers.gapped_path_function())
     assert tree.shape_code() == "((••)•)"
-    assert helpers.values_preorder(tree) == [4, 2, 0, 1, 3]
+    assert tree.values == (4, 2, 0, 1, 3)
 
 
 def test_paired_edges_do_not_appear():
@@ -122,18 +96,15 @@ def test_paired_edges_do_not_appear():
          ("a", "b"): 4, ("b", "c"): 5, ("c", "d"): 3},
     )
     merge = induce_merge_tree(f)
-    root = expect(merge.root, 5)
-    four = expect(root.left, 4)
-    expect(root.right, 2)
-    expect(four.left, 0)
-    expect(four.right, 1)
+    assert merge.shape_code() == "((••)•)"
+    assert merge.values == (5, 4, 0, 1, 2)
 
 
 def test_single_vertex_merge_tree():
     f = validate(build_tree(["a"], []), {"a": 0})
     tree = induce_merge_tree(f)
-    assert tree.root.is_leaf
-    assert tree.root.value == 0
+    assert tree.shape_code() == "•"
+    assert tree.values == (0,)
     assert tree.node_count == 1
     assert tree.impasse_count() == 0
 
@@ -149,8 +120,7 @@ def test_fully_paired_path_collapses_to_a_point():
     )
     for f in (path, single_edge):
         merge = induce_merge_tree(f)
-        assert merge.node_count == 1
-        assert merge.root.value == 0
+        assert (merge.shape_code(), merge.values) == ("•", (0,))
 
 
 UNVALIDATED_CASES = [
@@ -265,7 +235,7 @@ def test_unvalidated_functions_raise_exactly_when_validate_does():
                     continue
                 merge, validated = induce_merge_tree(f), induce_merge_tree(g)
                 assert merge.shape_code() == validated.shape_code()
-                assert helpers.values_preorder(merge) == helpers.values_preorder(validated)
+                assert merge.values == validated.values
                 assert persistence_diagram(f) == persistence_diagram(g)
                 assert homological_sequence(f) == homological_sequence(g)
 
@@ -298,13 +268,21 @@ def all_shape_codes(leaf_count: int) -> list[str]:
     return out
 
 
+def all_shapes(leaf_count: int) -> list:
+    """The full binary trees of all_shape_codes, in its order, as value-free nodes."""
+    if leaf_count == 1:
+        return [helpers.Node(None)]
+    return [helpers.Node(None, a, b) for k in range(1, leaf_count)
+            for a in all_shapes(k) for b in all_shapes(leaf_count - k)]
+
+
 def test_shape_code_round_trip():
     for leaves in range(1, 6):
         for code in all_shape_codes(leaves):
             tree = parse_shape_code(code)
             assert tree.shape_code() == code
-            assert len(tree.leaves()) == leaves
-            assert tree.node_count - len(tree.leaves()) == leaves - 1
+            assert tree.values == (None,) * (2 * leaves - 1)
+            assert tree.node_count == 2 * leaves - 1
 
 
 def test_parse_shape_code_of_a_deep_tree():
@@ -312,78 +290,39 @@ def test_parse_shape_code_of_a_deep_tree():
     for code in ("(" * 3000 + "•" + "•)" * 3000, "(•" * 3000 + "•" + ")" * 3000):
         tree = parse_shape_code(code)
         assert tree.shape_code() == code
-        assert len(tree.leaves()) == 3001
+        assert tree.values == (None,) * 6001
+
+
+def path_merge_tree(n: int) -> MergeTree:
+    """The n-vertex path valued in vertex order, then edge order: a left
+    chain of joins, each with a new right leaf, n - 1 levels deep."""
+    names = [f"v{i:04d}" for i in range(n)]
+    tree = build_tree(names, zip(names, names[1:]))
+    values = dict(zip(names, range(n)))
+    values.update(zip(sorted(tree.edges), range(n, 2 * n - 1)))
+    return induce_merge_tree(validate(tree, values))
 
 
 def test_repr_of_a_deep_merge_tree_needs_no_recursion():
-    # the n-vertex path valued in vertex order, then edge order: a left
-    # chain of joins, each with a new right leaf, n - 1 levels deep
-    def path_merge_tree(n: int) -> MergeTree:
-        names = [f"v{i:04d}" for i in range(n)]
-        tree = build_tree(names, zip(names, names[1:]))
-        values = dict(zip(names, range(n)))
-        values.update(zip(sorted(tree.edges), range(n, 2 * n - 1)))
-        return induce_merge_tree(validate(tree, values))
-
-    def leaf(value) -> str:
-        return f"MergeNode(value={value!r}, left=None, right=None)"
-
-    shallow = path_merge_tree(50)
-    assert repr(shallow) == f"MergeTree(root={shallow.root!r})"
-    deep = path_merge_tree(2_000)
-    assert repr(deep) == "".join([
-        "MergeTree(root=", *(f"MergeNode(value={2_000 + k}, left=" for k in reversed(range(1_999))),
-        leaf(0), *(f", right={leaf(i)})" for i in range(1, 2_000)), ")",
-    ])
-    assert "root" not in vars(deep)
-    for tree in (MergeTree(deep.root), parse_shape_code("(•" * 3000 + "•" + ")" * 3000)):
-        assert repr(tree).count("MergeNode(") == tree.node_count
-    # a node's repr is the text its tree's repr shows, at 2,000 levels too
-    assert repr(deep.root) == repr(deep)[len("MergeTree(root="):-1]
+    # a MergeTree shows its two flat fields, however deep the tree
+    deep = path_merge_tree(3_001)
+    code, values = "(" * 3_000 + "•" + "•)" * 3_000, (*range(6_000, 3_000, -1), *range(3_001))
+    assert (deep.code, deep.values) == (code, values)
+    assert repr(deep) == f"MergeTree(code={code!r}, values={values!r})"
+    tree = induce_merge_tree(big_caterpillar())
+    assert tree.node_count > 99_000
+    assert repr(tree) == f"MergeTree(code={tree.code!r}, values={tree.values!r})"
+    # equal fields, equal trees, however each was built
+    assert MergeTree(code, values) == deep and hash(MergeTree(code, values)) == hash(deep)
 
 
-# the NamedTuple that MergeNode is, with the repr NamedTuple gives it
-PlainNode = namedtuple("MergeNode", ["value", "left", "right"], defaults=(None, None))
-
-
-def plain(node):
-    """node rebuilt from PlainNodes, one level per call; anything else as it is."""
-    if not isinstance(node, MergeNode):
-        return node
-    return PlainNode(node.value, plain(node.left), plain(node.right))
-
-
-def relabel(node: MergeNode, values) -> MergeNode:
+def relabel(node, values):
     """node's shape with the next of values at each node, in preorder."""
     value = next(values)
     if node.left is None:
-        return MergeNode(value)
+        return helpers.Node(value)
     left = relabel(node.left, values)
-    return MergeNode(value, left, relabel(node.right, values))
-
-
-def test_repr_of_a_merge_node_is_the_namedtuple_repr():
-    odd = [2.0, 2.5, Fraction(7, 3), 10**400, None, "{}", True, -0.0]
-    roots = [relabel(parse_shape_code(code).root, itertools.cycle(odd[k:] + odd[:k]))
-             for leaves in range(1, 6) for code in all_shape_codes(leaves) for k in range(len(odd))]
-    roots += [induce_merge_tree(f).root for f in (helpers.deep_function(), helpers.narrow_function())]
-    roots.append(MergeNode("•", MergeNode(")"), MergeNode("(")))
-    for root in roots:
-        assert repr(root) == repr(MergeTree(root))[len("MergeTree(root="):-1] == repr(plain(root))
-    leaf = MergeNode(1)
-    for node in (  # hand-built nodes no MergeTree accepts: one child, a child that is no node, a shared node
-        MergeNode(0, leaf), MergeNode(0, None, leaf), MergeNode(0, MergeNode(1, "(", [")"]), leaf),
-        MergeNode(0, "?", MergeNode(2, leaf, None)), MergeNode(3, leaf, leaf),
-    ):
-        assert repr(node) == repr(plain(node))
-    # 2,000 levels of one-child nodes, each walked once without recursion
-    chain = MergeNode(0)
-    for value in range(1, 2_000):
-        chain = MergeNode(value, chain)
-    assert repr(chain) == "".join([
-        *(f"MergeNode(value={value}, left=" for value in reversed(range(1, 2_000))),
-        "MergeNode(value=0, left=None, right=None)", ", right=None)" * 1_999,
-    ])
+    return helpers.Node(value, left, relabel(node.right, values))
 
 
 def test_shape_code_is_taken_once():
@@ -443,26 +382,26 @@ def diagram_off_the_merge_tree(tree: MergeTree) -> tuple:
     """The elder rule read off a merge tree's positions: at a join tagged t
     the child on side t is the heir; the other child's least leaf dies at
     the join's value, and the least leaf of all lives forever."""
-    order, stack = [], [(tree.root, "L")]
-    while stack:
-        node, tag = stack.pop()
-        order.append((node, tag))
-        if node.left is not None:
-            stack.append((node.left, "L"))
-            stack.append((node.right, "R"))
-    # the preorder above visits the right subtree before the left, so its
-    # reverse meets the left subtree, then the right, then the node: each
-    # join finds its children's least leaves on top of the stack
-    least, pairs = [], []
-    for node, tag in reversed(order):
-        if node.left is None:
-            least.append(node.value)
+    # one pass over the code: a join's first child is tagged L, and whatever
+    # follows a leaf or a closed join is a right child, tagged R
+    joins, least, pairs = [], [[]], []  # least: per open join, its finished children's least leaves
+    values, tag = iter(tree.values), "L"
+    for c in tree.code:
+        if c == "(":
+            joins.append((next(values), tag))
+            least.append([])
+            tag = "L"
             continue
-        right, left = least.pop(), least.pop()
-        heir, other = (left, right) if tag == "L" else (right, left)
-        pairs.append((other, node.value))
-        least.append(min(heir, other))
-    pairs.append((least.pop(), math.inf))
+        if c == ")":
+            value, joined = joins.pop()
+            left, right = least.pop()
+            heir, other = (left, right) if joined == "L" else (right, left)
+            pairs.append((other, value))
+            least[-1].append(min(heir, other))
+        else:
+            least[-1].append(next(values))
+        tag = "R"
+    pairs.append((least[0][0], math.inf))
     return tuple(sorted(pairs))
 
 
@@ -568,18 +507,35 @@ def test_removing_the_top_edge_splits_the_shape_code():
         gc.enable()
 
 
+def joins_of_two_leaves(code: str) -> int:
+    """The impasses of a shape code, counted by a walk that keeps each open
+    join's finished children, True for a leaf, rather than by matching text."""
+    children, count = [[]], 0
+    for c in code:
+        if c == "(":
+            children.append([])
+        elif c == ")":
+            count += children.pop() == [True, True]
+            children[-1].append(False)
+        else:
+            children[-1].append(True)
+    return count
+
+
 @functools.cache
 def impasse_cases() -> tuple:
-    """(merge tree, its function or None, len(tree.impasses())) for the
-    reference tree of every function in the shared small corpus and the
-    induced tree of its collapsed twin, every shape with up to seven leaves
-    parsed from its code, and a 10^5-simplex caterpillar's tree."""
-    cases = [(reference, f) for *_, functions in helpers.small_corpus() for f, _, reference in functions]
+    """(merge tree, its function or None, its joins_of_two_leaves) for the
+    reference tree of every function in the shared small corpus, as a
+    MergeTree of its code and values, and the induced tree of its collapsed
+    twin, every shape with up to seven leaves parsed from its code, and a
+    10^5-simplex caterpillar's tree."""
+    cases = [(MergeTree(helpers.reference_shape_code(root), helpers.reference_values(root)), f)
+             for *_, functions in helpers.small_corpus() for f, _, root in functions]
     cases += [(induce_merge_tree(g), g) for *_, functions in helpers.small_corpus() for _, g, _ in functions]
     cases += [(parse_shape_code(code), None) for leaves in range(1, 8) for code in all_shape_codes(leaves)]
     big = big_caterpillar()
     cases.append((induce_merge_tree(big), big))
-    return tuple((tree, f, len(tree.impasses())) for tree, f in cases)
+    return tuple((tree, f, joins_of_two_leaves(tree.code)) for tree, f in cases)
 
 
 def test_impasse_count_reads_the_shape_code():
@@ -598,60 +554,52 @@ def test_parse_shape_code_rejects_malformed():
             parse_shape_code(bad)
 
 
+def test_parse_shape_code_refuses_non_strings():
+    # a list of the code's characters counts and indexes like the code, and
+    # bytes hold its UTF-8; neither is a code
+    for bad in [None, 5, b"\xe2\x80\xa2", ["(", "•", "•", ")"]]:
+        with pytest.raises(MalformedMergeTreeError, match=f"must be a str, not {type(bad).__name__}"):
+            parse_shape_code(bad)
+
+
 def test_malformed_merge_trees_are_refused():
     # a node's tag is its position, so a misplaced tag cannot be written;
-    # what can still go wrong is the number of children and their type
-    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
-        MergeTree(MergeNode(2, MergeNode(1, MergeNode(0), None), MergeNode(1)))
-    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
-        MergeTree(MergeNode(1, None, MergeNode(0)))
-    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not str"):
-        MergeTree(MergeNode(1, MergeNode(0), "x"))
-    # a tag string given where the left child belongs
-    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not str"):
-        MergeTree(MergeNode(None, "L", MergeNode(0)))
-    with pytest.raises(MalformedMergeTreeError, match="must be a MergeNode, not tuple"):
-        MergeTree((0, None, None))
-    # a node object used twice makes a DAG, whose walk doubles per shared level
-    leaf = MergeNode(0)
-    with pytest.raises(MalformedMergeTreeError, match="appears twice"):
-        MergeTree(MergeNode(1, leaf, leaf))
-    x = MergeNode(0)
-    for i in range(1, 61):
-        x = MergeNode(i, x, x)
-    with pytest.raises(MalformedMergeTreeError, match="appears twice"):
-        MergeTree(x)
+    # what can still go wrong is the code, its type and the number of values
+    for code, message in [
+        ("((••)", "truncated shape code"),
+        ("(•x)", "unexpected character 'x' at position 2"),
+        ("(•••)", "unbalanced parentheses at position 3"),
+        ("(••)•", "trailing characters after position 4"),
+    ]:
+        with pytest.raises(MalformedMergeTreeError) as raised:
+            MergeTree(code, (None,) * 5)
+        assert str(raised.value) == message
+    with pytest.raises(MalformedMergeTreeError, match="must be a str, not list"):
+        MergeTree(["(", "•", "•", ")"], (0, 1, 2))
+    for values in [(), (2, 0), (2, 0, 1, None)]:
+        with pytest.raises(MalformedMergeTreeError, match=f"3 nodes needs 3 values, not {len(values)}"):
+            MergeTree("(••)", values)
+    # a chain 3,000 joins deep is checked without recursion
+    assert MergeTree("(•" * 3000 + "•" + ")" * 3000, range(6001)).values == tuple(range(6001))
     assert issubclass(MalformedMergeTreeError, ValueError)
 
 
 def test_library_builders_skip_the_full_binary_check(monkeypatch):
     checks = []
     init = MergeTree.__init__
-    monkeypatch.setattr(MergeTree, "__init__", lambda tree, root: checks.append(tree) or init(tree, root))
+    monkeypatch.setattr(
+        MergeTree, "__init__", lambda tree, code, values: checks.append(code) or init(tree, code, values)
+    )
     point = validate(build_tree(["a"], []), {"a": 0})
     for f in (point, helpers.deep_function(), helpers.narrow_function(), helpers.star_function()):
         induce_merge_tree(f)
-    parse_shape_code("((••)(••))")
     thin_from_lr("LRRL")
     assert checks == []
-    # built by hand, the tree is still checked
-    with pytest.raises(MalformedMergeTreeError, match="zero or two children"):
-        MergeTree(MergeNode(1, MergeNode(2), None))
-    assert len(checks) == 1
-
-
-def test_merge_nodes_are_immutable_and_compared_by_identity():
-    # a thin tree's leaves are equal in value, and NamedTuple equality
-    # would compare whole subtrees
-    a, b = MergeNode(1), MergeNode(1)
-    assert a != b and not a == b
-    assert a == a
-    assert hash(a) != hash(b)
-    assert len({a: 0, b: 1}) == 2
-    with pytest.raises(AttributeError):
-        a.value = 2
-    assert a.left is None and a.right is None
-    assert a.is_leaf and not a.is_impasse
+    # a code from outside is checked: one to parse and one given by hand
+    parse_shape_code("((••)(••))")
+    with pytest.raises(MalformedMergeTreeError, match="unbalanced parentheses"):
+        MergeTree("(•••)", (None,) * 5)
+    assert checks == ["((••)(••))", "(•••)"]
 
 
 def test_to_dot_layout():
@@ -727,21 +675,37 @@ def test_text_and_dot_renderings_read_tags_off_positions():
     assert value_free.to_dot() == VALUE_FREE_DOT
 
 
-def assert_renders_as(tree: MergeTree, root: MergeNode, text: bool = True) -> None:
-    """The tree's code and renderings equal the node-walk oracles' on root."""
+def assert_renders_as(tree: MergeTree, root, text: bool = True) -> None:
+    """The tree's code, values and renderings equal the node-walk oracles' on root."""
     assert tree.shape_code() == helpers.reference_shape_code(root)
+    assert tree.values == helpers.reference_values(root)
     assert tree.to_dot() == helpers.reference_dot(root)
     if text:
         assert tree.to_text() == helpers.reference_text(root)
 
 
-def thin_root(seq: str) -> MergeNode:
-    """The thin tree of an LR string built from MergeNodes, impasse first:
+def thin_root(seq: str):
+    """The value-free thin tree of an LR string as nodes, impasse first:
     entry i says on which side internal node i + 1 hangs below node i."""
-    node = MergeNode(None, MergeNode(None), MergeNode(None))
+    leaf = helpers.Node(None)
+    node = helpers.Node(None, leaf, leaf)
     for step in reversed(seq):
-        node = MergeNode(None, node, MergeNode(None)) if step == "L" else MergeNode(None, MergeNode(None), node)
+        node = helpers.Node(None, node, leaf) if step == "L" else helpers.Node(None, leaf, node)
     return node
+
+
+def nodes_of(tree: MergeTree):
+    """The tree's root as a helpers.Node, built from its code and values with
+    an explicit stack, so at any depth."""
+    values, open_joins = iter(tree.values), [[]]  # per open join: its value, then its finished children
+    for c in tree.code:
+        if c == "(":
+            open_joins.append([next(values)])
+        else:
+            node = helpers.Node(*open_joins.pop()) if c == ")" else helpers.Node(next(values))
+            open_joins[-1].append(node)
+    (root,) = open_joins[0]
+    return root
 
 
 def bench_documents(seed: int) -> list:
@@ -760,12 +724,11 @@ def test_renderings_match_the_node_walk_oracles():
     # a walk over the nodes of an independently built tree gives
     for *_, functions in helpers.small_corpus():
         for f, g, reference in functions:
-            assert_renders_as(induce_merge_tree(f), reference.root)
-            assert_renders_as(induce_merge_tree(g), helpers.reference_merge_tree(g).root)
+            assert_renders_as(induce_merge_tree(f), reference)
+            assert_renders_as(induce_merge_tree(g), helpers.reference_merge_tree(g))
     for leaves in range(1, 8):
-        for code in all_shape_codes(leaves):
-            tree = parse_shape_code(code)
-            assert_renders_as(tree, tree.root)
+        for code, shape in zip(all_shape_codes(leaves), all_shapes(leaves), strict=True):
+            assert_renders_as(parse_shape_code(code), shape)
     for length in range(9):
         for steps in itertools.product("LR", repeat=length):
             assert_renders_as(thin_from_lr("".join(steps)), thin_root("".join(steps)))
@@ -773,57 +736,41 @@ def test_renderings_match_the_node_walk_oracles():
     # integral or not, a Fraction, an int past a float's range, and None
     odd = [2.0, 2.5, Fraction(7, 3), 10**400, None]
     for leaves in range(1, 5):
-        for code in all_shape_codes(leaves):
+        for code, shape in zip(all_shape_codes(leaves), all_shapes(leaves)):
             for k in range(len(odd)):
-                root = relabel(parse_shape_code(code).root, itertools.cycle(odd[k:] + odd[:k]))
-                assert_renders_as(MergeTree(root), root)
+                values = list(itertools.islice(itertools.cycle(odd[k:] + odd[:k]), 2 * leaves - 1))
+                assert_renders_as(MergeTree(code, values), relabel(shape, iter(values)))
     names = ["a", "b", "c", "d"]
     f = validate(build_tree(names, zip(names, names[1:])), {
         "a": 2.0, "b": Fraction(1, 3), "c": 2.5, "d": 10**400,
         ("a", "b"): Fraction(7, 3), ("b", "c"): 3.0, ("c", "d"): 10**400 + 1,
     })
-    assert_renders_as(induce_merge_tree(f), helpers.reference_merge_tree(f).root)
+    assert_renders_as(induce_merge_tree(f), helpers.reference_merge_tree(f))
     assert induce_merge_tree(f).to_text().splitlines()[:2] == [f"{10**400 + 1} L", "  3 L"]
-    # at 2,000 vertices and at 10^5 simplices the nodes are the ones root
-    # builds from the code and values; text is left out at 10^5, where it
-    # grows with the square of the depth
+    # at 2,000 vertices and at 10^5 simplices the nodes are those built from
+    # the code and values; text is left out at 10^5, where it grows with the
+    # square of the depth
     gc.disable()
     try:
         for doc in bench_documents(1):
             tree = induce_merge_tree(parse_morse_document(json.dumps(doc)))
             assert tree.node_count > 1_000
-            assert_renders_as(tree, tree.root)
+            assert_renders_as(tree, nodes_of(tree))
         tree = induce_merge_tree(big_caterpillar())
-        assert_renders_as(tree, tree.root, text=False)
-        by_hand = MergeTree(tree.root)
+        assert_renders_as(tree, nodes_of(tree), text=False)
+        by_hand = MergeTree(tree.code, tree.values)
+        assert by_hand == tree
         assert (by_hand.shape_code(), by_hand.to_dot()) == (tree.shape_code(), tree.to_dot())
     finally:
         gc.enable()
 
 
-def test_no_library_reading_builds_nodes():
-    # comparing, counting, rendering and repr read the stored code and
-    # values; only root, nodes(), leaves() and impasses() build MergeNodes
-    trees = [induce_merge_tree(f) for f in (
-        helpers.deep_function(), helpers.narrow_function(), validate(build_tree(["a"], []), {"a": 0}),
-    )]
-    trees += [thin_from_lr(seq) for seq in ("", "L", "RRL", "LRLR")]
-    for tree in trees:
-        tree.shape_code(), tree.impasse_count(), tree.node_count, tree.to_text(), tree.to_dot(), repr(tree)
-        merge_equivalent(tree, trees[0])
-        if tree.is_thin():
-            lr_sequence(tree)
-        assert "root" not in vars(tree)
-    assert [lr_sequence(tree) for tree in trees[3:]] == ["", "L", "RRL", "LRLR"]
-    assert trees[0].root is trees[0].root and "root" in vars(trees[0])
-
-
-def assert_same_merge_tree(actual: MergeTree, expected: MergeTree) -> None:
-    MergeTree(actual.root)  # revalidates the assembled tree
+def assert_same_merge_tree(actual: MergeTree, reference) -> None:
+    assert MergeTree(actual.code, actual.values) == actual  # the constructor rechecks the assembled code
     # equal codes and equal preorder values: the same values in the same
     # positions, so under the same tags
-    assert actual.shape_code() == expected.shape_code()
-    assert helpers.values_preorder(actual) == helpers.values_preorder(expected)
+    assert actual.shape_code() == helpers.reference_shape_code(reference)
+    assert actual.values == helpers.reference_values(reference)
 
 
 def test_sweep_matches_reference_on_small_trees():
@@ -857,4 +804,4 @@ def test_sweep_matches_reference_on_random_functions(data):
         reference = helpers.reference_merge_tree(function)
         assert_same_merge_tree(merge, reference)
         assert merge.node_count == len(function.critical_simplices)
-        assert function.sweep.impasse_count() == reference.impasse_count()
+        assert function.sweep.impasse_count() == joins_of_two_leaves(helpers.reference_shape_code(reference))

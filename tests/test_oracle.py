@@ -40,6 +40,13 @@ def single_edge():
     return build_tree(["u", "v"], [("u", "v")])
 
 
+def impasse_values(code: str, values: tuple) -> list:
+    """The value of each join written "(••)" in code, read from the preorder
+    values at its position: the k-th node is the k-th character not ")"."""
+    at = [i for i, c in enumerate(code) if c != ")"]
+    return [values[k] for k, i in enumerate(at) if code.startswith("(••)", i)]
+
+
 NON_TREES = {
     "triangle": ({"a", "b", "c"}, {("a", "b"), ("b", "c"), ("a", "c")}),
     "two isolated vertices": ({"a", "b"}, set()),
@@ -129,10 +136,13 @@ def test_sweep_matches_both_merge_tree_builders():
             f = validate(tree, f.values)
             # critical labelings are injective, so values name simplices
             simplex_at = {value: s for s, value in f.values.items()}
-            for built, merge in ((induced, induce_merge_tree(f)), (referenced, reference)):
-                on = frozenset(w for m in merge.impasses() for w in simplex_at[m.value])
-                impasses = merge.impasse_count(), f.sweep.impasse_count()
-                built[(merge.shape_code(), merge.node_count, *impasses, on)] += 1
+            merge, reference_code = induce_merge_tree(f), helpers.reference_shape_code(reference)
+            for built, code, values, impasses in (
+                (induced, merge.shape_code(), merge.values, merge.impasse_count()),
+                (referenced, reference_code, helpers.reference_values(reference), reference_code.count("(••)")),
+            ):
+                on = frozenset(w for value in impasse_values(code, values) for w in simplex_at[value])
+                built[(code, len(values), impasses, f.sweep.impasse_count(), on)] += 1
         for built in (induced, referenced):
             assert built == weighted, edges
     assert sum(len(functions) for *_, functions in helpers.small_corpus()) == 26_179
@@ -229,9 +239,13 @@ def test_every_tally_entry_has_a_witness():
                 f = validate(tree, {simplices[s]: label for label, s in enumerate(order)})
                 simplex_at = {value: s for s, value in f.values.items()}
                 on = {simplices[v] for v in range(n) if on_impasse >> v & 1}
-                for merge in (induce_merge_tree(f), helpers.reference_merge_tree(f)):
-                    assert merge.shape_code() == code, (edges, order)
-                    assert {w for m in merge.impasses() for w in simplex_at[m.value]} == on, (edges, order)
+                merge, reference = induce_merge_tree(f), helpers.reference_merge_tree(f)
+                for written, values in (
+                    (merge.shape_code(), merge.values),
+                    (helpers.reference_shape_code(reference), helpers.reference_values(reference)),
+                ):
+                    assert written == code, (edges, order)
+                    assert {w for value in impasse_values(code, values) for w in simplex_at[value]} == on, (edges, order)
                 entries += 1
     assert entries == 1_059
 
@@ -343,7 +357,7 @@ def test_state_search_matches_the_sweep():
     # labeling, so the reference shapes of its labelings are the oracle for
     # the count
     for _, edges, tree, functions in helpers.small_corpus():
-        swept = {reference.shape_code() for _, _, reference in functions}
+        swept = {helpers.reference_shape_code(reference) for _, _, reference in functions}
         assert count_merge_classes(tree) == len(swept), edges
 
 

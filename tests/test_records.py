@@ -8,7 +8,6 @@ import pytest
 
 from treemorse import (
     GradientVectorField,
-    MergeNode,
     MergeTree,
     MorseFunction,
     SimplicialTree,
@@ -75,9 +74,17 @@ RECORDS = [
         "InvariantReport(function_count=2, checks=[PropertyCheck(name='demo', checked=0, "
         "failed=0, witnesses=[])], min_impasse_count=0, max_impasse_count=1, matching_number=1)",
     ),
+    (
+        MergeTree, ("code", "values"),
+        lambda: ("((••)•)", (4, 3, 0, 1, 2.5)),
+        lambda: ("(•(••))", (4, 3, 0, 1, 2.5)),
+        "MergeTree(code='((••)•)', values=(4, 3, 0, 1, 2.5))",
+    ),
 ]
-FROZEN = (SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MorseFunction, StarGraph)
-HASHABLE = (SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, StarGraph)
+FROZEN = (
+    SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MorseFunction, MergeTree, StarGraph,
+)
+HASHABLE = (SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MergeTree, StarGraph)
 
 
 @pytest.mark.parametrize("cls, names, make, other, shown", RECORDS, ids=lambda x: getattr(x, "__name__", None))
@@ -117,21 +124,6 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, names, make, other, 
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert [getattr(record, name) for name in names] == list(make())
-
-
-def test_merge_trees_compare_by_identity():
-    root = MergeNode(1, MergeNode(0), MergeNode(0.5))
-    tree, again = MergeTree(root), MergeTree(root=root)
-    assert tree == tree and not tree != tree
-    assert tree != again and not tree == again
-    assert hash(tree) == object.__hash__(tree)
-    assert len({tree, again}) == 2
-    assert repr(tree) == "MergeTree(root=MergeNode(value=1, left=MergeNode(value=0, left=None, right=None), " \
-        "right=MergeNode(value=0.5, left=None, right=None)))"
-    assert MergeTree.__match_args__ == ("root",)
-    for action in (lambda: setattr(tree, "root", root), lambda: delattr(tree, "root")):
-        with pytest.raises(AttributeError):
-            action()
 
 
 def test_each_property_check_gets_its_own_witness_list():

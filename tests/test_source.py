@@ -20,9 +20,9 @@ ORACLES = {
     "brute_matching_number", "brute_extensions", "extension_count",
     "strict_sublevel_component", "literal_critical", "reference_merge_tree",
     "reference_persistence_diagram", "reference_b0_sequence",
-    "reference_shape_code", "reference_text", "reference_dot",
+    "reference_shape_code", "reference_values", "reference_text", "reference_dot",
 }
-ORACLE_IMPORTS = {"MergeNode", "MergeTree", "MorseFunction", "SimplicialTree", "is_edge"}
+ORACLE_IMPORTS = {"MorseFunction", "SimplicialTree", "is_edge"}
 
 
 def _package_nodes():
@@ -99,6 +99,20 @@ def test_only_the_fold_orders_the_vertex_sets_by_size():
     assert found == ["_fold"]
 
 
+def test_a_merge_tree_has_one_representation():
+    # a MergeTree is its shape code and preorder values: merge_tree.py
+    # defines no class but MergeTree, and no node type survives anywhere
+    package = Path(treemorse.__file__).parent
+    classes = [
+        node.name
+        for node in ast.walk(ast.parse((package / "merge_tree.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert classes == ["MergeTree"]
+    assert [path.name for path in sorted(package.glob("*.py")) if "MergeNode" in path.read_text(encoding="utf-8")] == []
+    assert MergeTree._fields == ("code", "values")
+
+
 def test_package_does_not_use_functools_cached_property():
     # up to Python 3.11 it takes a lock on every first read; complexes._cached
     # takes none
@@ -128,7 +142,7 @@ def test_every_class_with_a_cached_reading_refuses_assignment():
                 readings = [name for name, member in vars(cls).items() if isinstance(member, _cached)]
                 if readings:
                     holders[cls.__name__] = (cls, readings)
-    assert {"SimplicialTree", "MorseFunction", "MergeTree"} <= holders.keys()
+    assert {"SimplicialTree", "MorseFunction"} <= holders.keys()
     assignable = []
     for name, (cls, readings) in sorted(holders.items()):
         bare = object.__new__(cls)

@@ -20,7 +20,7 @@ from treemorse import (
     thin_from_lr,
     validate,
 )
-from treemorse.errors import MalformedSequenceError, NotThinError
+from treemorse.errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
 
 
 def test_star_graph_shape():
@@ -31,6 +31,17 @@ def test_star_graph_shape():
     assert all(star.tree.degree(f"l{i}") == 1 for i in (1, 2, 3))
     with pytest.raises(ValueError):
         star_graph(0)
+
+
+def test_sizes_must_be_positive_integers():
+    # a bool is an int to compare and count, but no size; neither is a float
+    # or a string, whatever it holds
+    for build in (star_graph, enumerate_thin, count_realizable_on_star):
+        for bad in (True, False, 2.5, 3.0, "3", None, 0, -1):
+            with pytest.raises(NonPositiveSizeError, match=f"must be a positive integer, not {bad!r}"):
+                build(bad)
+    assert issubclass(NonPositiveSizeError, ValueError)
+    assert (star_graph(1).edge_count, len(enumerate_thin(1)), count_realizable_on_star(1)) == (1, 1, 1)
 
 
 def test_lr_of_examples():
@@ -55,12 +66,16 @@ def test_thin_from_lr_rejects_other_characters():
     for bad in ["LXR", "lr", "L R", "01"]:
         with pytest.raises(MalformedSequenceError):
             thin_from_lr(bad)
+    # a sequence of the right letters that is no str
+    for bad in [None, ["L", "R"], ("L",), b"LR", 5]:
+        with pytest.raises(MalformedSequenceError, match=f"must be a str, not {type(bad).__name__}"):
+            thin_from_lr(bad)
 
 
 def test_thin_from_lr_smallest_cases():
     point = thin_from_lr("")
     assert point.node_count == 3
-    assert point.root.is_impasse
+    assert point.values == (None, None, None)
     assert point.shape_code() == "(••)"
 
     left = thin_from_lr("L")
@@ -73,7 +88,7 @@ def test_thin_from_lr_of_a_deep_sequence():
     # 3,001 internal nodes: deeper than the recursion limit
     tree = thin_from_lr("L" * 3000)
     assert tree.impasse_count() == 1
-    assert tree.node_count - len(tree.leaves()) == 3001
+    assert tree.node_count - tree.shape_code().count("•") == 3001
     assert lr_sequence(tree) == "L" * 3000
 
 
@@ -83,18 +98,20 @@ def test_lr_round_trip_on_all_short_sequences():
             seq = "".join(steps)
             tree = thin_from_lr(seq)
             assert tree.is_thin()
-            assert tree.node_count - len(tree.leaves()) == length + 1
-            assert len(tree.leaves()) == length + 2
+            assert tree.node_count - tree.shape_code().count("•") == length + 1
+            assert tree.shape_code().count("•") == length + 2
             assert lr_sequence(tree) == seq
 
 
 def test_lr_sequence_matches_a_node_walk():
-    # lr_sequence reads the turns off the shape code; this walks the nodes
+    # lr_sequence splits the shape code at each "("; this walks down the
+    # path, one join at a time, until both children are leaves
     def walk(tree) -> str:
-        node, steps = tree.root, []
-        while not node.is_impasse:
-            # the one internal child continues the path
-            node, step = (node.right, "R") if node.left.is_leaf else (node.left, "L")
+        code, i, steps = tree.shape_code(), 0, []  # code[i] opens the join on the path
+        while not code.startswith("(••)", i):
+            # the one internal child continues the path; a leaf on the left
+            # puts the right child's "(" after it
+            i, step = (i + 2, "R") if code[i + 1] == "•" else (i + 1, "L")
             steps.append(step)
         return "".join(steps)
 
@@ -128,7 +145,7 @@ def test_enumerate_thin():
         codes = {t.shape_code() for t in trees}
         assert len(codes) == len(trees)
         assert all(t.is_thin() for t in trees)
-        assert all(t.node_count - len(t.leaves()) == n for t in trees)
+        assert all(t.node_count - t.shape_code().count("•") == n for t in trees)
     with pytest.raises(ValueError):
         enumerate_thin(0)
 
