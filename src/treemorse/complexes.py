@@ -34,19 +34,25 @@ def is_edge(simplex: Simplex) -> bool:
 
 
 class _Record:
-    """An immutable record of the fields ``_fields`` names, which a subclass's
-    ``__init__`` stores with ``object.__setattr__``: compared, hashed, shown
-    and matched by them, as a frozen dataclass is, without importing
-    dataclasses, which loads inspect and ast: a third of the import time.
+    """An immutable record of the fields ``_fields`` names, stored in the
+    instance dict: compared, hashed, shown and matched by them, as a frozen
+    dataclass is, without importing dataclasses, which loads inspect and ast:
+    a third of the import time. A subclass that inherits no ``__init__`` gets
+    one that takes the fields, by position or keyword, and stores them.
     """
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls._fields
+        cls.__match_args__ = fields = cls._fields
         # spelled out per class, as namedtuple and dataclasses do, so that each
         # field is a plain attribute load, which the interpreter specializes
-        mine, theirs = (", ".join(f"{side}.{name}" for name in cls._fields) for side in ("self", "other"))
+        mine, theirs = (", ".join(f"{side}.{name}" for name in fields) for side in ("self", "other"))
         cls.__eq__ = eval(f"lambda self, other: ({mine},) == ({theirs},) "
                           "if other.__class__ is self.__class__ else NotImplemented")
+        if cls.__init__ is object.__init__:
+            stores = "".join(f"\n d[{name!r}] = {name}" for name in fields)
+            exec(f"def __init__(self, {', '.join(fields)}):\n d = self.__dict__{stores}", space := {})
+            cls.__init__ = space["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # the name a TypeError gives
 
     def __hash__(self) -> int:
         return hash(tuple([getattr(self, name) for name in self._fields]))
@@ -121,8 +127,7 @@ class SimplicialTree(_Record):
             raise CycleDetectedError(f"{len(distinct)} edges on {len(vs)} vertices cannot be acyclic")
         if components != 1:
             raise NotConnectedError(f"graph has {components} components")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(distinct))
+        self.__dict__.update(vertices=vs, edges=frozenset(distinct))
 
     @property
     def simplex_count(self) -> int:

@@ -34,8 +34,8 @@ class MergeTree(_Record):
     values in preorder, None for a node without a value.
 
     Raises:
-        MalformedMergeTreeError: code is not a str or not a shape code, or
-            values does not hold one value per node.
+        MalformedMergeTreeError: code is not a str or not a shape code,
+            values does not hold one value per node, or a value is a bool.
     """
 
     _fields = ("code", "values")
@@ -45,8 +45,9 @@ class MergeTree(_Record):
         nodes = _node_count(code)
         if len(values) != nodes:
             raise MalformedMergeTreeError(f"a tree of {nodes} nodes needs {nodes} values, not {len(values)}")
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "values", values)
+        if bool in map(type, values):  # True == 1 would make trees that render differently equal
+            raise MalformedMergeTreeError("a node value is a bool, not a number")
+        self.__dict__.update(code=code, values=values)
 
     @property
     def node_count(self) -> int:
@@ -155,7 +156,7 @@ def merge_equivalent(a: MergeTree, b: MergeTree) -> bool:
 
 def parse_shape_code(code: str) -> MergeTree:
     """Inverse of shape_code, producing a value-free tree."""
-    return MergeTree(code, (None,) * _node_count(code))
+    return _stored(code, (None,) * _node_count(code))
 
 
 def induce_merge_tree(f: MorseFunction) -> MergeTree:

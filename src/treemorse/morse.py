@@ -44,9 +44,6 @@ class GradientVectorField(_Record):
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: frozenset[tuple[Vertex, Edge]]) -> None:
-        object.__setattr__(self, "pairs", pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -89,9 +86,6 @@ class HomologicalSequence(_Record):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-
     @property
     def b0_values(self) -> tuple[int, ...]:
         return self.entries
@@ -104,9 +98,6 @@ class PersistenceDiagram(_Record):
     """
 
     _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[float, float], ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
 
     def to_text(self) -> str:
         """One `birth death` pair per line, `inf` for infinite death."""
@@ -126,10 +117,6 @@ class MorseFunction(_Record):
     """
 
     _fields = ("domain", "values")
-
-    def __init__(self, domain: SimplicialTree, values: Mapping[Simplex, float]) -> None:
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
 
     def __call__(self, simplex: Simplex) -> float:
         return self.values[simplex]

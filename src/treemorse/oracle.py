@@ -237,12 +237,6 @@ class InvariantReport(_Record):
     _fields = ("function_count", "checks", "min_impasse_count", "max_impasse_count", "matching_number")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, function_count: int, checks: list[PropertyCheck],
-                 min_impasse_count: int, max_impasse_count: int, matching_number: int) -> None:
-        self.function_count, self.checks = function_count, checks
-        self.min_impasse_count, self.max_impasse_count = min_impasse_count, max_impasse_count
-        self.matching_number = matching_number
-
     @property
     def ok(self) -> bool:
         return all(c.failed == 0 for c in self.checks)

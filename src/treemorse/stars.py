@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import SimplicialTree, Vertex, _Record, build_tree, edge
+from .complexes import _Record, build_tree, edge
 from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH, MergeTree, _stored
 from .morse import MorseFunction, validate
@@ -22,10 +22,6 @@ class StarGraph(_Record):
     """A tree with one hub: every edge touches the center vertex."""
 
     _fields = ("tree", "center")
-
-    def __init__(self, tree: SimplicialTree, center: Vertex) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "center", center)
 
     @property
     def edge_count(self) -> int:

@@ -23,6 +23,7 @@ from treemorse import (
     homological_sequence,
     induce_merge_tree,
     merge_equivalent,
+    merge_tree,
     parse_morse_document,
     parse_shape_code,
     persistence_diagram,
@@ -564,7 +565,8 @@ def test_parse_shape_code_refuses_non_strings():
 
 def test_malformed_merge_trees_are_refused():
     # a node's tag is its position, so a misplaced tag cannot be written;
-    # what can still go wrong is the code, its type and the number of values
+    # what can still go wrong is the code, its type, the number of values
+    # and a boolean value
     for code, message in [
         ("((••)", "truncated shape code"),
         ("(•x)", "unexpected character 'x' at position 2"),
@@ -579,27 +581,37 @@ def test_malformed_merge_trees_are_refused():
     for values in [(), (2, 0), (2, 0, 1, None)]:
         with pytest.raises(MalformedMergeTreeError, match=f"3 nodes needs 3 values, not {len(values)}"):
             MergeTree("(••)", values)
+    # True == 1 and False == 0, so a tree of booleans would equal, and hash
+    # like, a tree of numbers that renders differently
+    assert MergeTree("(••)", (1, 0, 0.5)).to_text() == "1 L\n  0 L\n  0.5 R"
+    for values in [(True, False, 0.5), (1, False, 0.5), (None, None, True)]:
+        with pytest.raises(MalformedMergeTreeError, match="a node value is a bool, not a number"):
+            MergeTree("(••)", values)
     # a chain 3,000 joins deep is checked without recursion
     assert MergeTree("(•" * 3000 + "•" + ")" * 3000, range(6001)).values == tuple(range(6001))
     assert issubclass(MalformedMergeTreeError, ValueError)
 
 
 def test_library_builders_skip_the_full_binary_check(monkeypatch):
-    checks = []
-    init = MergeTree.__init__
+    checks, walks = [], []
+    init, node_count = MergeTree.__init__, merge_tree._node_count
     monkeypatch.setattr(
         MergeTree, "__init__", lambda tree, code, values: checks.append(code) or init(tree, code, values)
     )
+    monkeypatch.setattr(merge_tree, "_node_count", lambda code: walks.append(code) or node_count(code))
     point = validate(build_tree(["a"], []), {"a": 0})
     for f in (point, helpers.deep_function(), helpers.narrow_function(), helpers.star_function()):
         induce_merge_tree(f)
     thin_from_lr("LRRL")
-    assert checks == []
-    # a code from outside is checked: one to parse and one given by hand
-    parse_shape_code("((••)(••))")
+    assert checks == walks == []
+    # a code from outside is walked once: to parse it, outside the
+    # constructor, or when it is given by hand, inside it
+    tree = parse_shape_code("((••)(••))")
+    assert (tree.code, tree.values) == ("((••)(••))", (None,) * 7)
+    assert checks == [] and walks == ["((••)(••))"]
     with pytest.raises(MalformedMergeTreeError, match="unbalanced parentheses"):
         MergeTree("(•••)", (None,) * 5)
-    assert checks == ["((••)(••))", "(•••)"]
+    assert checks == ["(•••)"] and walks == ["((••)(••))", "(•••)"]
 
 
 def test_to_dot_layout():

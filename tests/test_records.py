@@ -85,6 +85,8 @@ FROZEN = (
     SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MorseFunction, MergeTree, StarGraph,
 )
 HASHABLE = (SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MergeTree, StarGraph)
+# the records whose constructor _Record writes, as they only store their fields
+STORING = (GradientVectorField, HomologicalSequence, PersistenceDiagram, MorseFunction, StarGraph, InvariantReport)
 
 
 @pytest.mark.parametrize("cls, names, make, other, shown", RECORDS, ids=lambda x: getattr(x, "__name__", None))
@@ -132,3 +134,20 @@ def test_each_property_check_gets_its_own_witness_list():
     first.witnesses.append("a=0")
     assert first.witnesses == ["a=0"] and second.witnesses == []
     assert (first.checked, first.failed) == (second.checked, second.failed) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "cls, names, make, other, shown", [r for r in RECORDS if r[0] in STORING], ids=lambda x: getattr(x, "__name__", None)
+)
+def test_written_constructors_store_the_fields_and_name_their_class(cls, names, make, other, shown):
+    assert cls(*make()).__dict__ == dict(zip(names, make()))
+    # the messages of a hand-written __init__(self, <fields>)
+    with pytest.raises(TypeError) as raised:
+        cls(*make()[:-1])
+    assert str(raised.value) == f"{cls.__name__}.__init__() missing 1 required positional argument: {names[-1]!r}"
+    with pytest.raises(TypeError) as raised:
+        cls(*make(), extra=None)
+    assert str(raised.value) == f"{cls.__name__}.__init__() got an unexpected keyword argument 'extra'"
+    with pytest.raises(TypeError) as raised:
+        cls(*make(), **{names[0]: make()[0]})
+    assert str(raised.value) == f"{cls.__name__}.__init__() got multiple values for argument {names[0]!r}"

@@ -113,6 +113,23 @@ def test_a_merge_tree_has_one_representation():
     assert MergeTree._fields == ("code", "values")
 
 
+def test_records_store_their_fields_one_way():
+    # _Record writes the constructor of a record that only stores its fields;
+    # a hand-written one checks them or gives defaults, and stores them
+    # through the instance dict, as the written ones do
+    records, constructors, calls = set(), set(), []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases):
+            records.add(node.name)
+            if any(isinstance(item, ast.FunctionDef) and item.name == "__init__" for item in node.body):
+                constructors.add(node.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+            calls.append(f"{path.name}:{node.lineno}")
+    assert len(records) == 9 and constructors == {"SimplicialTree", "MergeTree", "PropertyCheck"}
+    assert calls == []
+
+
 def test_package_does_not_use_functools_cached_property():
     # up to Python 3.11 it takes a lock on every first read; complexes._cached
     # takes none
