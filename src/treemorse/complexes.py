@@ -13,6 +13,7 @@ from .errors import (
     CycleDetectedError,
     LoopEdgeError,
     MultiEdgeError,
+    NonPositiveSizeError,
     NotConnectedError,
     UnknownVertexError,
 )
@@ -33,12 +34,19 @@ def is_edge(simplex: Simplex) -> bool:
     return isinstance(simplex, tuple)
 
 
+def _check_size(k: int, what: str) -> None:
+    """Refuse a size that is a bool, not an int, or below 1."""
+    if type(k) is bool or not isinstance(k, int) or k < 1:
+        raise NonPositiveSizeError(f"{what} must be a positive integer, not {k!r}")
+
+
 class _Record:
     """An immutable record of the fields ``_fields`` names, stored in the
     instance dict: compared, hashed, shown and matched by them, as a frozen
     dataclass is, without importing dataclasses, which loads inspect and ast:
-    a third of the import time. A subclass that inherits no ``__init__`` gets
-    one that takes the fields, by position or keyword, and stores them.
+    a third of the import time. Every record of the package is one. A
+    subclass that inherits no ``__init__`` gets one that takes the fields,
+    by position or keyword, and stores them.
     """
 
     def __init_subclass__(cls) -> None:

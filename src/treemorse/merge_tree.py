@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .complexes import _Record
 from .errors import MalformedMergeTreeError
-from .morse import MorseFunction, format_value
+from .morse import MorseFunction, _is_finite_real, format_value
 
 LEAF_GLYPH = "•"
 _IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves
@@ -35,18 +35,25 @@ class MergeTree(_Record):
 
     Raises:
         MalformedMergeTreeError: code is not a str or not a shape code,
-            values does not hold one value per node, or a value is a bool.
+            values is not iterable or does not hold one value per node, or
+            a value is neither None nor a finite real, as validate requires.
     """
 
     _fields = ("code", "values")
 
     def __init__(self, code: str, values) -> None:
-        values = tuple(values)
+        try:
+            items = iter(values)
+        except TypeError:
+            raise MalformedMergeTreeError(f"values must be iterable, not {type(values).__name__}") from None
+        values = tuple(items)
         nodes = _node_count(code)
         if len(values) != nodes:
             raise MalformedMergeTreeError(f"a tree of {nodes} nodes needs {nodes} values, not {len(values)}")
-        if bool in map(type, values):  # True == 1 would make trees that render differently equal
-            raise MalformedMergeTreeError("a node value is a bool, not a number")
+        for x in values:  # no bool: True == 1 would make trees that render differently equal
+            if x is not None and not _is_finite_real(x):
+                shown = "a bool, not a number" if type(x) is bool else f"{x!r}, not a finite real number"
+                raise MalformedMergeTreeError(f"a node value is {shown}")
         self.__dict__.update(code=code, values=values)
 
     @property
@@ -176,9 +183,9 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
         MorseValidationError: f was built without :func:`validate`, and its
             values break a Morse condition.
     """
-    joins, global_min, _ = f.sweep
+    joins = f.sweep.joins
     if not joins:
-        return _stored(LEAF_GLYPH, (global_min,))
+        return _stored(LEAF_GLYPH, (f.sweep.global_min,))
     code, values, stack = [], [], []
     # the walk goes down left children, each tagged L, and leaves on the
     # stack each join's ")" under its right child, tagged R; a label that

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .complexes import Edge, Simplex, SimplicialTree, Vertex, _cached, _Record
 from .errors import (
@@ -54,8 +54,18 @@ class GradientVectorField(_Record):
         return pair in self.pairs
 
 
-class Sweep(NamedTuple):
-    """What one increasing sublevel sweep records.
+def _is_finite_real(value) -> bool:
+    """Whether value is a real number and not a bool, NaN or an infinity; a
+    Rational is finite, and math.isfinite would overflow on a big one."""
+    kind = type(value)
+    if kind is int or kind is float:
+        return kind is int or math.isfinite(value)
+    return kind is not bool and isinstance(value, numbers.Real) and (
+        isinstance(value, numbers.Rational) or math.isfinite(value))
+
+
+class Sweep(_Record):
+    """What one increasing sublevel sweep records; unhashable, as joins is a dict.
 
     ``joins`` maps each critical edge value, in increasing order, to the two
     components that edge joins, heir first, as (heir label, other label,
@@ -68,9 +78,7 @@ class Sweep(NamedTuple):
     increasing order: on a forest, the whole Betti sequence.
     """
 
-    joins: dict[float, tuple[float, float, float]]
-    global_min: float
-    b0: tuple[int, ...]
+    _fields = ("joins", "global_min", "b0")
 
     def impasse_count(self) -> int:
         """The merge tree's impasses: joins of two critical vertex labels."""
@@ -150,12 +158,7 @@ class MorseFunction(_Record):
             for simplex, value in values.items():
                 if simplex not in vertices and simplex not in edges:
                     raise MissingValueError(f"value given for unknown simplex {simplex!r}")
-                kind = type(value)
-                # a Rational is finite, and math.isfinite would overflow on a big one
-                if kind is not int and not (kind is float and math.isfinite(value)) and (
-                    kind is bool or not isinstance(value, numbers.Real)
-                    or not (isinstance(value, numbers.Rational) or math.isfinite(value))
-                ):
+                if not _is_finite_real(value):
                     raise NotFiniteRealError(f"f({simplex!r}) = {value!r} is not a finite real number")
         late = [s for s, x in values.items() if type(s) is tuple and (values[s[0]] > x or values[s[1]] > x)]
         if late:
@@ -235,7 +238,7 @@ class MorseFunction(_Record):
                 b0.pop()
             live -= 1
             parent[root_v] = root_u
-        return tuple.__new__(Sweep, (joins, entries[0][1], tuple(b0)))  # not NamedTuple's Python __new__
+        return Sweep(joins, entries[0][1], tuple(b0))
 
     @_cached
     def _betti(self) -> HomologicalSequence:
@@ -245,9 +248,8 @@ class MorseFunction(_Record):
     @_cached
     def _diagram(self) -> PersistenceDiagram:
         """The persistence diagram; see :func:`treemorse.persistence_diagram`."""
-        joins, global_min, _ = self.sweep
-        pairs = [(born, value) for value, (_, _, born) in joins.items()] + [(global_min, math.inf)]
-        return PersistenceDiagram(tuple(sorted(pairs, key=itemgetter(0))))  # births are distinct vertex values
+        pairs = sorted((born, value) for value, (_, _, born) in self.sweep.joins.items())  # births are distinct
+        return PersistenceDiagram(((self.sweep.global_min, math.inf), *pairs))  # global_min is the least birth
 
     @_cached
     def critical_simplices(self) -> frozenset[Simplex]:

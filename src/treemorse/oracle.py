@@ -28,7 +28,7 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .complexes import Simplex, SimplicialTree, _Record
+from .complexes import Simplex, SimplicialTree, _check_size, _Record
 from .errors import BudgetExceededError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH
 from .morse import MorseFunction
@@ -39,7 +39,8 @@ WITNESS_CAP = 5
 
 
 def _vertex_ids(tree: SimplicialTree, budget: int) -> dict[Simplex, int]:
-    """{vertex: id} in sorted order, once the tree is within budget; edges take the next ids."""
+    """{vertex: id} in sorted order, once the tree is within budget, a positive int; edges take the next ids."""
+    _check_size(budget, "a simplex budget")
     if tree.simplex_count > budget:
         raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
     return {v: i for i, v in enumerate(sorted(tree.vertices))}
@@ -221,21 +222,15 @@ def _witness(splits: dict, memo: dict, part: int, key: tuple[str, int]) -> tuple
 
 
 class PropertyCheck(_Record):
-    """Pass/fail tally for one invariant, with witnessing labelings. Mutable."""
+    """Pass/fail tally for one invariant, with witnessing labelings. Unhashable."""
 
     _fields = ("name", "checked", "failed", "witnesses")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, name: str, checked: int = 0, failed: int = 0, witnesses: list[str] | None = None) -> None:
-        self.name, self.checked, self.failed = name, checked, failed
-        self.witnesses = [] if witnesses is None else witnesses
 
 
 class InvariantReport(_Record):
-    """Result of running the invariant suite over a full enumeration. Mutable."""
+    """Result of running the invariant suite over a full enumeration. Unhashable."""
 
     _fields = ("function_count", "checks", "min_impasse_count", "max_impasse_count", "matching_number")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def ok(self) -> bool:
@@ -300,7 +295,8 @@ def check_invariants(
       vertex placements outnumber the edge placements, N minus them, by one.
 
     "full binary" and "critical vertices = edges + 1" hold by construction
-    on the tally; every check counts every labeling as checked.
+    on the tally; every check counts every labeling as checked. The checks
+    and the report are built once, from the tally's counts, at the end.
 
     A check's witnesses are at most WITNESS_CAP labelings, one per failing
     entry of the tally, (root shape code, on_impasse), in the tally's
@@ -314,17 +310,9 @@ def check_invariants(
     vertices = len(tree.vertices)
     whole = next(iter(splits))
     total = sum(memo[whole].values())
-    checks = [
-        PropertyCheck(name, total)
-        for name in (
-            "full binary",
-            "node count = critical values",
-            "impasse exists (n > 1)",
-            "impasse count <= matching number",
-            "impasse edges disjoint",
-            "critical vertices = edges + 1",
-        )
-    ]
+    properties = ("full binary", "node count = critical values", "impasse exists (n > 1)",
+                  "impasse count <= matching number", "impasse edges disjoint", "critical vertices = edges + 1")
+    failed, witnesses = [0] * len(properties), [[] for _ in properties]
     # simplex names by id: the vertices, then the edges, each sorted
     names = sorted(tree.vertices) + ["-".join(e) for e in sorted(tree.edges)]
     impasse_counts = set()
@@ -344,13 +332,14 @@ def check_invariants(
         if all(verdicts):
             continue
         witness = None
-        for check, ok in zip(checks, verdicts):
+        for i, ok in enumerate(verdicts):
             if not ok:
-                check.failed += count
-                if len(check.witnesses) < WITNESS_CAP:
+                failed[i] += count
+                if len(witnesses[i]) < WITNESS_CAP:
                     if witness is None:
                         order = _witness(splits, memo, whole, key)
                         witness = " ".join(f"{names[s]}={label}" for label, s in enumerate(order))
-                    check.witnesses.append(witness)
+                    witnesses[i].append(witness)
 
+    checks = [PropertyCheck(name, total, k, w) for name, k, w in zip(properties, failed, witnesses)]
     return InvariantReport(total, checks, min(impasse_counts), max(impasse_counts), nu)

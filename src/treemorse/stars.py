@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import _Record, build_tree, edge
-from .errors import MalformedSequenceError, NonPositiveSizeError, NotThinError
+from .complexes import _check_size, _Record, build_tree, edge
+from .errors import MalformedSequenceError, NotThinError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH, MergeTree, _stored
 from .morse import MorseFunction, validate
 
@@ -26,12 +26,6 @@ class StarGraph(_Record):
     @property
     def edge_count(self) -> int:
         return len(self.tree.edges)
-
-
-def _check_size(k: int, what: str) -> None:
-    """Refuse a size that is a bool, not an int, or below 1."""
-    if type(k) is bool or not isinstance(k, int) or k < 1:
-        raise NonPositiveSizeError(f"{what} must be a positive integer, not {k!r}")
 
 
 def star_graph(k: int) -> StarGraph:

@@ -594,6 +594,10 @@ def test_enumerate_refuses_a_too_small_budget(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("BudgetExceededError:")
+    # a budget below one is no size at all
+    for flag in ("--count-classes", "--check"):
+        assert main(["enumerate", path3_tree_doc(tmp_path), flag, "--budget", "0"]) == 2
+        assert capsys.readouterr().err == "NonPositiveSizeError: a simplex budget must be a positive integer, not 0\n"
 
 
 # --- star-realize -----------------------------------------------------------

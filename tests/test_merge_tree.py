@@ -565,8 +565,8 @@ def test_parse_shape_code_refuses_non_strings():
 
 def test_malformed_merge_trees_are_refused():
     # a node's tag is its position, so a misplaced tag cannot be written;
-    # what can still go wrong is the code, its type, the number of values
-    # and a boolean value
+    # what can still go wrong is the code, its type, the values' type and
+    # number, and a value that is a boolean or not a finite real
     for code, message in [
         ("((••)", "truncated shape code"),
         ("(•x)", "unexpected character 'x' at position 2"),
@@ -587,6 +587,20 @@ def test_malformed_merge_trees_are_refused():
     for values in [(True, False, 0.5), (1, False, 0.5), (None, None, True)]:
         with pytest.raises(MalformedMergeTreeError, match="a node value is a bool, not a number"):
             MergeTree("(••)", values)
+    # any other value is a finite real, as validate requires of a function's
+    # values, so that a tree compares as numbers and a quoted DOT label holds
+    # no quote; a Rational is finite however large
+    for bad in ['a"b', "1", b"1", math.nan, math.inf, -math.inf, 1j, [1]]:
+        with pytest.raises(MalformedMergeTreeError) as raised:
+            MergeTree("(••)", (0, 1, bad))
+        assert str(raised.value) == f"a node value is {bad!r}, not a finite real number"
+    for bad in [None, 5, 2.5]:
+        with pytest.raises(MalformedMergeTreeError) as raised:
+            MergeTree("•", bad)
+        assert str(raised.value) == f"values must be iterable, not {type(bad).__name__}"
+    for value in [Fraction(1, 3), 10**400, -2.5, 0, None]:
+        assert MergeTree("•", [value]).values == (value,)
+    assert MergeTree("•", [Fraction(1, 3)]).to_dot().splitlines()[2] == '  n0 [label="1/3"];'
     # a chain 3,000 joins deep is checked without recursion
     assert MergeTree("(•" * 3000 + "•" + ")" * 3000, range(6001)).values == tuple(range(6001))
     assert issubclass(MalformedMergeTreeError, ValueError)

@@ -22,7 +22,7 @@ from treemorse import (
     induce_merge_tree,
     validate,
 )
-from treemorse.errors import BudgetExceededError, TreemorseError
+from treemorse.errors import BudgetExceededError, NonPositiveSizeError, TreemorseError
 from treemorse.complexes import SimplicialTree
 from treemorse.merge_tree import LEAF_GLYPH
 from treemorse.oracle import (
@@ -335,6 +335,23 @@ def test_budget_is_enforced_eagerly():
         count_merge_classes(path7)
     with pytest.raises(BudgetExceededError):
         check_invariants(path7)
+
+
+def test_a_budget_that_is_not_a_positive_integer_is_refused():
+    # a budget is a size, checked as star_graph checks its edge count; a
+    # positive one the tree exceeds stays an exceeded budget
+    tree = build_tree(["a", "b"], [("a", "b")])
+    entries = (enumerate_critical_dmfs, count_merge_classes, check_invariants)
+    for budget in [None, "x", True, False, 2.5, 3.0, 0, -1]:
+        for entry in entries:
+            with pytest.raises(NonPositiveSizeError) as raised:
+                entry(tree, budget=budget)
+            assert str(raised.value) == f"a simplex budget must be a positive integer, not {budget!r}"
+    for entry in entries:
+        with pytest.raises(BudgetExceededError, match="^3 simplices exceed the budget of 1$"):
+            entry(tree, budget=1)
+    assert [len(list(enumerate_critical_dmfs(tree, budget=3))), count_merge_classes(tree, budget=3)] == [2, 1]
+    assert check_invariants(tree, budget=3).ok
 
 
 def test_an_over_budget_tree_is_refused_before_its_matching_number(monkeypatch):

@@ -126,8 +126,26 @@ def test_records_store_their_fields_one_way():
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
             calls.append(f"{path.name}:{node.lineno}")
-    assert len(records) == 9 and constructors == {"SimplicialTree", "MergeTree", "PropertyCheck"}
+    assert len(records) == 10 and constructors == {"SimplicialTree", "MergeTree"}
     assert calls == []
+
+
+def test_every_record_is_one_kind_of_record():
+    # every record is an immutable _Record: no class is a NamedTuple, no class
+    # but _Record binds the hooks with which _Record refuses assignment, and
+    # no module calls tuple.__new__, the way round a NamedTuple's constructor
+    hooks = {"__setattr__", "__delattr__"}
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.ClassDef):
+            bound = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            bound |= {name.id for item in node.body if isinstance(item, ast.Assign)
+                      for name in ast.walk(item) if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)}
+            if "NamedTuple" in map(ast.unparse, node.bases) or (node.name != "_Record" and bound & hooks):
+                found.append(f"{path.name}:{node.name}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__":
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_package_does_not_use_functools_cached_property():
@@ -261,7 +279,7 @@ def test_oracles_stay_independent_of_the_package():
     derived = {
         name for cls in (SimplicialTree, MorseFunction, Sweep, MergeTree) for name in vars(cls)
         if not name.startswith("__")
-    } - fields - {"simplices", "simplex_count"}
+    } - fields - {"simplices", "simplex_count"} | set(Sweep._fields)
     assert {"sweep", "_partition", "critical_values", "gradient_vector_field", "joins"} <= derived
     assert {"matching_number", "_matching_number", "degree"} <= derived
     found = []
