@@ -64,5 +64,13 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
 
 
 def persistence_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
-    """Equal diagrams as multisets; the two trees may differ."""
+    """Equal diagrams as multisets; the two trees may differ.
+
+    Equal diagrams share the global minimum, their first birth, and their
+    length, one pair per critical vertex; both are compared before any sweep.
+    """
+    (f_items, f_pairs), (g_items, g_pairs) = f._partition, g._partition
+    f_count, g_count = len(f.domain.vertices) - len(f_pairs), len(g.domain.vertices) - len(g_pairs)
+    if f_items[0][1] != g_items[0][1] or f_count != g_count:
+        return False
     return persistence_diagram(f) == persistence_diagram(g)

@@ -49,6 +49,10 @@ class NotFiniteRealError(MorseValidationError):
     """A value is a boolean, a non-number, NaN or an infinity rather than a finite real."""
 
 
+class UnprintableValueError(TreemorseError, ValueError):
+    """A value has more digits than sys.get_int_max_str_digits() lets Python print."""
+
+
 class DomainMismatchError(TreemorseError):
     """A comparison that needs a common tree got two different ones."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .complexes import _Record
 from .errors import MalformedMergeTreeError
-from .morse import MorseFunction, _is_finite_real, format_value
+from .morse import MorseFunction, _is_finite_real, _labels
 
 LEAF_GLYPH = "•"
 _IMPASSE_CODE = f"({LEAF_GLYPH}{LEAF_GLYPH})"  # a join of two leaves
@@ -77,7 +77,7 @@ class MergeTree(_Record):
     def to_text(self) -> str:
         """A "value tag" line per node in preorder, two spaces per level; "?" for no value."""
         lines: list[str] = []
-        labels = [str(x) if type(x) is int else "?" if x is None else format_value(x) for x in self.values]
+        labels = _labels(self.values, "?")
         depth, tag, labels = 0, "L", iter(labels)
         # a join's first child is tagged L; whatever follows a leaf or a
         # closed join is a right child
@@ -99,7 +99,7 @@ class MergeTree(_Record):
         # nodes are numbered in preorder; the edge into a node follows every
         # edge of the node's subtree, so an open join's waits for its ")"
         open_joins: list = []  # (name, the edge into it)
-        labels = [str(x) if type(x) is int else "" if x is None else format_value(x) for x in self.values]
+        labels = _labels(self.values, "")
         tag, labels = "L", iter(labels)
         for c in self.code:
             if c == ")":

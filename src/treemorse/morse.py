@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from operator import itemgetter
 from typing import Mapping
 
@@ -28,6 +29,7 @@ from .errors import (
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
+    UnprintableValueError,
     ValueSharedByNonIncidentError,
 )
 
@@ -37,6 +39,15 @@ def format_value(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
+
+
+def _labels(values, none: str) -> list[str]:
+    """format_value of each value, and none for None, as the renderers print them."""
+    try:
+        return [str(x) if type(x) is int else none if x is None else format_value(x) for x in values]
+    except ValueError as error:  # an int past Python's limit for int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        raise UnprintableValueError(f"a value has more than sys.get_int_max_str_digits() = {limit} digits") from error
 
 
 class GradientVectorField(_Record):
@@ -109,11 +120,8 @@ class PersistenceDiagram(_Record):
 
     def to_text(self) -> str:
         """One `birth death` pair per line, `inf` for infinite death."""
-        lines = []
-        for birth, death in self.pairs:
-            shown = "inf" if death == math.inf else format_value(death)
-            lines.append(f"{format_value(birth)} {shown}")
-        return "\n".join(lines)
+        labels = _labels([x for birth, death in self.pairs for x in (birth, death)], "None")
+        return "\n".join(f"{birth} {death}" for birth, death in zip(labels[::2], labels[1::2]))
 
 
 class MorseFunction(_Record):

@@ -390,9 +390,24 @@ def _canonical_form(n: int, edges: list[tuple[int, int]]) -> str:
     return min(code(c, None) for c in layer)
 
 
+# the number of trees on n vertices up to isomorphism, n = 0..12 (OEIS A000055)
+TREE_COUNTS = (1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+
+
 @functools.cache
 def trees_up_to_iso(n: int) -> list[list[tuple[str, str]]]:
-    """One labeled edge list per isomorphism class of trees on n vertices."""
+    """One labeled edge list per isomorphism class of trees on n vertices.
+
+    Each class is represented by its first tree in Prüfer-sequence order.
+    The walk stops once it holds every class, which changes no
+    representative; past the table it walks all n^(n-2) sequences.
+    """
+    return prufer_classes(n, TREE_COUNTS[n] if n < len(TREE_COUNTS) else None)
+
+
+def prufer_classes(n: int, stop: int | None) -> list[list[tuple[str, str]]]:
+    """The first tree of each isomorphism class in Prüfer-sequence order,
+    walking until `stop` classes are found, or over every sequence for None."""
     if n == 1:
         return [[]]
     if n == 2:
@@ -403,6 +418,8 @@ def trees_up_to_iso(n: int) -> list[list[tuple[str, str]]]:
         key = _canonical_form(n, edges)
         if key not in out:
             out[key] = [(f"v{u}", f"v{v}") for u, v in edges]
+            if len(out) == stop:
+                break
     return list(out.values())
 
 

@@ -150,9 +150,15 @@ def test_threads_racing_to_a_first_read_all_get_the_matching_number():
 
 
 def test_tree_census_counts():
-    assert [len(helpers.trees_up_to_iso(n)) for n in range(1, 7)] == [
-        1, 1, 1, 2, 3, 6,
+    assert [len(helpers.trees_up_to_iso(n)) for n in range(1, 9)] == [
+        1, 1, 1, 2, 3, 6, 11, 23,
     ]
+
+
+def test_the_tree_walk_stops_with_the_trees_of_the_full_walk():
+    # stopping at the known class count keeps each class's first tree
+    for n in range(1, 8):
+        assert helpers.trees_up_to_iso(n) == helpers.prufer_classes(n, None)
 
 
 def test_build_tree_at_a_hundred_thousand_simplices():

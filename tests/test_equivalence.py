@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -19,7 +20,12 @@ from treemorse import (
     persistence_equivalent,
     validate,
 )
-from treemorse.errors import DomainMismatchError, MorseValidationError, NotWeaklyIncreasingError
+from treemorse.errors import (
+    DomainMismatchError,
+    MorseValidationError,
+    NotWeaklyIncreasingError,
+    ValueSharedByNonIncidentError,
+)
 
 INF = math.inf
 
@@ -196,6 +202,53 @@ def test_persistence_verdicts():
         helpers.right_path_function(), helpers.star_function()
     )
     assert persistence_equivalent(lower_pair_function(), upper_pair_function())
+
+
+def test_persistence_verdicts_skip_the_sweep_only_when_the_diagrams_must_differ():
+    # pairs from the small corpus: each function with its twin, consecutive
+    # labelings of one tree, the first functions of trees of different sizes,
+    # and each tree's first function against itself shifted up by one
+    corpus = helpers.small_corpus()
+    pairs = []
+    for *_, functions in corpus:
+        pairs += [(f, g) for f, g, _ in functions]
+        pairs += [(a, b) for (a, _, _), (b, _, _) in zip(functions, functions[1:])]
+        first = functions[0][0]
+        pairs.append((first, validate(first.domain, {s: x + 1 for s, x in first.values.items()})))
+    firsts = [functions[0][0] for *_, functions in corpus]
+    pairs += [(f, g) for f in firsts for g in firsts if len(f.domain.vertices) != len(g.domain.vertices)]
+    references = {}  # by id, as a function is unhashable; every one stays alive
+    for f in itertools.chain.from_iterable(pairs):
+        if id(f) not in references:
+            references[id(f)] = helpers.reference_persistence_diagram(f)
+    skipped = {"minimum": 0, "length": 0}
+    for f, g in pairs:
+        ref_f, ref_g = references[id(f)], references[id(g)]
+        # fresh copies, as the corpus is shared and its sweeps are cached
+        a, b = MorseFunction(f.domain, f.values), MorseFunction(g.domain, g.values)
+        assert persistence_equivalent(a, b) == (ref_f == ref_g)
+        # the infinite pair is born at the minimum, and there is one pair per
+        # critical vertex
+        minimum, length = ref_f[0][0] != ref_g[0][0], len(ref_f) != len(ref_g)
+        skipped["minimum"] += minimum
+        skipped["length"] += length and not minimum
+        swept = not (minimum or length)
+        assert ("sweep" in vars(a), "sweep" in vars(b)) == (swept, swept)
+    assert len(pairs) == 52_406
+    assert skipped == {"minimum": 8, "length": 10_384}
+
+
+def test_a_persistence_verdict_raises_the_first_functions_fault():
+    tree = helpers.path3_tree()
+    good = lower_pair_function()
+    late = MorseFunction(tree, {**good.values, ("a", "b"): -1})  # below a and b
+    shared = MorseFunction(tree, {**good.values, "a": 2})  # b's value, not incident
+    late_error = (NotWeaklyIncreasingError, "f('a') = 0 exceeds f(('a', 'b')) = -1")
+    shared_error = (ValueSharedByNonIncidentError, "value 2 shared by non-incident simplices 'a' and 'b'")
+    for f, g, expected in [(good, late, late_error), (shared, good, shared_error), (shared, late, shared_error)]:
+        with pytest.raises(MorseValidationError) as raised:
+            persistence_equivalent(f, g)
+        assert (type(raised.value), str(raised.value)) == expected
 
 
 # ------------------------------------------------- the four are distinct

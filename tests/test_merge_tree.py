@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +38,8 @@ from treemorse.errors import (
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
+    TreemorseError,
+    UnprintableValueError,
     ValueSharedByNonIncidentError,
 )
 
@@ -789,6 +792,31 @@ def test_renderings_match_the_node_walk_oracles():
         assert (by_hand.shape_code(), by_hand.to_dot()) == (tree.shape_code(), tree.to_dot())
     finally:
         gc.enable()
+
+
+def test_renderers_refuse_a_value_too_long_to_print():
+    # Python converts no int of more than sys.get_int_max_str_digits() digits
+    # to str; each renderer says so with a typed error, and leaves the limit
+    limit = sys.get_int_max_str_digits()
+    message = f"a value has more than sys.get_int_max_str_digits() = {limit} digits"
+    vertex, names = build_tree(["a"], []), ["a", "b"]
+    edge_tree = build_tree(names, [names])
+    for huge in [10**5000, Fraction(10**4999 + 1, 3)]:
+        # the one value of a vertex, and a join's value beside small ones
+        for f in [validate(vertex, {"a": huge}), validate(edge_tree, {"a": 0, "b": 1, ("a", "b"): huge})]:
+            merge, diagram = induce_merge_tree(f), persistence_diagram(f)
+            for render in (merge.to_text, merge.to_dot, diagram.to_text):
+                with pytest.raises(UnprintableValueError) as raised:
+                    render()
+                assert str(raised.value) == message
+    assert issubclass(UnprintableValueError, TreemorseError) and issubclass(UnprintableValueError, ValueError)
+    assert sys.get_int_max_str_digits() == limit
+    # a value of as many digits as the limit allows prints as str prints it
+    most = 10 ** (limit - 1)
+    f = validate(edge_tree, {"a": 0, "b": 1, ("a", "b"): most})
+    assert induce_merge_tree(f).to_text() == f"{most} L\n  0 L\n  1 R"
+    assert induce_merge_tree(f).to_dot().splitlines()[2] == f'  n0 [label="{most}"];'
+    assert persistence_diagram(f).to_text() == f"0 inf\n1 {most}"
 
 
 def assert_same_merge_tree(actual: MergeTree, reference) -> None:
