@@ -12,6 +12,7 @@ import gc
 import json
 import sys
 from functools import cache
+from operator import methodcaller
 from pathlib import Path
 
 from .documents import parse_morse_document, parse_tree_document, star_document
@@ -48,21 +49,31 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+# each choice names the one thing it runs, in the order --help lists them; a format
+# looks its renderer up on the tree per call, so a method patched on MergeTree runs
+FORMATS = {"text": methodcaller("to_text"), "shape": methodcaller("shape_code"), "dot": methodcaller("to_dot")}
+RELATIONS = {
+    "merge": lambda f, g: merge_equivalent(induce_merge_tree(f), induce_merge_tree(g)),
+    "forman": forman_equivalent,
+    "homological": homologically_equivalent,
+    "persistence": persistence_equivalent,
+}
+
+
 def cmd_merge_tree(args: argparse.Namespace) -> int:
-    tree = induce_merge_tree(parse_morse_document(_read(args.path)))
-    print({"text": tree.to_text, "shape": tree.shape_code, "dot": tree.to_dot}[args.format]())
+    print(FORMATS[args.format](induce_merge_tree(parse_morse_document(_read(args.path)))))
     return 0
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     f = parse_morse_document(_read(args.path))
-    impasses = f.sweep.impasse_count()
-    thin = impasses == 1
-    print(f"impasses: {impasses}")
+    tree = induce_merge_tree(f)
+    thin = tree.is_thin()
+    print(f"impasses: {tree.impasse_count()}")
     print(f"matching: {f.domain.matching_number()}")
     print(f"thin: {'true' if thin else 'false'}")
     if thin:
-        print(f"lr: {lr_sequence(induce_merge_tree(f))}")
+        print(f"lr: {lr_sequence(tree)}")
     sequence = homological_sequence(f)
     print("homological sequence: " + ",".join(str(b0) for b0 in sequence.b0_values))
     print("persistence diagram:")
@@ -73,14 +84,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     f = parse_morse_document(_read(args.path_a))
     g = parse_morse_document(_read(args.path_b))
-    if args.relation == "merge":
-        verdict = merge_equivalent(induce_merge_tree(f), induce_merge_tree(g))
-    elif args.relation == "forman":
-        verdict = forman_equivalent(f, g)
-    elif args.relation == "homological":
-        verdict = homologically_equivalent(f, g)
-    else:
-        verdict = persistence_equivalent(f, g)
+    verdict = RELATIONS[args.relation](f, g)
     print("equivalent" if verdict else "not-equivalent")
     return 0 if verdict else 1
 
@@ -118,7 +122,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge-tree", help="print the induced merge tree")
     p.add_argument("path")
-    p.add_argument("--format", choices=("text", "shape", "dot"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=cmd_merge_tree)
 
     p = sub.add_parser("invariants", help="impasses, matching, thinness, sequences")
@@ -128,11 +132,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="test an equivalence between two documents")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument(
-        "--relation",
-        choices=("merge", "forman", "homological", "persistence"),
-        required=True,
-    )
+    p.add_argument("--relation", choices=RELATIONS, required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("enumerate", help="exhaust all injective labelings of a tree")

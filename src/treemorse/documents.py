@@ -36,8 +36,6 @@ def _load(text: str) -> tuple[dict[str, Any], Sequence, Sequence, Sequence]:
     numeric = {int, float, type(None)}
     if not set(map(type, vertices.values())) <= numeric:
         for name, value in vertices.items():
-            if not isinstance(name, str):
-                raise ParseError(f"vertex name {name!r} is not a string")
             if value is not None and not isinstance(value, (int, float)):
                 raise ParseError(f"vertex {name!r} has non-numeric value {value!r}")
     if not isinstance(edges, list):

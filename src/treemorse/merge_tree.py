@@ -176,21 +176,18 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     the shape code and the values in preorder; the heir keeps its parent's
     tag, so a join tagged R has its heir on the right.
 
-    With no critical edge at all (exactly one critical vertex), the merge
-    tree is the single node carrying that vertex value.
+    With no critical edge at all, the walk starts at the one critical
+    vertex, the global minimum, and the merge tree is that single leaf.
 
     Raises:
         MorseValidationError: f was built without :func:`validate`, and its
             values break a Morse condition.
     """
-    joins = f.sweep.joins
-    if not joins:
-        return _stored(LEAF_GLYPH, (f.sweep.global_min,))
-    code, values, stack = [], [], []
+    joins, code, values, stack = f.sweep.joins, [], [], []
     # the walk goes down left children, each tagged L, and leaves on the
     # stack each join's ")" under its right child, tagged R; a label that
     # no join produced is a critical vertex: a leaf
-    label, tagged_r = next(reversed(joins)), False
+    label, tagged_r = next(reversed(joins), f.sweep.global_min), False
     while True:
         values.append(label)
         join = joins.get(label)

@@ -11,8 +11,8 @@ decides which simplices are critical. Everything derived from the values
 reads it first, so a function built directly runs the same checks, with the
 same errors, as :func:`validate`, which only forces it. The increasing sweep
 of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that order
-once: its joins give the merge tree, its impasses and the persistence diagram,
-its component counts the Betti sequence, and the last two are cached too.
+once: its joins give the merge tree and the persistence diagram, its
+component counts the Betti sequence, and the last two are cached too.
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ class Sweep(_Record):
     """
 
     _fields = ("joins", "global_min", "b0")
-
-    def impasse_count(self) -> int:
-        """The merge tree's impasses: joins of two critical vertex labels."""
-        joins = self.joins
-        return sum(1 for heir, other, _ in joins.values() if heir not in joins and other not in joins)
 
 
 class HomologicalSequence(_Record):

@@ -38,31 +38,31 @@ DEFAULT_SIMPLEX_BUDGET = 11
 WITNESS_CAP = 5
 
 
-def _vertex_ids(tree: SimplicialTree, budget: int) -> dict[Simplex, int]:
-    """{vertex: id} in sorted order, once the tree is within budget, a positive int; edges take the next ids."""
+def _edge_ids(tree: SimplicialTree, budget: int) -> list[tuple[int, int]]:
+    """Each edge's endpoint ids as tree.simplices() numbers them, edges sorted, once within budget, a positive int."""
     _check_size(budget, "a simplex budget")
     if tree.simplex_count > budget:
         raise BudgetExceededError(f"{tree.simplex_count} simplices exceed the budget of {budget}")
-    return {v: i for i, v in enumerate(sorted(tree.vertices))}
+    index = {v: i for i, v in enumerate(sorted(tree.vertices))}
+    return [(index[a], index[b]) for a, b in sorted(tree.edges)]
 
 
 class LabelingSweep:
     """Every injective labeling of a tree by 0..N-1, one per iteration.
 
     Each labeling is a dict from simplex to label, simplices in label
-    order. Simplex ids put the vertices first, then the edges, each in
-    sorted order, as in _splits. Depth first, the placement rule tries as
-    each label the unplaced vertices, then the unplaced edges whose
-    endpoints hold labels, each in id order; the candidates are memoized
-    per set of placed ids. A tree over budget raises BudgetExceededError.
+    order. Simplex ids follow tree.simplices(), as in _splits. Depth first,
+    the placement rule tries as each label the unplaced vertices, then the
+    unplaced edges whose endpoints hold labels, each in id order; the
+    candidates are memoized per set of placed ids. A tree over budget raises
+    BudgetExceededError.
     """
 
     def __init__(self, tree: SimplicialTree, *, budget: int = DEFAULT_SIMPLEX_BUDGET):
-        index = _vertex_ids(tree, budget)
+        edges, n = _edge_ids(tree, budget), len(tree.vertices)
         # (id, its bit, the bits of its faces) per simplex, in id order
-        faces = [(v, 1 << v, 0) for v in range(len(index))]
-        faces += [(s, 1 << s, 1 << index[a] | 1 << index[b])
-                  for s, (a, b) in enumerate(sorted(tree.edges), len(index))]
+        faces = [(v, 1 << v, 0) for v in range(n)]
+        faces += [(s, 1 << s, 1 << a | 1 << b) for s, (a, b) in enumerate(edges, n)]
 
         @cache
         def steps(placed: int) -> list[tuple[int, int]]:  # each candidate's (id, placed after it)
@@ -128,18 +128,16 @@ def _splits(tree: SimplicialTree, budget: int) -> dict[int, list[tuple[int, int,
     ends, s) cuts it there: the sides, the edge's endpoint bits, then the
     edge's simplex id. Splits come in edge id order.
     """
-    index = _vertex_ids(tree, budget)
-    # sorted, as ids are, so no order here follows string hashing
-    edges = [(index[a], index[b]) for a, b in sorted(tree.edges)]
+    edges, n = _edge_ids(tree, budget), len(tree.vertices)
     cuts = []
-    for s, e in enumerate(edges, len(index)):
+    for s, e in enumerate(edges, n):
         side = 1 << e[0]  # e[0]'s side, grown at least one edge further per pass
         for a, b in edges * len(edges):
             if (a, b) != e and (side >> a | side >> b) & 1:
                 side |= 1 << a | 1 << b
         cuts.append((side, 1 << e[0] | 1 << e[1], s))
     splits: dict[int, list[tuple[int, int, int, int]]] = {}
-    todo = [(1 << len(index)) - 1]  # the whole tree first
+    todo = [(1 << n) - 1]  # the whole tree first
     for part in todo:  # todo grows while it is walked
         if part not in splits:
             splits[part] = [(part & cut, part & ~cut, ends, s)
@@ -313,8 +311,7 @@ def check_invariants(
     properties = ("full binary", "node count = critical values", "impasse exists (n > 1)",
                   "impasse count <= matching number", "impasse edges disjoint", "critical vertices = edges + 1")
     failed, witnesses = [0] * len(properties), [[] for _ in properties]
-    # simplex names by id: the vertices, then the edges, each sorted
-    names = sorted(tree.vertices) + ["-".join(e) for e in sorted(tree.edges)]
+    names = [s if type(s) is str else "-".join(s) for s in tree.simplices()]  # by simplex id
     impasse_counts = set()
     for key, count in memo[whole].items():
         root, on_impasse = key

@@ -22,6 +22,7 @@ import treemorse
 from treemorse import cli, induce_merge_tree
 from treemorse.cli import main
 from treemorse.complexes import SimplicialTree
+from treemorse.merge_tree import MergeTree
 
 
 def write_doc(tmp_path, name, vertices, edges):
@@ -224,6 +225,12 @@ def _path3(b=1, second=("b", "c", 4)):
         pytest.param(["validate"], *_path3(second={"u": "b"}), "",
                      "ParseError: edge entry {'u': 'b'} is not [u, v, value]\n", 2, id="non-list-edge-item"),
         pytest.param(["validate"], {"a": 0}, [], "valid\n", "", 0, id="empty-edges"),
+        pytest.param(["validate"], {}, [], "", "ParseError: \"vertices\" must be a non-empty object\n", 2,
+                     id="empty-vertices"),
+        pytest.param(["validate"], [], [], "", "ParseError: \"vertices\" must be a non-empty object\n", 2,
+                     id="vertices-array"),
+        pytest.param(["validate"], {"a": 0}, {"a": "b"}, "", "ParseError: \"edges\" must be an array\n", 2,
+                     id="edges-object"),
         # the tree's faults, which the tree's constructor reports, and the
         # values' faults the sorted pass reports, as parse_morse_document meets them
         pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3], ["y", "x", 4]], "",
@@ -258,6 +265,42 @@ def test_unknown_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+# argparse wraps usage lines to the terminal's width, which COLUMNS sets
+BAD_CHOICES = [
+    (["merge-tree", "doc.json", "--format", "bogus"],
+     "usage: treemorse merge-tree [-h] [--format {text,shape,dot}] path\n"
+     "treemorse merge-tree: error: argument --format: invalid choice: 'bogus' "
+     "(choose from 'text', 'shape', 'dot')\n"),
+    (["compare", "a.json", "b.json", "--relation", "bogus"],
+     "usage: treemorse compare [-h] --relation\n"
+     "                         {merge,forman,homological,persistence}\n"
+     "                         path_a path_b\n"
+     "treemorse compare: error: argument --relation: invalid choice: 'bogus' "
+     "(choose from 'merge', 'forman', 'homological', 'persistence')\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", BAD_CHOICES, ids=["format", "relation"])
+def test_a_bad_choice_names_the_choices_in_order(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("merge-tree", "--format {text,shape,dot}\n"),
+    ("compare", "--relation {merge,forman,homological,persistence}\n"),
+])
+def test_help_lists_the_choices_in_order(capsys, monkeypatch, command, choices):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.endswith("  -h, --help            show this help message and exit\n  " + choices)
 
 
 # --- merge-tree -------------------------------------------------------------
@@ -299,6 +342,16 @@ def test_merge_tree_commands_build_no_nodes(tmp_path, capsys, monkeypatch):
     assert main(["compare", deep, narrow, "--relation", "merge"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "not-equivalent"
     assert counts["sweep"] == 5
+
+
+@pytest.mark.parametrize("fmt, method", [("text", "to_text"), ("shape", "shape_code"), ("dot", "to_dot")])
+def test_merge_tree_formats_run_the_renderer_the_class_holds(tmp_path, capsys, monkeypatch, fmt, method):
+    # bench/selftest.py plants its large_documents fault by patching
+    # MergeTree.shape_code, so each format must look its renderer up per call
+    right = getattr(MergeTree, method)
+    monkeypatch.setattr(MergeTree, method, lambda self: right(self)[::-1])
+    assert main(["merge-tree", narrow_doc(tmp_path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == right(induce_merge_tree(helpers.narrow_function()))[::-1] + "\n"
 
 
 def test_merge_tree_of_a_deep_path(tmp_path, capsys):

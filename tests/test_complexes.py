@@ -81,6 +81,8 @@ def test_degree():
     tree = helpers.deep_function().domain
     assert tree.degree("d") == 3
     assert tree.degree("f") == 1
+    with pytest.raises(UnknownVertexError, match="^unknown vertex 'z'$"):
+        tree.degree("z")
 
 
 def test_matching_number_on_examples():

@@ -220,6 +220,9 @@ def test_mixed_function_critical_partition():
          ("a", "b"): 4, ("b", "c"): 5, ("c", "d"): 3},
     )
     assert list(f.gradient_vector_field) == [("d", ("c", "d"))]
+    assert ("d", ("c", "d")) in f.gradient_vector_field
+    assert ("c", ("c", "d")) not in f.gradient_vector_field
+    assert ("c", ("b", "c")) not in f.gradient_vector_field
     assert set(f.critical_simplices) == {
         "a", "b", "c", ("a", "b"), ("b", "c")
     }

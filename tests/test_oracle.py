@@ -118,9 +118,8 @@ def test_every_enumerated_function_is_a_critical_dmf():
 def test_sweep_matches_both_merge_tree_builders():
     # check_invariants reads the weighted top-edge recursion, never a
     # labeling; hold its tally to the merge trees that both builders
-    # assemble from every labeling the sweep visits, and to the impasse
-    # count read off each function's sublevel sweep (Sweep.impasse_count),
-    # so the invariants cannot become true by construction
+    # assemble from every labeling the sweep visits, the literal reference
+    # among them, so the invariants cannot become true by construction
     for n, edges, tree, functions in helpers.small_corpus():
         # the enumerator under test builds the corpus; the down-set count is independent
         assert len(functions) == helpers.extension_count(tree), edges
@@ -130,7 +129,7 @@ def test_sweep_matches_both_merge_tree_builders():
         for (shape, on_impasse), count in memo[next(iter(splits))].items():
             nodes, k = len(shape) - shape.count(")"), shape.count("(••)")
             on = frozenset(simplices[v] for v in range(n) if on_impasse >> v & 1)
-            weighted[shape, nodes, k, k, on] += count
+            weighted[shape, nodes, k, on] += count
         induced, referenced = Counter(), Counter()
         for f, _, reference in functions:
             f = validate(tree, f.values)
@@ -142,7 +141,7 @@ def test_sweep_matches_both_merge_tree_builders():
                 (referenced, reference_code, helpers.reference_values(reference), reference_code.count("(••)")),
             ):
                 on = frozenset(w for value in impasse_values(code, values) for w in simplex_at[value])
-                built[(code, len(values), impasses, f.sweep.impasse_count(), on)] += 1
+                built[(code, len(values), impasses, on)] += 1
         for built in (induced, referenced):
             assert built == weighted, edges
     assert sum(len(functions) for *_, functions in helpers.small_corpus()) == 26_179
