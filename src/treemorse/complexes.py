@@ -102,6 +102,7 @@ class SimplicialTree(_Record):
     is not a vertex, the pair's first (UnknownVertexError), a loop
     (LoopEdgeError), a repeated edge (MultiEdgeError); as many edges as
     vertices (CycleDetectedError); more than one component (NotConnectedError).
+    A repeat is found by counting the pairs' frozenset, and named by a rescan.
     """
 
     _fields = ("vertices", "edges")
@@ -110,32 +111,40 @@ class SimplicialTree(_Record):
         vs = frozenset(vertices)
         if not vs:
             raise NotConnectedError("a tree needs at least one vertex")
-        distinct: set[Edge] = set()
+        pairs: list[Edge] = []
         # union-find with path halving (Tarjan and van Leeuwen 1984); parents are
         # the dict's own key objects, so a root is the vertex that is its parent
         parent = {v: v for v in vs}
         components = len(vs)
-        for i, (u, v) in enumerate(edges, 1):
-            try:  # the parent lookup is the test for an undeclared endpoint
-                root_u, root_v = parent[u], parent[v]
-            except KeyError:
-                raise UnknownVertexError(f"edge endpoint {v if u in vs else u!r} is not a declared vertex") from None
-            e = (u, v) if u < v else (v, u) if v < u else edge(u, v)  # edge refuses a loop
-            distinct.add(e)
-            if len(distinct) != i:
-                raise MultiEdgeError(f"edge {e} appears more than once")
-            while (up := parent[root_u]) is not root_u:
-                parent[root_u] = root_u = parent[up]
-            while (up := parent[root_v]) is not root_v:
-                parent[root_v] = root_v = parent[up]
-            if root_u is not root_v:
-                parent[root_v] = root_u
-                components -= 1
+        try:  # any fault is raised after the rescan below, as a repeat before it comes first
+            for u, v in edges:
+                try:  # the parent lookup is the test for an undeclared endpoint
+                    root_u, root_v = parent[u], parent[v]
+                except KeyError:
+                    undeclared = v if u in vs else u
+                    raise UnknownVertexError(f"edge endpoint {undeclared!r} is not a declared vertex") from None
+                pairs.append((u, v) if u < v else (v, u) if v < u else edge(u, v))  # edge refuses a loop
+                while (up := parent[root_u]) is not root_u:
+                    parent[root_u] = root_u = parent[up]
+                while (up := parent[root_v]) is not root_v:
+                    parent[root_v] = root_v = parent[up]
+                if root_u is not root_v:
+                    parent[root_v] = root_u
+                    components -= 1
+            if len(distinct := frozenset(pairs)) != len(pairs):
+                raise MultiEdgeError  # named by the rescan below
+        except Exception:
+            seen: set[Edge] = set()
+            for e in pairs:
+                if e in seen:
+                    raise MultiEdgeError(f"edge {e} appears more than once") from None
+                seen.add(e)
+            raise
         if len(distinct) >= len(vs):
             raise CycleDetectedError(f"{len(distinct)} edges on {len(vs)} vertices cannot be acyclic")
         if components != 1:
             raise NotConnectedError(f"graph has {components} components")
-        self.__dict__.update(vertices=vs, edges=frozenset(distinct))
+        self.__dict__.update(vertices=vs, edges=distinct)
 
     @property
     def simplex_count(self) -> int:

@@ -74,21 +74,15 @@ def parse_morse_document(text: str) -> MorseFunction:
     if None in edge_values:
         i = edge_values.index(None)
         raise ParseError(f"edge [{us[i]!r}, {vs[i]!r}] needs a value")
-    values = dict(vertices)
-    # each pair's canonical edge, complexes.edge inlined: the tree refused every loop
-    values.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
-    f = MorseFunction(tree, values)  # validate, without its copy of the values
-    f._partition  # the sorted pass raises on the first fault
+    # the parsed dict takes each pair's canonical edge, complexes.edge inlined: the tree refused every loop
+    vertices.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
+    f = MorseFunction(tree, vertices)  # validate, without its copy of the values
+    f._partition  # the check raises on the first fault
     return f
 
 
 def star_document(star: StarGraph, f: MorseFunction) -> str:
     """Serialize a realized star; vertices by value, edges by value."""
-    vertices = {
-        name: f(name)
-        for name in sorted(star.tree.vertices, key=lambda v: f(v))
-    }
-    edges = [
-        [e[0], e[1], f(e)] for e in sorted(star.tree.edges, key=lambda e: f(e))
-    ]
+    vertices = {name: f(name) for name in sorted(star.tree.vertices, key=f)}
+    edges = [[*e, f(e)] for e in sorted(star.tree.edges, key=f)]
     return json.dumps({"vertices": vertices, "edges": edges}, indent=2)

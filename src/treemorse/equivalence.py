@@ -67,10 +67,10 @@ def persistence_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
     """Equal diagrams as multisets; the two trees may differ.
 
     Equal diagrams share the global minimum, their first birth, and their
-    length, one pair per critical vertex; both are compared before any sweep.
+    length, one pair per critical vertex: both are read without a sweep or a sort.
     """
-    (f_items, f_pairs), (g_items, g_pairs) = f._partition, g._partition
+    (_, f_pairs, f_least), (_, g_pairs, g_least) = f._partition, g._partition
     f_count, g_count = len(f.domain.vertices) - len(f_pairs), len(g.domain.vertices) - len(g_pairs)
-    if f_items[0][1] != g_items[0][1] or f_count != g_count:
+    if f_count != g_count or f_least != g_least:
         return False
     return persistence_diagram(f) == persistence_diagram(g)

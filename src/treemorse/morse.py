@@ -6,11 +6,11 @@ is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
 
-One sorted pass, cached on the function, checks every Morse condition and
-decides which simplices are critical. Everything derived from the values
-reads it first, so a function built directly runs the same checks, with the
-same errors, as :func:`validate`, which only forces it. The increasing sweep
-of the sublevel sets, cached as :attr:`MorseFunction.sweep`, walks that order
+One pass, cached on the function, checks every Morse condition, sorting the
+values only if one repeats, and decides which simplices are critical; all
+derived readings take it first, so a function built directly runs the same
+checks, with the same errors, as :func:`validate`, which only forces it. The
+sublevel sweep, cached as :attr:`MorseFunction.sweep`, walks the sorted values
 once: its joins give the merge tree and the persistence diagram, its
 component counts the Betti sequence, and the last two are cached too.
 """
@@ -26,6 +26,7 @@ from typing import Mapping
 from .complexes import Edge, Simplex, SimplicialTree, Vertex, _cached, _Record
 from .errors import (
     MissingValueError,
+    MorseValidationError,
     MoreThanTwoShareValueError,
     NotFiniteRealError,
     NotWeaklyIncreasingError,
@@ -133,25 +134,27 @@ class MorseFunction(_Record):
         return self.values[simplex]
 
     @_cached
-    def _partition(self) -> tuple[list, frozenset]:
-        """The one sorted pass that checks the values and decides criticality.
+    def _partition(self) -> tuple[list | None, frozenset, float]:
+        """The one pass that checks the values and decides criticality.
 
         Returns the ``(simplex, value)`` items in increasing value order, a
-        gradient pair's vertex right before its edge, and the gradient
-        pairs; every simplex in no pair is critical. It runs
-        :func:`validate`'s checks in the order validate documents: before
-        the sort, sorting nothing but the simplices at fault, then the two
-        sharing rules while walking the sorted items. An unshared value is
-        critical.
+        gradient pair's vertex right before its edge, the gradient pairs and
+        the least value; every simplex in no pair is critical. It runs
+        :func:`validate`'s checks in the order validate documents: first
+        those that sort nothing but the simplices at fault; then, only if
+        fewer distinct values than simplices show a repeat, the sort and the
+        sharing rules. With no repeat there is no pair and no sharing fault:
+        the items are None (see :attr:`_order`) and the least value a `min`.
 
         Raises:
             MorseValidationError: the first fault, with the type and the
                 message that :func:`validate` documents.
         """
-        tree, values = self.domain, self.values
-        vertices, edges, keys = tree.vertices, tree.edges, values.keys()
-        # as many keys as the tree has simplices, and every simplex among them
-        exact = len(keys) == tree.simplex_count and keys >= vertices and keys >= edges
+        values, vertices, edges = self.values, self.domain.vertices, self.domain.edges
+        try:  # as many keys as the tree has simplices, and every simplex among them
+            exact = len(keys := values.keys()) == self.domain.simplex_count and keys >= vertices and keys >= edges
+        except AttributeError:
+            raise MorseValidationError(f"values must be a mapping, not {type(values).__name__}") from None
         if not exact:
             for simplices in (vertices, edges):
                 missing = [s for s in simplices if s not in values]
@@ -168,6 +171,8 @@ class MorseFunction(_Record):
             e = min(late)
             endpoint = e[0] if values[e[0]] > values[e] else e[1]
             raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
+        if len(set(values.values())) == len(values):
+            return None, frozenset(), min(values.values())
         entries = sorted(values.items(), key=itemgetter(1))
         pairs = set()
         last = object()  # equal to no value, None included
@@ -192,16 +197,21 @@ class MorseFunction(_Record):
                     f"value {first} shared by non-incident simplices {a!r} and {b!r}"
                 )
             pairs.add((a, b))
-        return entries, frozenset(pairs)
+        return entries, frozenset(pairs), entries[0][1]
+
+    @_cached
+    def _order(self) -> list:
+        """The check's sorted items, or, when it sorted none, the items sorted now."""
+        return self._partition[0] or sorted(self.values.items(), key=itemgetter(1))
 
     @_cached
     def sweep(self) -> Sweep:
         """The joins and b0 of one increasing sublevel sweep; see :class:`Sweep`.
 
-        The sweep walks :attr:`_partition`'s sorted items, where the values
-        are checked, criticality is decided and every edge comes after both
-        its endpoints; it adds only the joins and the component counts. It
-        tracks, for every component of the growing complex, its minimum
+        The sweep walks :attr:`_order`, the check's sort or, when no value
+        repeats, one taken on its first read, where every edge comes after
+        both its endpoints; it adds only the joins and the component counts.
+        It tracks, for every component of the growing complex, its minimum
         value and the largest critical value it has reached (its label). A
         paired vertex comes right before its edge, which attaches it to an
         older, labeled component; a critical edge joins two labeled
@@ -215,7 +225,7 @@ class MorseFunction(_Record):
         # label hold a vertex's value, then a root's component minimum and label;
         # the first item, the least value, is a vertex: the tree's minimum
         parent, low, label, joins = {}, {}, {}, {}
-        entries, b0, live, last = self._partition[0], [], 0, None
+        entries, b0, live, last = self._order, [], 0, None
         for simplex, value in entries:
             if type(simplex) is not tuple:
                 parent[simplex] = simplex
@@ -257,11 +267,12 @@ class MorseFunction(_Record):
     @_cached
     def critical_simplices(self) -> frozenset[Simplex]:
         """Simplices whose value is shared with no other simplex."""
-        return frozenset(self.values).difference(*self._partition[1])  # less each pair's vertex and edge
+        pairs = self._partition[1]  # the check reads the values first
+        return frozenset(self.values).difference(*pairs)  # less each pair's vertex and edge
 
     @_cached
     def critical_values(self) -> tuple[float, ...]:
-        return tuple(x for s, x in self._partition[0] if s in self.critical_simplices)
+        return tuple(x for s, x in self._order if s in self.critical_simplices)
 
     @_cached
     def gradient_vector_field(self) -> GradientVectorField:
@@ -277,10 +288,11 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     real, in the order the values are given; an edge valued below an
     endpoint, the first such edge in sorted order and on it the first such
     endpoint; a broken sharing rule, in increasing value order. The checks
-    are the function's one sorted pass, which this forces; the sweep itself
-    is not run.
+    are the function's one pass, which this forces; it sorts the values
+    only when one repeats, and the sweep itself is not run.
 
     Raises:
+        MorseValidationError: values is not a mapping (nor pairs).
         MissingValueError: a simplex of the tree has no value, or a value
             names a simplex the tree does not have.
         NotFiniteRealError: a value is a boolean, not a real number at all,
@@ -290,6 +302,9 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
         ValueSharedByNonIncidentError: a value is shared by two simplices
             that are not an incident vertex-edge pair.
     """
-    f = MorseFunction(tree, dict(values))
-    f._partition  # the sorted pass raises on the first fault
+    try:
+        f = MorseFunction(tree, dict(values))
+    except (TypeError, ValueError):  # not a mapping: the check names its type
+        f = MorseFunction(tree, values)
+    f._partition  # the check raises on the first fault
     return f

@@ -165,7 +165,7 @@ def strict_sublevel_component(f: MorseFunction, value: float, start: str) -> set
 def literal_critical(f: MorseFunction) -> dict:
     """Critical simplex by value: each value taken by exactly one simplex.
 
-    Counted straight from the assignment, without the library's sorted pass.
+    Counted straight from the assignment, without the library's check.
     """
     counts = Counter(f.values.values())
     return {value: s for s, value in f.values.items() if counts[value] == 1}

@@ -232,7 +232,7 @@ def _path3(b=1, second=("b", "c", 4)):
         pytest.param(["validate"], {"a": 0}, {"a": "b"}, "", "ParseError: \"edges\" must be an array\n", 2,
                      id="edges-object"),
         # the tree's faults, which the tree's constructor reports, and the
-        # values' faults the sorted pass reports, as parse_morse_document meets them
+        # values' faults the check reports, as parse_morse_document meets them
         pytest.param(["validate"], {"a": 0, "b": 1, "c": 2}, [["a", "b", 3], ["y", "x", 4]], "",
                      "UnknownVertexError: edge endpoint 'y' is not a declared vertex\n", 1,
                      id="two-undeclared-endpoints"),

@@ -47,6 +47,23 @@ def test_the_first_faulty_pair_is_reported():
     with pytest.raises(MultiEdgeError) as excinfo:
         build_tree(["a", "b", "c"], [("b", "a"), ("a", "b"), ("x", "c")])
     assert str(excinfo.value) == "edge ('a', 'b') appears more than once"
+    # a repeat is found by counting after the walk, so these pin that it is
+    # still named first when it comes first, and not when it comes later
+    cases = [
+        ([("a", "b"), ("b", "a"), ("c", "c")], MultiEdgeError, "edge ('a', 'b') appears more than once"),
+        # the pair that first repeats an earlier one, not the first pair repeated
+        ([("a", "b"), ("b", "c"), ("c", "b"), ("b", "a")], MultiEdgeError, "edge ('b', 'c') appears more than once"),
+        # the repeat also closes a cycle: three edges on three vertices
+        ([("a", "b"), ("b", "a"), ("b", "c")], MultiEdgeError, "edge ('a', 'b') appears more than once"),
+        ([("a", "z"), ("a", "b"), ("b", "a")], UnknownVertexError, "edge endpoint 'z' is not a declared vertex"),
+        ([("c", "c"), ("a", "b"), ("b", "a")], LoopEdgeError, "loop edge at vertex 'c'"),
+        # a repeat before an item that is not a pair at all
+        ([("a", "b"), ("b", "a"), ("a", "b", "c")], MultiEdgeError, "edge ('a', 'b') appears more than once"),
+    ]
+    for pairs, error, message in cases:
+        with pytest.raises(error) as excinfo:
+            build_tree(["a", "b", "c"], pairs)
+        assert str(excinfo.value) == message
 
 
 def test_cycle_rejected():

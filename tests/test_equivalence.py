@@ -16,6 +16,7 @@ from treemorse import (
     homologically_equivalent,
     induce_merge_tree,
     merge_equivalent,
+    morse,
     persistence_diagram,
     persistence_equivalent,
     validate,
@@ -355,15 +356,42 @@ def test_relations_compare_cached_readings(monkeypatch):
         # one computation of each reading per function, the first time; a
         # merge tree is its code and values, and has no reading to compute
         assert counts == {name: 2 for name in (
-            "_partition", "sweep", "gradient_vector_field", "_betti", "_diagram",
+            "_partition", "_order", "sweep", "gradient_vector_field", "_betti", "_diagram",
         )}
     assert verdicts == [(True, False, True, True)] * 3
     diagram, sequence, code, impasses = readings
     assert (diagram.pairs, sequence.b0_values, code, impasses) == (((0, INF), (2, 5)), (1, 2, 1), "(••)", 1)
 
 
+def test_values_are_sorted_only_where_a_value_repeats_or_a_sweep_reads_them(monkeypatch):
+    sorts = []
+
+    def counted(items, **kwargs):
+        sorts.append(1)
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(morse, "sorted", counted, raising=False)
+    injective = {"a": 0, "b": 1, "c": 2, ("a", "b"): 3, ("b", "c"): 4}
+    f = validate(helpers.path3_tree(), injective)
+    g = validate(helpers.path3_tree(), {s: x + 1 for s, x in injective.items()})
+    # no value repeats: no pair, so the check, a Forman verdict and a
+    # persistence verdict told apart by the least values sort nothing
+    assert (forman_equivalent(f, g), persistence_equivalent(f, g)) == (True, False)
+    assert (f._partition[0], sorts) == (None, [])
+    # the sweep sorts once, and the critical values read the same order
+    assert induce_merge_tree(f).shape_code() == "((••)•)"
+    assert f.critical_values == (0, 1, 2, 3, 4)
+    assert len(sorts) == 1
+    # with a gradient pair the check sorts, and the sweep reads that sort
+    h = lower_pair_function()
+    assert len(sorts) == 2
+    assert induce_merge_tree(h).values == (5, 0, 2)
+    assert h._order is h._partition[0]
+    assert len(sorts) == 2
+
+
 def test_a_failed_reading_caches_nothing():
-    # built directly, with its edge valued below an endpoint: the sorted pass
+    # built directly, with its edge valued below an endpoint: the check
     # raises, and so does every reading taken from it, each time it is read
     f = MorseFunction(build_tree(["a", "b"], [("a", "b")]), {"a": 0, "b": 2, ("a", "b"): 1})
     reads = (lambda: f.sweep, lambda: persistence_diagram(f), lambda: homological_sequence(f))
@@ -374,7 +402,7 @@ def test_a_failed_reading_caches_nothing():
                 read()
             errors.append((type(raised.value), str(raised.value)))
         assert errors == [(NotWeaklyIncreasingError, "f('b') = 2 exceeds f(('a', 'b')) = 1")] * 2
-    assert not {"_partition", "sweep", "_diagram", "_betti"} & vars(f).keys()
+    assert not {"_partition", "_order", "sweep", "_diagram", "_betti"} & vars(f).keys()
 
 
 def test_threads_racing_to_a_first_read_get_one_object():

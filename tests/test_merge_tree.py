@@ -186,6 +186,10 @@ UNVALIDATED_CASES = [
     ([("a", "b")], {"a": 0, "b": 1, ("a", "b"): math.inf}, NotFiniteRealError),
     # a value for a vertex the tree lacks
     ([("a", "b")], {"a": 0, "b": 1, "c": 2, ("a", "b"): 3}, MissingValueError),
+    # values that are not a mapping, nor pairs dict() could read as one
+    ([("a", "b")], 5, MorseValidationError),
+    ([("a", "b")], None, MorseValidationError),
+    ([("a", "b")], [1, 2], MorseValidationError),
 ]
 
 

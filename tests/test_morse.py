@@ -277,7 +277,7 @@ def test_random_functions_validate_and_partition(data):
     assert not (paired & set(g.critical_simplices))
     vertex_count = sum(1 for s in g.critical_simplices if not is_edge(s))
     assert vertex_count == len(g.critical_simplices) - vertex_count + 1
-    # both readings derived from the sorted pass equal the critical simplices
+    # both readings derived from the check equal the critical simplices
     # counted straight from the assignment; the hand-built dict lists a
     # paired edge before its vertex, which the stable sort keeps first
     path = build_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
