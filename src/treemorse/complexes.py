@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Union
 from .errors import (
     CycleDetectedError,
     LoopEdgeError,
+    MalformedEdgeError,
     MultiEdgeError,
     NonPositiveSizeError,
     NotConnectedError,
@@ -100,9 +101,11 @@ class SimplicialTree(_Record):
     reader checks it again. The fault reported is the first of: no vertex
     (NotConnectedError); pair by pair, in the order given, an endpoint that
     is not a vertex, the pair's first (UnknownVertexError), a loop
-    (LoopEdgeError), a repeated edge (MultiEdgeError); as many edges as
-    vertices (CycleDetectedError); more than one component (NotConnectedError).
-    A repeat is found by counting the pairs' frozenset, and named by a rescan.
+    (LoopEdgeError), a repeated edge (MultiEdgeError), an item that is not
+    two vertex names, or edges that are not iterable (MalformedEdgeError); as
+    many edges as vertices (CycleDetectedError); more than one component
+    (NotConnectedError). A repeat is found by counting the pairs' frozenset,
+    and named by a rescan.
     """
 
     _fields = ("vertices", "edges")
@@ -133,12 +136,14 @@ class SimplicialTree(_Record):
                     components -= 1
             if len(distinct := frozenset(pairs)) != len(pairs):
                 raise MultiEdgeError  # named by the rescan below
-        except Exception:
+        except Exception as error:
             seen: set[Edge] = set()
             for e in pairs:
                 if e in seen:
                     raise MultiEdgeError(f"edge {e} appears more than once") from None
                 seen.add(e)
+            if type(error) in (TypeError, ValueError):  # from iterating the edges or reading an item
+                raise MalformedEdgeError(f"edge item {len(pairs)} is not two vertex names: {error}") from None
             raise
         if len(distinct) >= len(vs):
             raise CycleDetectedError(f"{len(distinct)} edges on {len(vs)} vertices cannot be acyclic")

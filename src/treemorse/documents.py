@@ -76,9 +76,7 @@ def parse_morse_document(text: str) -> MorseFunction:
         raise ParseError(f"edge [{us[i]!r}, {vs[i]!r}] needs a value")
     # the parsed dict takes each pair's canonical edge, complexes.edge inlined: the tree refused every loop
     vertices.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
-    f = MorseFunction(tree, vertices)  # validate, without its copy of the values
-    f._partition  # the check raises on the first fault
-    return f
+    return MorseFunction(tree, vertices)  # validate, without its copy of the values
 
 
 def star_document(star: StarGraph, f: MorseFunction) -> str:

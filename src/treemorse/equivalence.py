@@ -32,10 +32,6 @@ def homological_sequence(f: MorseFunction) -> HomologicalSequence:
     :attr:`MorseFunction.sweep`, removes one. The sweep counts the
     components as it goes (:attr:`Sweep.b0`); a gradient pair enters at one
     value and leaves b0 as it was.
-
-    Raises:
-        MorseValidationError: f was built without :func:`validate`, and its
-            values break a Morse condition.
     """
     return f._betti
 
@@ -55,10 +51,6 @@ def persistence_diagram(f: MorseFunction) -> PersistenceDiagram:
     edge value; a paired edge only attaches its own fresh vertex, which
     never lived alone at any threshold, so it joins nothing. The last
     component standing is (global minimum, infinity).
-
-    Raises:
-        MorseValidationError: f was built without :func:`validate`, and its
-            values break a Morse condition.
     """
     return f._diagram
 
@@ -69,8 +61,7 @@ def persistence_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
     Equal diagrams share the global minimum, their first birth, and their
     length, one pair per critical vertex: both are read without a sweep or a sort.
     """
-    (_, f_pairs, f_least), (_, g_pairs, g_least) = f._partition, g._partition
-    f_count, g_count = len(f.domain.vertices) - len(f_pairs), len(g.domain.vertices) - len(g_pairs)
-    if f_count != g_count or f_least != g_least:
+    f_count, g_count = len(f.domain.vertices) - len(f._pairs), len(g.domain.vertices) - len(g._pairs)
+    if f_count != g_count or f._least != g._least:
         return False
     return persistence_diagram(f) == persistence_diagram(g)

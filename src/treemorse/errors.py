@@ -25,6 +25,10 @@ class UnknownVertexError(TreemorseError):
     """A vertex name was used without being declared."""
 
 
+class MalformedEdgeError(TreemorseError, ValueError):
+    """An edge item does not unpack into two vertex names, or the edges are not iterable."""
+
+
 class MorseValidationError(TreemorseError):
     """A value assignment violates the discrete Morse conditions."""
 

@@ -178,10 +178,6 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
 
     With no critical edge at all, the walk starts at the one critical
     vertex, the global minimum, and the merge tree is that single leaf.
-
-    Raises:
-        MorseValidationError: f was built without :func:`validate`, and its
-            values break a Morse condition.
     """
     joins, code, values, stack = f.sweep.joins, [], [], []
     # the walk goes down left children, each tagged L, and leaves on the

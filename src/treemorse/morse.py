@@ -6,10 +6,9 @@ is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
 
-One pass, cached on the function, checks every Morse condition, sorting the
-values only if one repeats, and decides which simplices are critical; all
-derived readings take it first, so a function built directly runs the same
-checks, with the same errors, as :func:`validate`, which only forces it. The
+The constructor checks every Morse condition in one pass, sorting the
+values only if one repeats, and decides which simplices are critical, so
+every function, however it is built, runs :func:`validate`'s checks. The
 sublevel sweep, cached as :attr:`MorseFunction.sweep`, walks the sorted values
 once: its joins give the merge tree and the persistence diagram, its
 component counts the Betti sequence, and the last two are cached too.
@@ -123,36 +122,29 @@ class PersistenceDiagram(_Record):
 class MorseFunction(_Record):
     """A discrete Morse function on a tree; unhashable, as its values are a dict.
 
-    The constructor checks nothing. The Morse conditions are checked, as
-    :func:`validate` documents, the first time anything derived from the
-    values is read; :func:`validate` forces that check.
+    The constructor checks the values, as :func:`validate` documents, and
+    keeps the gradient pairs and the least value; no reading checks again.
     """
 
     _fields = ("domain", "values")
 
-    def __call__(self, simplex: Simplex) -> float:
-        return self.values[simplex]
+    def __init__(self, domain: SimplicialTree, values: Mapping[Simplex, float]) -> None:
+        """Check the values in one pass, in :func:`validate`'s order, and decide criticality.
 
-    @_cached
-    def _partition(self) -> tuple[list | None, frozenset, float]:
-        """The one pass that checks the values and decides criticality.
-
-        Returns the ``(simplex, value)`` items in increasing value order, a
-        gradient pair's vertex right before its edge, the gradient pairs and
-        the least value; every simplex in no pair is critical. It runs
-        :func:`validate`'s checks in the order validate documents: first
-        those that sort nothing but the simplices at fault; then, only if
-        fewer distinct values than simplices show a repeat, the sort and the
-        sharing rules. With no repeat there is no pair and no sharing fault:
-        the items are None (see :attr:`_order`) and the least value a `min`.
+        The checks that sort nothing come first; then, only if fewer distinct
+        values than simplices show a repeat, the sort, kept as :attr:`_order`
+        with a gradient pair's vertex right before its edge, and the sharing
+        rules. The gradient pairs are ``_pairs`` and the least value
+        ``_least``; every simplex in no pair is critical.
 
         Raises:
             MorseValidationError: the first fault, with the type and the
                 message that :func:`validate` documents.
         """
-        values, vertices, edges = self.values, self.domain.vertices, self.domain.edges
+        self.__dict__.update(domain=domain, values=values)
+        vertices, edges = domain.vertices, domain.edges
         try:  # as many keys as the tree has simplices, and every simplex among them
-            exact = len(keys := values.keys()) == self.domain.simplex_count and keys >= vertices and keys >= edges
+            exact = len(keys := values.keys()) == domain.simplex_count and keys >= vertices and keys >= edges
         except AttributeError:
             raise MorseValidationError(f"values must be a mapping, not {type(values).__name__}") from None
         if not exact:
@@ -172,7 +164,8 @@ class MorseFunction(_Record):
             endpoint = e[0] if values[e[0]] > values[e] else e[1]
             raise NotWeaklyIncreasingError(f"f({endpoint!r}) = {values[endpoint]} exceeds f({e!r}) = {values[e]}")
         if len(set(values.values())) == len(values):
-            return None, frozenset(), min(values.values())
+            self.__dict__.update(_pairs=frozenset(), _least=min(values.values()))
+            return
         entries = sorted(values.items(), key=itemgetter(1))
         pairs = set()
         last = object()  # equal to no value, None included
@@ -197,29 +190,27 @@ class MorseFunction(_Record):
                     f"value {first} shared by non-incident simplices {a!r} and {b!r}"
                 )
             pairs.add((a, b))
-        return entries, frozenset(pairs), entries[0][1]
+        self.__dict__.update(_pairs=frozenset(pairs), _least=entries[0][1], _order=entries)
+
+    def __call__(self, simplex: Simplex) -> float:
+        return self.values[simplex]
 
     @_cached
     def _order(self) -> list:
-        """The check's sorted items, or, when it sorted none, the items sorted now."""
-        return self._partition[0] or sorted(self.values.items(), key=itemgetter(1))
+        """The ``(simplex, value)`` items in increasing value order, where the constructor sorted none."""
+        return sorted(self.values.items(), key=itemgetter(1))
 
     @_cached
     def sweep(self) -> Sweep:
         """The joins and b0 of one increasing sublevel sweep; see :class:`Sweep`.
 
-        The sweep walks :attr:`_order`, the check's sort or, when no value
-        repeats, one taken on its first read, where every edge comes after
-        both its endpoints; it adds only the joins and the component counts.
+        The sweep walks :attr:`_order`, where every edge comes after both its
+        endpoints; it adds only the joins and the component counts.
         It tracks, for every component of the growing complex, its minimum
         value and the largest critical value it has reached (its label). A
         paired vertex comes right before its edge, which attaches it to an
         older, labeled component; a critical edge joins two labeled
         components, whose minima differ because no two vertices share a value.
-
-        Raises:
-            MorseValidationError: the values break a Morse condition (see
-                :attr:`_partition`).
         """
         # union-find with path halving, as in SimplicialTree.__init__; low and
         # label hold a vertex's value, then a root's component minimum and label;
@@ -267,8 +258,7 @@ class MorseFunction(_Record):
     @_cached
     def critical_simplices(self) -> frozenset[Simplex]:
         """Simplices whose value is shared with no other simplex."""
-        pairs = self._partition[1]  # the check reads the values first
-        return frozenset(self.values).difference(*pairs)  # less each pair's vertex and edge
+        return frozenset(self.values).difference(*self._pairs)  # less each pair's vertex and edge
 
     @_cached
     def critical_values(self) -> tuple[float, ...]:
@@ -276,7 +266,7 @@ class MorseFunction(_Record):
 
     @_cached
     def gradient_vector_field(self) -> GradientVectorField:
-        return GradientVectorField(self._partition[1])
+        return GradientVectorField(self._pairs)
 
 
 def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:
@@ -288,8 +278,8 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
     real, in the order the values are given; an edge valued below an
     endpoint, the first such edge in sorted order and on it the first such
     endpoint; a broken sharing rule, in increasing value order. The checks
-    are the function's one pass, which this forces; it sorts the values
-    only when one repeats, and the sweep itself is not run.
+    are the constructor's one pass; it sorts the values only when one
+    repeats, and the sweep itself is not run.
 
     Raises:
         MorseValidationError: values is not a mapping (nor pairs).
@@ -303,8 +293,14 @@ def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunc
             that are not an incident vertex-edge pair.
     """
     try:
-        f = MorseFunction(tree, dict(values))
-    except (TypeError, ValueError):  # not a mapping: the check names its type
-        f = MorseFunction(tree, values)
-    f._partition  # the check raises on the first fault
+        values = dict(values)
+    except (TypeError, ValueError):  # not a mapping: the constructor names its type
+        pass
+    return MorseFunction(tree, values)
+
+
+def _labeled(tree: SimplicialTree, values: dict) -> MorseFunction:
+    """A MorseFunction from a labeling of tree by 0..N-1 that respects the face order, unchecked."""
+    f = object.__new__(MorseFunction)
+    f.__dict__.update(domain=tree, values=values, _pairs=frozenset(), _least=0)  # injective: no pair
     return f

@@ -31,7 +31,7 @@ from typing import Iterator
 from .complexes import Simplex, SimplicialTree, _check_size, _Record
 from .errors import BudgetExceededError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH
-from .morse import MorseFunction
+from .morse import MorseFunction, _labeled
 
 DEFAULT_SIMPLEX_BUDGET = 11
 
@@ -92,7 +92,7 @@ def enumerate_critical_dmfs(
     Deterministic: LabelingSweep's order, depth first over the candidates
     of its placement rule.
     """
-    return (MorseFunction(tree, values) for values in LabelingSweep(tree, budget=budget))
+    return (_labeled(tree, values) for values in LabelingSweep(tree, budget=budget))
 
 
 def _mirror(code: str) -> str:

@@ -171,6 +171,28 @@ def literal_critical(f: MorseFunction) -> dict:
     return {value: s for s, value in f.values.items() if counts[value] == 1}
 
 
+def local_minimum_impasses(f: MorseFunction) -> int:
+    """Impasses as the local minima of the edge order on T/M.
+
+    Contract every gradient pair's edge, found from the values alone; an
+    impasse is then a critical edge valued below every other critical edge
+    at either of its contracted ends.
+    """
+    critical, value = literal_critical(f), f.values
+    end = {v: frozenset([v]) for v in f.domain.vertices}  # each vertex's contracted end
+    for e in f.domain.edges:
+        if value[e] not in critical:  # a paired edge: its value is shared
+            merged = end[e[0]] | end[e[1]]
+            for v in merged:
+                end[v] = merged
+    edges = [e for e in f.domain.edges if value[e] in critical]
+    lowest: dict = {}  # each contracted end's least critical edge value
+    for e in edges:
+        for v in e:
+            lowest[end[v]] = min(lowest.get(end[v], value[e]), value[e])
+    return sum(1 for e in edges if all(lowest[end[v]] == value[e] for v in e))
+
+
 # a merge-tree node of the oracles: a leaf has no children, a join two
 Node = namedtuple("Node", ["value", "left", "right"], defaults=(None, None))
 

@@ -10,6 +10,7 @@ from treemorse import build_tree, check_invariants, edge, is_edge
 from treemorse.errors import (
     CycleDetectedError,
     LoopEdgeError,
+    MalformedEdgeError,
     MultiEdgeError,
     NotConnectedError,
     UnknownVertexError,
@@ -59,6 +60,21 @@ def test_the_first_faulty_pair_is_reported():
         ([("c", "c"), ("a", "b"), ("b", "a")], LoopEdgeError, "loop edge at vertex 'c'"),
         # a repeat before an item that is not a pair at all
         ([("a", "b"), ("b", "a"), ("a", "b", "c")], MultiEdgeError, "edge ('a', 'b') appears more than once"),
+        # items that do not unpack into two names, and edges that are not iterable
+        ([("a",)], MalformedEdgeError, "edge item 0 is not two vertex names: "
+         "not enough values to unpack (expected 2, got 1)"),
+        ([("a", "b"), ("a", "b", "c"), ("b", "a")], MalformedEdgeError, "edge item 1 is not two vertex names: "
+         "too many values to unpack (expected 2)"),
+        ([("a", "b"), None], MalformedEdgeError, "edge item 1 is not two vertex names: "
+         "cannot unpack non-iterable NoneType object"),
+        ([5], MalformedEdgeError, "edge item 0 is not two vertex names: cannot unpack non-iterable int object"),
+        (5, MalformedEdgeError, "edge item 0 is not two vertex names: 'int' object is not iterable"),
+        # an item that is not a pair, and then a repeat: the item comes first
+        ([("a", "b"), ("c",), ("b", "a")], MalformedEdgeError, "edge item 1 is not two vertex names: "
+         "not enough values to unpack (expected 2, got 1)"),
+        # the loop and the undeclared endpoint still come before a later bad item
+        ([("c", "c"), None], LoopEdgeError, "loop edge at vertex 'c'"),
+        ([("a", "z"), None], UnknownVertexError, "edge endpoint 'z' is not a declared vertex"),
     ]
     for pairs, error, message in cases:
         with pytest.raises(error) as excinfo:

@@ -24,6 +24,7 @@ from treemorse import (
 from treemorse.errors import (
     DomainMismatchError,
     MorseValidationError,
+    MoreThanTwoShareValueError,
     NotWeaklyIncreasingError,
     ValueSharedByNonIncidentError,
 )
@@ -240,16 +241,23 @@ def test_persistence_verdicts_skip_the_sweep_only_when_the_diagrams_must_differ(
 
 
 def test_a_persistence_verdict_raises_the_first_functions_fault():
+    # a function is checked where it is built, so a verdict never sees a
+    # faulty one: f's constructor raises first, with validate's type and message
     tree = helpers.path3_tree()
-    good = lower_pair_function()
-    late = MorseFunction(tree, {**good.values, ("a", "b"): -1})  # below a and b
-    shared = MorseFunction(tree, {**good.values, "a": 2})  # b's value, not incident
+    good = lower_pair_function().values
+    late = {**good, ("a", "b"): -1}  # below a and b
+    shared = {**good, "a": 2}  # b's value, not incident
     late_error = (NotWeaklyIncreasingError, "f('a') = 0 exceeds f(('a', 'b')) = -1")
     shared_error = (ValueSharedByNonIncidentError, "value 2 shared by non-incident simplices 'a' and 'b'")
     for f, g, expected in [(good, late, late_error), (shared, good, shared_error), (shared, late, shared_error)]:
         with pytest.raises(MorseValidationError) as raised:
-            persistence_equivalent(f, g)
+            persistence_equivalent(MorseFunction(tree, f), MorseFunction(tree, g))
         assert (type(raised.value), str(raised.value)) == expected
+    for values, expected in [(late, late_error), (shared, shared_error)]:
+        for build in (MorseFunction, validate):
+            with pytest.raises(MorseValidationError) as raised:
+                build(tree, values)
+            assert (type(raised.value), str(raised.value)) == expected
 
 
 # ------------------------------------------------- the four are distinct
@@ -354,10 +362,9 @@ def test_relations_compare_cached_readings(monkeypatch):
         ))
         readings = (persistence_diagram(f), homological_sequence(g), a.shape_code(), b.impasse_count())
         # one computation of each reading per function, the first time; a
-        # merge tree is its code and values, and has no reading to compute
-        assert counts == {name: 2 for name in (
-            "_partition", "_order", "sweep", "gradient_vector_field", "_betti", "_diagram",
-        )}
+        # merge tree is its code and values, and has no reading to compute;
+        # the sorted order is the constructor's, as both functions hold a pair
+        assert counts == {name: 2 for name in ("sweep", "gradient_vector_field", "_betti", "_diagram")}
     assert verdicts == [(True, False, True, True)] * 3
     diagram, sequence, code, impasses = readings
     assert (diagram.pairs, sequence.b0_values, code, impasses) == (((0, INF), (2, 5)), (1, 2, 1), "(••)", 1)
@@ -377,32 +384,40 @@ def test_values_are_sorted_only_where_a_value_repeats_or_a_sweep_reads_them(monk
     # no value repeats: no pair, so the check, a Forman verdict and a
     # persistence verdict told apart by the least values sort nothing
     assert (forman_equivalent(f, g), persistence_equivalent(f, g)) == (True, False)
-    assert (f._partition[0], sorts) == (None, [])
+    assert ("_order" not in vars(f), sorts) == (True, [])
     # the sweep sorts once, and the critical values read the same order
     assert induce_merge_tree(f).shape_code() == "((••)•)"
     assert f.critical_values == (0, 1, 2, 3, 4)
     assert len(sorts) == 1
-    # with a gradient pair the check sorts, and the sweep reads that sort
+    # with a gradient pair the constructor sorts and keeps the sort, which
+    # the sweep reads
     h = lower_pair_function()
     assert len(sorts) == 2
+    order = vars(h)["_order"]
     assert induce_merge_tree(h).values == (5, 0, 2)
-    assert h._order is h._partition[0]
+    assert h._order is order
     assert len(sorts) == 2
 
 
 def test_a_failed_reading_caches_nothing():
-    # built directly, with its edge valued below an endpoint: the check
-    # raises, and so does every reading taken from it, each time it is read
-    f = MorseFunction(build_tree(["a", "b"], [("a", "b")]), {"a": 0, "b": 2, ("a", "b"): 1})
-    reads = (lambda: f.sweep, lambda: persistence_diagram(f), lambda: homological_sequence(f))
-    for read in reads:
+    # the check runs where the function is built: values that break a
+    # Morse condition raise there, each time, and the failed construction
+    # leaves the values as they were given and no reading on the tree
+    tree = build_tree(["a", "b"], [("a", "b")])
+    cases = [
+        ({"a": 0, "b": 2, ("a", "b"): 1}, NotWeaklyIncreasingError, "f('b') = 2 exceeds f(('a', 'b')) = 1"),
+        ({("a", "b"): 0, "b": 0, "a": 0}, MoreThanTwoShareValueError, "value 0 is taken by 3 simplices"),
+    ]
+    for values, error, message in cases:
+        given = list(values.items())
         errors = []
         for _ in range(2):
             with pytest.raises(MorseValidationError) as raised:
-                read()
+                MorseFunction(tree, values)
             errors.append((type(raised.value), str(raised.value)))
-        assert errors == [(NotWeaklyIncreasingError, "f('b') = 2 exceeds f(('a', 'b')) = 1")] * 2
-    assert not {"_partition", "_order", "sweep", "_diagram", "_betti"} & vars(f).keys()
+        assert errors == [(error, message)] * 2
+        assert list(values.items()) == given
+    assert vars(tree).keys() == {"vertices", "edges"}
 
 
 def test_threads_racing_to_a_first_read_get_one_object():

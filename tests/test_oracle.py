@@ -15,6 +15,7 @@ import helpers
 import treemorse
 from treemorse import (
     DEFAULT_SIMPLEX_BUDGET,
+    MorseFunction,
     build_tree,
     check_invariants,
     count_merge_classes,
@@ -113,6 +114,16 @@ def test_every_enumerated_function_is_a_critical_dmf():
         validate(tree, f.values)
         assert sorted(f.values.values()) == list(range(n))
         assert len(f.critical_simplices) == n
+
+
+def test_enumerated_labelings_store_what_the_check_finds():
+    # enumerate_critical_dmfs skips the constructor's check, as its
+    # labelings are valid by construction; the pairs and least value it
+    # stores in place of the check's must be the ones the check finds
+    for n, edges, tree, functions in helpers.small_corpus():
+        for f, _, _ in functions:
+            checked = MorseFunction(f.domain, f.values)
+            assert (f._pairs, f._least) == (checked._pairs, checked._least), (edges, f.values)
 
 
 def test_sweep_matches_both_merge_tree_builders():

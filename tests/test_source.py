@@ -21,6 +21,7 @@ ORACLES = {
     "strict_sublevel_component", "literal_critical", "reference_merge_tree",
     "reference_persistence_diagram", "reference_b0_sequence",
     "reference_shape_code", "reference_values", "reference_text", "reference_dot",
+    "local_minimum_impasses",
 }
 ORACLE_IMPORTS = {"MorseFunction", "SimplicialTree", "is_edge"}
 
@@ -69,6 +70,33 @@ def test_only_complexes_decides_what_is_a_tree():
     assert raisers == {name: {"complexes.py"} for name in refusals}
 
 
+def test_only_the_morse_constructor_decides_what_is_a_morse_function():
+    # every MorseFunction is checked where it is built, so no other function
+    # raises the errors that refuse values as a discrete Morse function
+    refusals = {
+        "MorseValidationError", "MissingValueError", "NotFiniteRealError", "NotWeaklyIncreasingError",
+        "MoreThanTwoShareValueError", "ValueSharedByNonIncidentError",
+    }
+
+    def raised(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in refusals:
+                    yield node, exc.id
+
+    constructor = [
+        item for path, node in _package_nodes() if isinstance(node, ast.ClassDef) and node.name == "MorseFunction"
+        for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    assert len(constructor) == 1
+    inside = {node.lineno: name for node, name in raised(constructor[0])}
+    assert set(inside.values()) == refusals
+    found = [f"{path.name}:{node.lineno}" for path, tree in _package_nodes() if isinstance(tree, ast.Module)
+             for node, _ in raised(tree) if path.name != "morse.py" or node.lineno not in inside]
+    assert found == []
+
+
 def test_no_function_calls_itself_but_the_witness_walk():
     # a recursion's depth follows its input, and the package must work at
     # 10^5 simplices; _witness recurses once per vertex, which the simplex
@@ -115,7 +143,7 @@ def test_a_merge_tree_has_one_representation():
 
 def test_records_store_their_fields_one_way():
     # _Record writes the constructor of a record that only stores its fields;
-    # a hand-written one checks them or gives defaults, and stores them
+    # a hand-written one checks them, and stores them
     # through the instance dict, as the written ones do
     records, constructors, calls = set(), set(), []
     for path, node in _package_nodes():
@@ -126,7 +154,7 @@ def test_records_store_their_fields_one_way():
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
             calls.append(f"{path.name}:{node.lineno}")
-    assert len(records) == 10 and constructors == {"SimplicialTree", "MergeTree"}
+    assert len(records) == 10 and constructors == {"SimplicialTree", "MergeTree", "MorseFunction"}
     assert calls == []
 
 
@@ -263,8 +291,9 @@ def test_oracles_stay_independent_of_the_package():
     # an oracle answers for the code it checks, so it loads only the
     # package's data types and is_edge, calls no other helper, and reads no
     # member the package derives from the values or the tree, such as
-    # SimplicialTree's matching_number and its cache; the tree's simplices
-    # and simplex_count only list its fields
+    # SimplicialTree's matching_number and its cache, or the gradient pairs
+    # and least value that MorseFunction's constructor stores; the tree's
+    # simplices and simplex_count only list its fields
     module = ast.parse(HELPERS.read_text(encoding="utf-8"))
     package = {  # the names helpers.py binds to the package
         alias.asname or alias.name.split(".")[0]
@@ -279,8 +308,8 @@ def test_oracles_stay_independent_of_the_package():
     derived = {
         name for cls in (SimplicialTree, MorseFunction, Sweep, MergeTree) for name in vars(cls)
         if not name.startswith("__")
-    } - fields - {"simplices", "simplex_count"} | set(Sweep._fields)
-    assert {"sweep", "_partition", "critical_values", "gradient_vector_field", "joins"} <= derived
+    } - fields - {"simplices", "simplex_count"} | set(Sweep._fields) | {"_pairs", "_least"}
+    assert {"sweep", "_order", "critical_values", "gradient_vector_field", "joins"} <= derived
     assert {"matching_number", "_matching_number", "degree"} <= derived
     found = []
     for name in sorted(ORACLES):
