@@ -13,6 +13,7 @@ from .errors import (
     CycleDetectedError,
     LoopEdgeError,
     MalformedEdgeError,
+    MalformedVertexError,
     MultiEdgeError,
     NonPositiveSizeError,
     NotConnectedError,
@@ -98,7 +99,8 @@ class SimplicialTree(_Record):
     The constructor takes any iterables of vertex names and endpoint pairs,
     stores frozensets, each edge as its canonical pair, and refuses anything
     that is not a connected, acyclic graph with at least one vertex, so no
-    reader checks it again. The fault reported is the first of: no vertex
+    reader checks it again. The fault reported is the first of: a name that
+    is not a str, or vertices not iterable (MalformedVertexError); no vertex
     (NotConnectedError); pair by pair, in the order given, an endpoint that
     is not a vertex, the pair's first (UnknownVertexError), a loop
     (LoopEdgeError), a repeated edge (MultiEdgeError), an item that is not
@@ -111,7 +113,10 @@ class SimplicialTree(_Record):
     _fields = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
-        vs = frozenset(vertices)
+        try:  # one pass hashes the names, and one joins them, which takes only strs
+            "".join(vs := frozenset(vertices))
+        except TypeError as error:
+            raise MalformedVertexError(f"vertices are not an iterable of str names: {error}") from None
         if not vs:
             raise NotConnectedError("a tree needs at least one vertex")
         pairs: list[Edge] = []

@@ -20,7 +20,7 @@ def _load(text: str) -> tuple[dict[str, Any], Sequence, Sequence, Sequence]:
     """The vertex dict and the edge columns: first endpoints, second endpoints, values."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON or too many digits; deep nesting
+    except (ValueError, RecursionError, TypeError) as exc:  # bad JSON or too many digits; deep nesting; not text
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -76,7 +76,7 @@ def parse_morse_document(text: str) -> MorseFunction:
         raise ParseError(f"edge [{us[i]!r}, {vs[i]!r}] needs a value")
     # the parsed dict takes each pair's canonical edge, complexes.edge inlined: the tree refused every loop
     vertices.update(zip([(u, v) if u < v else (v, u) for u, v in zip(us, vs)], edge_values))
-    return MorseFunction(tree, vertices)  # validate, without its copy of the values
+    return MorseFunction(tree, vertices)
 
 
 def star_document(star: StarGraph, f: MorseFunction) -> str:

@@ -25,6 +25,10 @@ class UnknownVertexError(TreemorseError):
     """A vertex name was used without being declared."""
 
 
+class MalformedVertexError(TreemorseError, ValueError):
+    """The vertices are not iterable, or a vertex name cannot be hashed or is not a str."""
+
+
 class MalformedEdgeError(TreemorseError, ValueError):
     """An edge item does not unpack into two vertex names, or the edges are not iterable."""
 

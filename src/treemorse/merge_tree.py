@@ -183,7 +183,7 @@ def induce_merge_tree(f: MorseFunction) -> MergeTree:
     # the walk goes down left children, each tagged L, and leaves on the
     # stack each join's ")" under its right child, tagged R; a label that
     # no join produced is a critical vertex: a leaf
-    label, tagged_r = next(reversed(joins), f.sweep.global_min), False
+    label, tagged_r = next(reversed(joins), f._least), False
     while True:
         values.append(label)
         join = joins.get(label)

@@ -6,9 +6,10 @@ is taken more than twice, and a repeated value is allowed only on an
 incident vertex-edge pair. Each such pair is one arrow of the gradient
 vector field; every unpaired simplex is critical.
 
-The constructor checks every Morse condition in one pass, sorting the
-values only if one repeats, and decides which simplices are critical, so
-every function, however it is built, runs :func:`validate`'s checks. The
+The constructor, which :func:`validate` names, copies the values and
+checks every Morse condition in one pass, sorting them only if one
+repeats, and decides which simplices are critical, so every function is
+checked once, where it is built, and owns the values it was checked on. The
 sublevel sweep, cached as :attr:`MorseFunction.sweep`, walks the sorted values
 once: its joins give the merge tree and the persistence diagram, its
 component counts the Betti sequence, and the last two are cached too.
@@ -84,12 +85,13 @@ class Sweep(_Record):
     held just below the join, its minimum its smallest vertex value; the
     heir is the component with the smaller minimum, which keeps its
     parent's direction in the merge tree and outlives the other in the
-    persistence diagram. ``global_min`` is the smallest vertex value of the
-    whole tree. ``b0`` counts the components at each critical value, in
-    increasing order: on a forest, the whole Betti sequence.
+    persistence diagram. ``b0`` counts the components at each critical
+    value, in increasing order: on a forest, the whole Betti sequence. The
+    least value, the birth of the one infinite pair, is the function's
+    ``_least``, which its constructor stores.
     """
 
-    _fields = ("joins", "global_min", "b0")
+    _fields = ("joins", "b0")
 
 
 class HomologicalSequence(_Record):
@@ -120,33 +122,45 @@ class PersistenceDiagram(_Record):
 
 
 class MorseFunction(_Record):
-    """A discrete Morse function on a tree; unhashable, as its values are a dict.
-
-    The constructor checks the values, as :func:`validate` documents, and
-    keeps the gradient pairs and the least value; no reading checks again.
-    """
+    """A discrete Morse function on a tree; unhashable, as its values are a dict."""
 
     _fields = ("domain", "values")
 
     def __init__(self, domain: SimplicialTree, values: Mapping[Simplex, float]) -> None:
-        """Check the values in one pass, in :func:`validate`'s order, and decide criticality.
+        """Check a copy of the values, which the function keeps, in one pass, and decide criticality.
 
-        The checks that sort nothing come first; then, only if fewer distinct
-        values than simplices show a repeat, the sort, kept as :attr:`_order`
-        with a gradient pair's vertex right before its edge, and the sharing
-        rules. The gradient pairs are ``_pairs`` and the least value
-        ``_least``; every simplex in no pair is critical.
+        The values are a mapping or (simplex, value) pairs; a later change to
+        the argument is never read. The fault reported is the first of: a
+        simplex of the tree without a value, vertices before edges, each in
+        sorted order; a value for a simplex the tree does not have, or one
+        that is not a finite real, in the order given; an edge valued below
+        an endpoint, the first such edge in sorted order and on it the first
+        such endpoint; a broken sharing rule, in increasing value order. The
+        pass sorts only if fewer distinct values than simplices show a
+        repeat, and keeps the sort as :attr:`_order`, a gradient pair's
+        vertex right before its edge. It stores the gradient pairs as
+        ``_pairs`` and the least value as ``_least``; every simplex in no
+        pair is critical. No reading checks again.
 
         Raises:
-            MorseValidationError: the first fault, with the type and the
-                message that :func:`validate` documents.
+            MorseValidationError: values is not a mapping (nor pairs).
+            MissingValueError: a simplex of the tree has no value, or a value
+                names a simplex the tree does not have.
+            NotFiniteRealError: a value is a boolean, not a real number at all,
+                NaN or an infinity.
+            NotWeaklyIncreasingError: an edge value is below an endpoint value.
+            MoreThanTwoShareValueError: a value is taken three or more times.
+            ValueSharedByNonIncidentError: a value is shared by two simplices
+                that are not an incident vertex-edge pair.
         """
+        try:
+            values = dict(values)
+        except (TypeError, ValueError):
+            raise MorseValidationError(f"values must be a mapping, not {type(values).__name__}") from None
         self.__dict__.update(domain=domain, values=values)
         vertices, edges = domain.vertices, domain.edges
-        try:  # as many keys as the tree has simplices, and every simplex among them
-            exact = len(keys := values.keys()) == domain.simplex_count and keys >= vertices and keys >= edges
-        except AttributeError:
-            raise MorseValidationError(f"values must be a mapping, not {type(values).__name__}") from None
+        # as many keys as the tree has simplices, and every simplex among them
+        exact = len(keys := values.keys()) == domain.simplex_count and keys >= vertices and keys >= edges
         if not exact:
             for simplices in (vertices, edges):
                 missing = [s for s in simplices if s not in values]
@@ -242,7 +256,7 @@ class MorseFunction(_Record):
                 b0.pop()
             live -= 1
             parent[root_v] = root_u
-        return Sweep(joins, entries[0][1], tuple(b0))
+        return Sweep(joins, tuple(b0))
 
     @_cached
     def _betti(self) -> HomologicalSequence:
@@ -253,7 +267,7 @@ class MorseFunction(_Record):
     def _diagram(self) -> PersistenceDiagram:
         """The persistence diagram; see :func:`treemorse.persistence_diagram`."""
         pairs = sorted((born, value) for value, (_, _, born) in self.sweep.joins.items())  # births are distinct
-        return PersistenceDiagram(((self.sweep.global_min, math.inf), *pairs))  # global_min is the least birth
+        return PersistenceDiagram(((self._least, math.inf), *pairs))  # the least value is the least birth
 
     @_cached
     def critical_simplices(self) -> frozenset[Simplex]:
@@ -269,34 +283,8 @@ class MorseFunction(_Record):
         return GradientVectorField(self._pairs)
 
 
-def validate(tree: SimplicialTree, values: Mapping[Simplex, float]) -> MorseFunction:
-    """Check the discrete Morse conditions and wrap the assignment.
-
-    The fault reported is the first in this order: a simplex of the tree
-    without a value, vertices before edges, each in sorted order; a value
-    for a simplex the tree does not have, or a value that is not a finite
-    real, in the order the values are given; an edge valued below an
-    endpoint, the first such edge in sorted order and on it the first such
-    endpoint; a broken sharing rule, in increasing value order. The checks
-    are the constructor's one pass; it sorts the values only when one
-    repeats, and the sweep itself is not run.
-
-    Raises:
-        MorseValidationError: values is not a mapping (nor pairs).
-        MissingValueError: a simplex of the tree has no value, or a value
-            names a simplex the tree does not have.
-        NotFiniteRealError: a value is a boolean, not a real number at all,
-            NaN or an infinity.
-        NotWeaklyIncreasingError: an edge value is below an endpoint value.
-        MoreThanTwoShareValueError: a value is taken three or more times.
-        ValueSharedByNonIncidentError: a value is shared by two simplices
-            that are not an incident vertex-edge pair.
-    """
-    try:
-        values = dict(values)
-    except (TypeError, ValueError):  # not a mapping: the constructor names its type
-        pass
-    return MorseFunction(tree, values)
+# the package's name for the checking constructor
+validate = MorseFunction
 
 
 def _labeled(tree: SimplicialTree, values: dict) -> MorseFunction:

@@ -15,7 +15,7 @@ import itertools
 from .complexes import _check_size, _Record, build_tree, edge
 from .errors import MalformedSequenceError, NotThinError
 from .merge_tree import _IMPASSE_CODE, LEAF_GLYPH, MergeTree, _stored
-from .morse import MorseFunction, validate
+from .morse import MorseFunction
 
 
 class StarGraph(_Record):
@@ -107,7 +107,7 @@ def realize_on_star(tree: MergeTree) -> tuple[StarGraph, MorseFunction]:
     edges = [edge(center, str(leaf[i])) for i in range(k)]
     star_tree = build_tree(values, edges)
     values.update(zip(edges, range(2 * k, k, -1)))
-    return StarGraph(star_tree, center), validate(star_tree, values)
+    return StarGraph(star_tree, center), MorseFunction(star_tree, values)
 
 
 def count_realizable_on_star(k: int) -> int:

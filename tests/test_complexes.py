@@ -11,6 +11,7 @@ from treemorse.errors import (
     CycleDetectedError,
     LoopEdgeError,
     MalformedEdgeError,
+    MalformedVertexError,
     MultiEdgeError,
     NotConnectedError,
     UnknownVertexError,
@@ -80,6 +81,25 @@ def test_the_first_faulty_pair_is_reported():
         with pytest.raises(error) as excinfo:
             build_tree(["a", "b", "c"], pairs)
         assert str(excinfo.value) == message
+
+
+def test_vertices_that_are_not_str_names_are_refused():
+    # one pass hashes the names and one joins them, so each case is refused
+    # before any edge is read, and a later reading never meets a bad name
+    cases = [
+        (None, "'NoneType' object is not iterable"),
+        (5, "'int' object is not iterable"),
+        ([{}], "unhashable type: 'dict'"),
+        ([("x",)], "sequence item 0: expected str instance, tuple found"),
+        ([1, 2], "sequence item 0: expected str instance, int found"),
+    ]
+    for vertices, reason in cases:
+        with pytest.raises(MalformedVertexError) as excinfo:
+            build_tree(vertices, [(1, 2)])
+        assert str(excinfo.value) == f"vertices are not an iterable of str names: {reason}"
+        assert isinstance(excinfo.value, ValueError)
+    with pytest.raises(MalformedVertexError):  # before the empty tree's NotConnectedError
+        build_tree(None, [])
 
 
 def test_cycle_rejected():

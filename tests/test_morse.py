@@ -241,7 +241,7 @@ def test_paired_simplices_enter_together():
     f = validate(single_edge(), {"u": 0, "v": 1, ("u", "v"): 1})
     # v and uv enter at 1 together: v never lives alone, so nothing joins
     assert f.sweep.joins == {}
-    assert f.sweep.global_min == 0
+    assert persistence_diagram(f).pairs[0] == (0, math.inf)  # u, the least value, is born first
 
 
 def test_filtration_steps_through_critical_values():

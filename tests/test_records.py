@@ -11,6 +11,11 @@ from treemorse import (
     MorseFunction,
     SimplicialTree,
     StarGraph,
+    build_tree,
+    homological_sequence,
+    induce_merge_tree,
+    persistence_diagram,
+    validate,
 )
 from treemorse.morse import HomologicalSequence, PersistenceDiagram, Sweep
 from treemorse.oracle import InvariantReport, PropertyCheck
@@ -80,10 +85,10 @@ RECORDS = [
         "MergeTree(code='((••)•)', values=(4, 3, 0, 1, 2.5))",
     ),
     (
-        Sweep, ("joins", "global_min", "b0"),
-        lambda: ({2: (0, 1, 1)}, 0, (1, 2, 1)),
-        lambda: ({}, 0, (1,)),
-        "Sweep(joins={2: (0, 1, 1)}, global_min=0, b0=(1, 2, 1))",
+        Sweep, ("joins", "b0"),
+        lambda: ({2: (0, 1, 1)}, (1, 2, 1)),
+        lambda: ({}, (1,)),
+        "Sweep(joins={2: (0, 1, 1)}, b0=(1, 2, 1))",
     ),
 ]
 HASHABLE = (SimplicialTree, GradientVectorField, HomologicalSequence, PersistenceDiagram, MergeTree, StarGraph)
@@ -144,3 +149,38 @@ def test_written_constructors_store_the_fields_and_name_their_class(cls, names, 
     with pytest.raises(TypeError) as raised:
         cls(*make(), **{names[0]: make()[0]})
     assert str(raised.value) == f"{cls.__name__}.__init__() got multiple values for argument {names[0]!r}"
+
+
+
+def test_checking_constructors_own_their_inputs():
+    # each checking constructor keeps its own copy of what it checked, so a
+    # change the caller makes to a list or dict afterwards is never read
+    def readings(change):
+        vertices, edges = ["a", "b", "c"], [["a", "b"], ["b", "c"]]
+        node_values = [2, 0, 1]
+        values = {"a": 0, "b": 1, "c": 3, ("a", "b"): 2, ("b", "c"): 3}
+        tree = SimplicialTree(vertices, edges)
+        merge = MergeTree("(••)", node_values)
+        functions = [MorseFunction(tree, values), validate(tree, values)]
+        change(vertices, edges, node_values, values)
+        return [tree, list(tree.simplices()), tree.matching_number(), merge, merge.to_text()] + [
+            (f, f.critical_values, f.gradient_vector_field, induce_merge_tree(f),
+             persistence_diagram(f), homological_sequence(f))
+            for f in functions
+        ]
+
+    def change(vertices, edges, node_values, values):
+        vertices.append("z")
+        edges[0][1] = edges[1][0] = "z"
+        node_values[0] = -1
+        values[("a", "b")] = -1
+        values["c"] = 9
+        del values["b"]
+
+    assert readings(change) == readings(lambda *inputs: None)
+    # a value changed after construction was read unchecked, and the sweep
+    # raised a bare KeyError
+    vals = {"a": 0, "b": 1, ("a", "b"): 2}
+    f = MorseFunction(build_tree(["a", "b"], [("a", "b")]), vals)
+    vals[("a", "b")] = -1
+    assert persistence_diagram(f).pairs == ((0, math.inf), (1, 2))

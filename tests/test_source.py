@@ -141,6 +141,13 @@ def test_a_merge_tree_has_one_representation():
     assert MergeTree._fields == ("code", "values")
 
 
+def test_build_tree_and_validate_are_the_checking_constructors():
+    # each is the constructor under a second name, not a wrapper round it,
+    # so a tree or a function has one way to be built and checked
+    assert treemorse.build_tree is SimplicialTree
+    assert treemorse.validate is MorseFunction
+
+
 def test_records_store_their_fields_one_way():
     # _Record writes the constructor of a record that only stores its fields;
     # a hand-written one checks them, and stores them
